@@ -53,6 +53,7 @@ from .measures import (
     Measure,
     conditional_prob,
     dlr_check,
+    dlr_table,
     from_weights,
     gibbs_measure,
     hamiltonian_energy,

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .algebra import build_algebra, export_matrix_csv, export_matrix_json, matrix_entries
@@ -25,7 +26,8 @@ from .limits import (
     coefficient_sequence,
     low_temp_limit_algebras,
 )
-from .measures import dlr_check, measure_from_json
+# dlr_check stays importable here: bench/tracing.py wraps it by this name
+from .measures import dlr_check, dlr_table, measure_from_json  # noqa: F401
 from .structure import build_hierarchy, iso_check, structure_counts
 
 SCHEMA_VERSION = 1
@@ -41,7 +43,7 @@ class Scenario:
     raw: dict
 
 
-def load_scenario(path) -> Scenario:
+def _read_scenario(path) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -49,8 +51,22 @@ def load_scenario(path) -> Scenario:
         raise ValidationError(f"scenario: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scenario: invalid JSON in {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario: top-level JSON object required")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("scenario.schema_version: expected 1")
+    return raw
+
+
+def _number(value, name: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"scenario.limits.{name}: expected a number, got {value!r}") from None
+
+
+def load_scenario(path) -> Scenario:
+    raw = _read_scenario(path)
     for key in ("graph", "states", "measure"):
         if key not in raw:
             raise ValidationError(f"scenario.{key}: missing")
@@ -178,27 +194,21 @@ def _pair_label(pair) -> str:
 
 
 def cmd_limits(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"scenario: cannot read {args.scenario}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario: invalid JSON: {exc}") from None
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError("scenario.schema_version: expected 1")
-    spec = raw.get("limits")
+    spec = _read_scenario(args.scenario).get("limits")
     if not isinstance(spec, dict):
         raise ValidationError("scenario.limits: missing")
     for key in ("dimension", "states", "radii", "beta"):
         if key not in spec:
             raise ValidationError(f"scenario.limits.{key}: missing")
+    radii = spec["radii"]
+    if not isinstance(radii, list):
+        raise ValidationError("scenario.limits.radii: list of integers required")
     scheme = VolumeScheme(
-        int(spec["dimension"]),
-        tuple(spec["radii"]),
-        int(spec["states"]),
-        float(spec.get("J", 1.0)),
-        float(spec["beta"]),
+        _number(spec["dimension"], "dimension", int),
+        tuple(_number(r, "radii", int) for r in radii),
+        _number(spec["states"], "states", int),
+        _number(spec.get("J", 1.0), "J"),
+        _number(spec["beta"], "beta"),
     )
     pair_specs = spec.get("pairs", [])
     sequences = []
@@ -228,7 +238,7 @@ def cmd_limits(args) -> int:
         ],
     }
     if "low_temp" in spec:
-        betas = spec["low_temp"].get("betas")
+        betas = spec["low_temp"].get("betas") if isinstance(spec["low_temp"], dict) else None
         if not isinstance(betas, list) or not betas:
             raise ValidationError("scenario.limits.low_temp.betas: nonempty list required")
         payload["low_temp"] = low_temp_limit_algebras(
@@ -261,14 +271,11 @@ def cmd_dlr(args) -> int:
             raise ValidationError(f"domain: unknown vertex {name!r}")
         domain.append(scenario.labels.index(name))
     domain = sorted(set(domain))
-    from itertools import product as iproduct
-
     k = scenario.space.k
     rows = []
     max_gap = 0.0
-    for states in iproduct(range(1, k + 1), repeat=len(domain)):
-        assignment = dict(zip(domain, states))
-        result = dlr_check(scenario.hamiltonian, domain, assignment)
+    table = dlr_table(scenario.hamiltonian, domain)
+    for states, result in zip(product(range(1, k + 1), repeat=len(domain)), table):
         max_gap = max(max_gap, result.gap)
         label = "(" + ",".join(scenario.space.label_of(s) for s in states) + ")"
         rows.append(

@@ -92,10 +92,13 @@ class VolumeScheme:
             raise ValidationError("scheme: at least two states required")
         object.__setattr__(self, "radii", radii)
         sites = (2 * radii[-1] + 1) ** self.dimension
-        if self.states**sites > ENUMERATION_BUDGET:
+        # with two or more states, more than 64 sites is always over budget
+        cells = self.states**sites if sites <= 64 else None
+        if cells is None or cells > ENUMERATION_BUDGET:
+            predicted = f"{self.states}^{sites}" + (f" = {cells}" if cells else "")
             raise BudgetError(
-                f"scheme: {self.states}^{sites} cells at radius {radii[-1]} "
-                f"exceeds the enumeration budget"
+                f"scheme: {predicted} cells at radius {radii[-1]} "
+                f"exceed the enumeration budget of {ENUMERATION_BUDGET}"
             )
         # constructing the largest box also validates the dimension
         self.box(radii[-1])

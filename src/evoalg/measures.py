@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .cells import Cell, PairCell
+from .cells import Cell
 from .errors import BudgetError, ValidationError
 from .graphs import Graph
 
@@ -30,6 +30,7 @@ __all__ = [
     "gibbs_measure",
     "conditional_prob",
     "dlr_check",
+    "dlr_table",
     "product_mass",
     "measure_from_json",
 ]
@@ -67,9 +68,6 @@ class Measure:
 
     def mass(self, cell: Cell) -> float:
         return float(self.weights[cell.index])
-
-    def pair_mass(self, pair: PairCell) -> float:
-        return float(self.weights[pair.first.index] * self.weights[pair.second.index])
 
 
 def from_weights(raw, n: int, k: int) -> Measure:
@@ -145,7 +143,7 @@ def potts_hamiltonian(graph: Graph, k: int, coupling: float, beta: float) -> Ham
 def _digit_table(n: int, k: int) -> np.ndarray:
     count = k**n
     if count > ENUMERATION_BUDGET:
-        raise BudgetError(f"cell space of size {count} exceeds the enumeration budget")
+        raise BudgetError(f"{count} cells exceed the enumeration budget of {ENUMERATION_BUDGET}")
     idx = np.arange(count)
     digits = np.empty((count, n), dtype=np.int64)
     for v in range(n):
@@ -268,43 +266,64 @@ class DlrGap:
     gap: float
 
 
-def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
-    """Compare both sides of the consistency identity for one domain event.
+def dlr_table(h: Hamiltonian, domain) -> list:
+    """Both sides of the consistency identity for every domain assignment.
 
-    The left side marginalizes the full-volume Gibbs measure over the
-    domain assignment; the right side averages the conditional probability
-    over boundaries drawn from the same measure.
+    Rows follow ``itertools.product(range(1, k + 1), repeat=len(domain))``.
+    The right side averages the conditional probability, built from the
+    potentials meeting the domain, over the outer neighbours' states.
     """
     domain = tuple(sorted(set(domain)))
     if not domain:
         raise ValidationError("dlr: domain must be nonempty")
     if any(v < 0 or v >= h.n for v in domain):
         raise ValidationError("dlr: domain vertex out of range")
+    k, inside, weights = h.k, set(domain), gibbs_measure(h).weights
+    meeting = {e: m for e, m in h.pair_coupling.items() if inside & set(e)}
+    local = sorted({v for e in meeting for v in e} - inside) + list(domain)
+    cells, code = np.arange(k**h.n), 0
+    for v in local:  # base-k code of the outer then the domain states
+        code = code * k + cells // k**v % k
+    # joint mass of (outer neighbours' states, domain states)
+    joint = np.bincount(code, weights, k ** len(local)).reshape(-1, k ** len(domain))
+    lhs = rhs = joint.sum(axis=0)
+    if len(domain) < h.n:
+        digit = dict(zip(local, np.indices((k,) * len(local)).reshape(len(local), -1)))
+        energy = sum(h.site_field[v][digit[v]] for v in domain)
+        for (x, y), mat in meeting.items():
+            energy = energy + mat[digit[x], digit[y]]
+        log_w = -h.beta * energy.reshape(joint.shape)
+        cond = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        cond /= cond.sum(axis=1, keepdims=True)
+        rhs = joint.sum(axis=1) @ cond
+    return [DlrGap(float(a), float(b), abs(float(a) - float(b))) for a, b in zip(lhs, rhs)]
+
+
+def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
+    """The row of ``dlr_table`` for one domain assignment."""
+    domain = tuple(sorted(set(domain)))
     if set(assignment) != set(domain):
         raise ValidationError("dlr: assignment must cover exactly the domain")
-    target = {v: int(assignment[v]) - 1 for v in domain}
-    mu = gibbs_measure(h)
-    digits = _digit_table(h.n, h.k)
-    match = np.ones(len(digits), dtype=bool)
-    for v in domain:
-        match &= digits[:, v] == target[v]
-    lhs = float(mu.weights[match].sum())
-
-    complement = [v for v in range(h.n) if v not in set(domain)]
-    if not complement:
-        return DlrGap(lhs, lhs, 0.0)
-    rhs = 0.0
-    states = {v: s for v, s in assignment.items()}
-    for idx in range(len(digits)):
-        boundary = {v: int(digits[idx, v]) + 1 for v in complement}
-        spec = ConditionalSpec(domain, boundary)
-        rhs += float(mu.weights[idx]) * conditional_prob(h, spec, states)
-    return DlrGap(lhs, rhs, abs(lhs - rhs))
+    digits = [int(assignment[v]) - 1 for v in domain]
+    if any(not 0 <= d < h.k for d in digits):
+        raise ValidationError("dlr: assignment state out of range")
+    return dlr_table(h, domain)[sum(d * h.k**i for i, d in enumerate(reversed(digits)))]
 
 
 def product_mass(mu: Measure, pairs) -> float:
     """Product-measure mass of a set of pair cells."""
-    return float(sum(mu.pair_mass(p) for p in pairs))
+    return float(sum(mu.weights[p.first.index] * mu.weights[p.second.index] for p in pairs))
+
+
+def _floats(raw, name: str, shape=()):
+    """``raw`` as floats of the given shape, or an error naming the field."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.shape != shape:
+        raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {raw!r}")
+    return arr if shape else float(arr)
 
 
 def _parse_cell_label(label: str, space, n: int) -> Cell:
@@ -348,7 +367,7 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             if cell.index in seen:
                 raise ValidationError(f"measure.weights: duplicate cell {label!r}")
             seen.add(cell.index)
-            raw[cell.index] = float(value)
+            raw[cell.index] = _floats(value, f"measure.weights[{label!r}]")
         if len(seen) != k**n:
             raise ValidationError("measure.weights: every cell needs a weight")
         if np.any(raw <= 0):
@@ -358,9 +377,10 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
         spec = descriptor["hamiltonian"]
         if not isinstance(spec, dict) or "beta" not in spec:
             raise ValidationError("measure.hamiltonian: beta required")
-        beta = float(spec["beta"])
+        beta = _floats(spec["beta"], "measure.hamiltonian.beta")
         if spec.get("model") == "potts":
-            h = potts_hamiltonian(graph, k, float(spec.get("J", 1.0)), beta)
+            coupling = _floats(spec.get("J", 1.0), "measure.hamiltonian.J")
+            h = potts_hamiltonian(graph, k, coupling, beta)
         else:
             coupling = {}
             for entry in spec.get("pair_coupling", []):
@@ -373,7 +393,7 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
                 v = vertex_of(entry.get("vertex", -1))
                 if not 0 <= v < n:
                     raise ValidationError("measure.hamiltonian.site_field: vertex out of range")
-                field_arr[v] = np.asarray(entry.get("values"), dtype=float)
+                field_arr[v] = _floats(entry.get("values"), "measure.hamiltonian.site_field", (k,))
             h = Hamiltonian(graph, k, beta, coupling, field_arr)
         return gibbs_measure(h), h
     raise ValidationError("measure: descriptor needs weights or hamiltonian")

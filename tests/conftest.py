@@ -114,3 +114,31 @@ def edge_algebra(edge_graph, two_states, reference_measure):
 @pytest.fixture
 def free_algebra(free_graph, two_states, reference_measure):
     return ev.build_algebra(free_graph, two_states, reference_measure)
+
+
+def dlr_check_oracle(h, domain, assignment):
+    """Both sides of the consistency identity by a loop over every cell.
+
+    The left side sums the Gibbs mass of the cells matching the assignment;
+    the right side adds, cell by cell, that cell's mass times the
+    conditional probability of the assignment given its whole complement.
+    """
+    domain = tuple(sorted(set(domain)))
+    target = {v: int(assignment[v]) - 1 for v in domain}
+    mu = ev.gibbs_measure(h)
+    index = np.arange(h.k**h.n)
+    digits = np.stack([index // h.k**v % h.k for v in range(h.n)], axis=1)
+    match = np.ones(len(digits), dtype=bool)
+    for v in domain:
+        match &= digits[:, v] == target[v]
+    lhs = float(mu.weights[match].sum())
+
+    complement = [v for v in range(h.n) if v not in set(domain)]
+    if not complement:
+        return ev.DlrGap(lhs, lhs, 0.0)
+    rhs = 0.0
+    for idx in range(len(digits)):
+        boundary = {v: int(digits[idx, v]) + 1 for v in complement}
+        spec = ev.ConditionalSpec(domain, boundary)
+        rhs += float(mu.weights[idx]) * ev.conditional_prob(h, spec, assignment)
+    return ev.DlrGap(lhs, rhs, abs(lhs - rhs))

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 
 import evoalg as ev
 from evoalg.cli import main
@@ -187,9 +192,11 @@ def test_limits_emits_csv_and_json(tmp_path):
     assert payload["pairs"][0]["converged"] is True
 
 
-def test_limits_budget(tmp_path):
+def test_limits_budget(tmp_path, capsys):
     scenario = write(tmp_path / "l.json", limits_scenario(radii=(1, 10)))
     assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "2097152 cells" in err and "budget of 1000000" in err
 
 
 def test_limits_low_temp_block(tmp_path):
@@ -251,3 +258,50 @@ def test_wrong_schema_version(tmp_path):
     payload["schema_version"] = 2
     scenario = write(tmp_path / "v2.json", payload)
     assert main(["build", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+
+
+def general_scenario(values):
+    payload = potts_scenario(["1", "2"], [["1", "2"]])
+    payload["measure"] = {
+        "hamiltonian": {
+            "beta": 1.0,
+            "pair_coupling": [{"edge": ["1", "2"], "matrix": [[0, 1], [1, 0]]}],
+            "site_field": [{"vertex": "1", "values": values}],
+        }
+    }
+    return payload
+
+
+def limits_with(**fields):
+    payload = limits_scenario()
+    payload["limits"].update(fields)
+    return payload
+
+
+MALFORMED = {
+    "top-level array, build": ("build", [edge_scenario()], "scenario"),
+    "top-level array, limits": ("limits", [limits_scenario()], "scenario"),
+    "short site field": ("dlr", general_scenario([0.5]), "measure.hamiltonian.site_field"),
+    "non-numeric weight": (
+        "build",
+        edge_scenario({"(a,a)": "heavy", "(a,A)": 1, "(A,a)": 1, "(A,A)": 1}),
+        "measure.weights['(a,a)']",
+    ),
+    "non-numeric dimension": ("limits", limits_with(dimension="x"), "scenario.limits.dimension"),
+    "scalar radii": ("limits", limits_with(radii=3), "scenario.limits.radii"),
+}
+
+
+@pytest.mark.parametrize("command, payload, field", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, command, payload, field):
+    scenario = write(tmp_path / "bad.json", payload)
+    argv = [command, "--scenario", scenario, "--out", str(tmp_path / "out")]
+    if command == "dlr":
+        argv += ["--domain", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(ev.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoalg.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: {field}" in proc.stderr

@@ -160,10 +160,13 @@ def test_low_temp_infinite_temperature_is_symmetric():
 
 
 def test_budget_rejected():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"2\^25 = 33554432 cells .* budget of 1000000$"):
         VolumeScheme(2, (1, 2), 2, 1.0, 1.0)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"2\^21 = 2097152 cells .* budget of 1000000$"):
         VolumeScheme(1, (10,), 2, 1.0, 1.0)
+    # too many digits to print: the count is given as a power
+    with pytest.raises(BudgetError, match=r"2\^200001 cells .* budget of 1000000$"):
+        VolumeScheme(1, (100000,), 2, 1.0, 1.0)
 
 
 def test_pattern_must_fit_in_box():

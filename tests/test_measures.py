@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import evoalg as ev
 from evoalg.errors import BudgetError, ValidationError
 
-from conftest import cell, pair, reference_measure_for
+from conftest import cell, dlr_check_oracle, pair, reference_measure_for
 
 
 def test_from_weights_uniform():
@@ -71,7 +72,7 @@ def test_gibbs_high_temperature_is_nearly_uniform(edge_graph):
 
 def test_gibbs_budget():
     g = ev.Graph(21)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"^2097152 cells .* budget of 1000000$"):
         ev.gibbs_measure(ev.Hamiltonian(g, 2, 1.0))
 
 
@@ -148,6 +149,80 @@ def test_dlr_sweep_small_graphs():
                 for states in itertools.product((1, 2), repeat=size):
                     result = ev.dlr_check(h, domain, dict(zip(domain, states)))
                     assert result.gap < 1e-10
+
+
+# bounds the oracle's k^n cells times k^|D| conditional terms per row
+ORACLE_WORK = 3**9
+
+
+@st.composite
+def dlr_instances(draw):
+    """A random pair Hamiltonian and domain: any graph on up to 6 vertices.
+
+    Domains of every size are drawn, except that with k=3 and 5 or 6
+    vertices the partial domains are capped by ``ORACLE_WORK``.
+    """
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 6))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    edges = frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ())
+    unit = st.floats(-1.0, 1.0)
+    coupling = {e: draw(st.lists(unit, min_size=k * k, max_size=k * k)) for e in sorted(edges)}
+    coupling = {e: np.reshape(m, (k, k)) for e, m in coupling.items()}
+    site = np.reshape(draw(st.lists(unit, min_size=n * k, max_size=n * k)), (n, k))
+    h = ev.Hamiltonian(ev.Graph(n, edges), k, draw(st.floats(0.0, 5.0)), coupling, site)
+    sizes = [s for s in range(1, n + 1) if s == n or k ** (n + s) <= ORACLE_WORK]
+    order = draw(st.permutations(range(n)))
+    return h, tuple(sorted(order[: draw(st.sampled_from(sizes))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dlr_instances(), st.data())
+def test_dlr_table_matches_cell_loop_oracle(instance, data):
+    h, domain = instance
+    table = ev.dlr_table(h, domain)
+    assignments = list(itertools.product(range(1, h.k + 1), repeat=len(domain)))
+    assert len(table) == len(assignments)
+    assert all(row.gap <= 1e-12 for row in table)
+    if len(domain) == h.n:
+        assert all(row.gap == 0.0 and row.rhs == row.lhs for row in table)
+    rows = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=2, unique=True))
+    for i in rows:
+        expected = dlr_check_oracle(h, domain, dict(zip(domain, assignments[i])))
+        assert table[i].lhs == pytest.approx(expected.lhs, rel=1e-12, abs=0.0)
+        assert table[i].rhs == pytest.approx(expected.rhs, rel=1e-12, abs=0.0)
+
+
+def test_dlr_table_every_domain_of_a_small_graph():
+    graph = ev.Graph(5, frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
+    rng = np.random.default_rng(3)
+    coupling = {e: rng.uniform(-1, 1, (2, 2)) for e in graph.edges}
+    h = ev.Hamiltonian(graph, 2, 2.5, coupling, rng.uniform(-1, 1, (5, 2)))
+    for size in range(1, 6):
+        for domain in itertools.combinations(range(5), size):
+            table = ev.dlr_table(h, domain)
+            for row, states in zip(table, itertools.product((1, 2), repeat=size)):
+                assignment = dict(zip(domain, states))
+                expected = dlr_check_oracle(h, domain, assignment)
+                assert row == ev.dlr_check(h, domain, assignment)
+                assert row.lhs == pytest.approx(expected.lhs, rel=1e-12, abs=0.0)
+                assert row.rhs == pytest.approx(expected.rhs, rel=1e-12, abs=0.0)
+
+
+def test_dlr_table_domain_without_outer_neighbours():
+    h = ev.potts_hamiltonian(ev.Graph(3, frozenset({(0, 1)})), 2, 1.0, 2.0)
+    table = ev.dlr_table(h, (2,))
+    assert [row.lhs for row in table] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert all(row.gap <= 1e-15 for row in table)
+
+
+@pytest.mark.parametrize(
+    "domain, assignment",
+    [((), {}), ((5,), {5: 1}), ((0,), {1: 1}), ((0,), {0: 3}), ((0,), {0: 0})],
+)
+def test_dlr_check_rejects(edge_potts, domain, assignment):
+    with pytest.raises(ValidationError):
+        ev.dlr_check(edge_potts, domain, assignment)
 
 
 def test_product_mass_of_everything_is_one():
