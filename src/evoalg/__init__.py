@@ -18,6 +18,7 @@ from .algebra import (
     load_matrix_csv,
     load_matrix_json,
     matrix_entries,
+    nonzero_count,
 )
 from .cells import (
     Cell,

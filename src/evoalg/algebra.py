@@ -15,24 +15,27 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .cells import Cell, PairCell, StateSpace
+from .cells import PairCell, StateSpace, children_indices, component_contributions
 from .errors import BudgetError, ValidationError
 from .graphs import Graph, components
 from .measures import Measure
 
 __all__ = [
     "DIMENSION_BUDGET",
+    "NONZERO_BUDGET",
     "COEFF_DROP",
     "HeredityMatrix",
     "AlgebraElement",
     "EvolutionAlgebra",
     "build_algebra",
     "matrix_entries",
+    "nonzero_count",
     "export_matrix_csv",
     "export_matrix_json",
     "load_matrix_csv",
@@ -40,14 +43,22 @@ __all__ = [
 ]
 
 DIMENSION_BUDGET = 65536
+NONZERO_BUDGET = 10**7
 COEFF_DROP = 1e-15
 
 
 class HeredityMatrix:
     """Sparse row-stochastic coefficient matrix over the pair cells.
 
-    Each row is the outer product of the normalized cell weights of the
-    generator's children set; rows with equal children sets are shared.
+    ``contrib[cell, b]`` is a cell's index contribution on component ``b``.
+    A generator's parents give the signature cells ``lo`` and ``hi``, with
+    the smaller and the larger contribution on every component, and its
+    level, the number of components where they differ; these fix its
+    children set.  ``classes`` lists the row classes as ascending
+    ``level * k**2n + lo * k**n + hi``, ``gen_row`` maps each generator to
+    its class, ``row_level``, ``row_lo`` and ``row_hi`` unpack each class and
+    ``level_start`` marks where each level begins.  A row is the outer
+    product of the normalized cell weights of its class's children set.
     """
 
     def __init__(self, graph: Graph, space: StateSpace, measure: Measure):
@@ -55,57 +66,53 @@ class HeredityMatrix:
         kn = k**n
         self.kn = kn
         self.dimension = kn * kn
-        parts = components(graph)
-        # componentwise index contribution of every cell: two cells agree on a
-        # component exactly when their contributions there coincide
-        place = np.array([k**v for v in range(n)], dtype=np.int64)
-        idx = np.arange(kn, dtype=np.int64)
-        digits = np.empty((kn, n), dtype=np.int64)
-        for v in range(n):
-            digits[:, v] = (idx // place[v]) % k
-        contrib = np.stack(
-            [digits[:, list(blk)] @ place[list(blk)] for blk in parts], axis=1
+        cells = np.arange(kn, dtype=np.int64)
+        digits = cells[:, None] // k ** np.arange(n, dtype=np.int64) % k
+        self.contrib = component_contributions(digits, components(graph), k)
+        lo = np.zeros((kn, kn), dtype=np.int64)
+        level = np.zeros((kn, kn), dtype=np.int64)
+        for part in self.contrib.T:
+            lo += np.minimum.outer(part, part)
+            level += np.not_equal.outer(part, part)
+        # min + max = a + b on every component, so hi = a + b - lo
+        hi = np.add.outer(cells, cells) - lo
+        self.classes, self.gen_row = np.unique(
+            ((level * kn + lo) * kn + hi).ravel(), return_inverse=True
         )
-
-        row_ids: dict = {}
-        row_children = []
-        row_weights = []
-        gen_row = np.empty(self.dimension, dtype=np.int64)
-        pair_rows: dict = {}
-        for a in range(kn):
-            for b in range(a, kn):
-                key = (a, b)
-                options = []
-                for i in range(len(parts)):
-                    sa, sb = int(contrib[a, i]), int(contrib[b, i])
-                    options.append((sa,) if sa == sb else (sa, sb))
-                children = tuple(sorted(sum(combo) for combo in product(*options)))
-                rid = row_ids.get(children)
-                if rid is None:
-                    rid = len(row_children)
-                    row_ids[children] = rid
-                    w = measure.weights[list(children)]
-                    row_children.append(children)
-                    row_weights.append(w / w.sum())
-                pair_rows[key] = rid
-        for a in range(kn):
-            for b in range(kn):
-                gen_row[a * kn + b] = pair_rows[(min(a, b), max(a, b))]
-        self._gen_row = gen_row
-        self._row_children = row_children
-        self._row_weights = row_weights
+        self.row_level, row_key = np.divmod(self.classes, self.dimension)
+        self.row_lo, self.row_hi = np.divmod(row_key, kn)
+        self.level_start = np.searchsorted(self.row_level, np.arange(self.row_level[-1] + 2))
+        # per level: children (R, 2**c) and normalized weights of its row classes
+        self._children, self._weights = [], []
+        for c in range(len(self.level_start) - 1):
+            rows = slice(self.level_start[c], self.level_start[c + 1])
+            kids = children_indices(self.contrib[self.row_lo[rows]], self.contrib[self.row_hi[rows]])
+            w = measure.weights[kids]
+            self._children.append(kids)
+            self._weights.append(w / w.sum(axis=1, keepdims=True))
+        self._rows: dict = {}
         self._row_support: dict = {}
+
+    def _row(self, rid: int) -> tuple:
+        """Children cells and normalized weights of a row class, as Python objects."""
+        row = self._rows.get(rid)
+        if row is None:
+            c = int(self.row_level[rid])
+            pos = rid - self.level_start[c]
+            row = tuple(self._children[c][pos].tolist()), self._weights[c][pos].tolist()
+            self._rows[rid] = row
+        return row
 
     def children_cells(self, index: int) -> tuple:
         """Sorted cell indices of the generator's children set."""
-        return self._row_children[self._gen_row[index]]
+        return self._row(int(self.gen_row[index]))[0]
 
     def support(self, index: int) -> tuple:
         """Sorted pair indices carrying nonzero coefficients in this row."""
-        rid = int(self._gen_row[index])
+        rid = int(self.gen_row[index])
         cached = self._row_support.get(rid)
         if cached is None:
-            cells = self._row_children[rid]
+            cells = self._row(rid)[0]
             cached = tuple(sorted(a * self.kn + b for a in cells for b in cells))
             self._row_support[rid] = cached
         return cached
@@ -114,25 +121,36 @@ class HeredityMatrix:
         """The full sparse row as ``{pair_index: coefficient}``."""
         if not 0 <= index < self.dimension:
             raise ValidationError(f"row: pair index {index} out of range")
-        rid = int(self._gen_row[index])
-        cells = self._row_children[rid]
-        w = self._row_weights[rid]
+        cells, w = self._row(int(self.gen_row[index]))
         return {
-            a * self.kn + b: float(w[i] * w[j])
+            a * self.kn + b: w[i] * w[j]
             for i, a in enumerate(cells)
             for j, b in enumerate(cells)
         }
 
-    def coefficient(self, row_index: int, col_index: int) -> float:
-        rid = int(self._gen_row[row_index])
-        cells = self._row_children[rid]
-        a, b = divmod(col_index, self.kn)
-        try:
-            i, j = cells.index(a), cells.index(b)
-        except ValueError:
-            return 0.0
-        w = self._row_weights[rid]
-        return float(w[i] * w[j])
+    def entry_chunks(self, max_entries: int = 1 << 12):
+        """All nonzero entries as ``(rows, cols, values)`` arrays, sorted.
+
+        Each chunk covers consecutive generators and holds about
+        ``max_entries`` entries, more only when one row alone is wider.
+        """
+        width = 4 ** self.row_level[self.gen_row]
+        ends = np.cumsum(width)
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1], max_entries), side="right")
+        cuts = np.append(np.unique(cuts), self.dimension)
+        for g0, g1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            rid, size = self.gen_row[g0:g1], width[g0:g1]
+            level, offset = self.row_level[rid], np.cumsum(size) - size
+            cols = np.empty(int(size.sum()), dtype=np.int64)
+            vals = np.empty(len(cols))
+            for c in np.unique(level).tolist():
+                sel = level == c
+                pos = rid[sel] - self.level_start[c]
+                kids, w = self._children[c][pos], self._weights[c][pos]
+                at = offset[sel][:, None] + np.arange(4**c)
+                cols[at] = (kids[:, :, None] * self.kn + kids[:, None, :]).reshape(len(pos), -1)
+                vals[at] = (w[:, :, None] * w[:, None, :]).reshape(len(pos), -1)
+            yield np.repeat(np.arange(g0, g1), size), cols, vals
 
 
 class AlgebraElement:
@@ -209,6 +227,15 @@ class EvolutionAlgebra:
     def pair_label(self, index: int) -> str:
         return self.pair_from_index(index).label(self.space)
 
+    def pair_labels(self) -> list:
+        """Labels of all generators in index order, from a table of the cell labels."""
+        # product varies its last place fastest, and vertex 0 is the least significant digit
+        cells = [
+            "(" + ",".join(reversed(states)) + ")"
+            for states in product(self.space.labels, repeat=self.graph.vertex_count)
+        ]
+        return [f"({a},{b})" for a in cells for b in cells]
+
     def generator(self, pair) -> AlgebraElement:
         return AlgebraElement({self.pair_index(pair): 1.0})
 
@@ -251,34 +278,40 @@ def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> Evolutio
     return EvolutionAlgebra(graph, space, measure, HeredityMatrix(graph, space, measure))
 
 
+def nonzero_count(graph: Graph, k: int) -> int:
+    """Nonzero coefficients in closed form: ``prod_b (m + 4 m (m - 1))``, ``m = k**|b|``."""
+    return math.prod(k ** len(b) * (4 * k ** len(b) - 3) for b in components(graph))
+
+
 def matrix_entries(algebra: EvolutionAlgebra):
     """All nonzero matrix entries as ``(row, col, value)``, sorted."""
-    for i in range(algebra.dimension):
-        row = algebra.matrix.row(i)
-        for j in sorted(row):
-            yield i, j, row[j]
+    for rows, cols, vals in algebra.matrix.entry_chunks():
+        yield from zip(rows.tolist(), cols.tolist(), vals.tolist())
 
 
 def export_matrix_csv(algebra: EvolutionAlgebra, path):
+    """Write the entries as ``csv.writer`` would, one chunk of rows at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for i, j, v in matrix_entries(algebra):
-            writer.writerow([i, j, repr(v)])
+        fh.write("row,col,value\r\n")
+        for rows, cols, vals in algebra.matrix.entry_chunks():
+            entries = zip(rows.tolist(), cols.tolist(), vals.tolist())
+            fh.write("".join(f"{i},{j},{v!r}\r\n" for i, j, v in entries))
 
 
 def export_matrix_json(algebra: EvolutionAlgebra, path):
-    payload = {
-        "schema_version": 1,
-        "vertices": algebra.graph.vertex_count,
-        "states": algebra.space.k,
-        "dimension": algebra.dimension,
-        "labels": [algebra.pair_label(i) for i in range(algebra.dimension)],
-        "entries": [[i, j, v] for i, j, v in matrix_entries(algebra)],
-    }
+    """Write what ``json.dump(payload, fh, sort_keys=True, indent=1)`` would, a chunk at a time."""
+    labels = json.dumps(algebra.pair_labels(), indent=1).replace("\n", "\n ")
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "dimension": {algebra.dimension},\n "entries": [')
+        sep = "\n"
+        for rows, cols, vals in algebra.matrix.entry_chunks():
+            entries = zip(rows.tolist(), cols.tolist(), vals.tolist())
+            fh.write(sep + ",\n".join(f"  [\n   {i},\n   {j},\n   {v!r}\n  ]" for i, j, v in entries))
+            sep = ",\n"
+        fh.write(
+            f'\n ],\n "labels": {labels},\n "schema_version": 1,\n'
+            f' "states": {algebra.space.k},\n "vertices": {algebra.graph.vertex_count}\n}}\n'
+        )
 
 
 def load_matrix_csv(path) -> dict:

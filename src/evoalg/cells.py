@@ -14,7 +14,8 @@ cells and the pair-children set ``4**c`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from .errors import ValidationError
 from .graphs import ComponentPartition
@@ -26,6 +27,8 @@ __all__ = [
     "Subcell",
     "restrict",
     "children_set",
+    "component_contributions",
+    "children_indices",
     "pair_children",
     "state_space_from_json",
 ]
@@ -173,27 +176,45 @@ def restrict(cell: Cell, block) -> Subcell:
     return Subcell(vertices, tuple(cell.digits[v] + 1 for v in vertices))
 
 
+def component_contributions(digits, parts: ComponentPartition, k: int) -> np.ndarray:
+    """``sum(digits[..., v] * k**v)`` over each component's vertices, in ``digits``' dtype.
+
+    A cell's index is the sum of these contributions, and two cells agree on
+    a component exactly when their contributions there coincide.
+    """
+    digits = np.asarray(digits)
+    place = np.array([k**v for v in range(digits.shape[-1])], dtype=digits.dtype)
+    return np.stack([digits[..., list(b)] @ place[list(b)] for b in parts], axis=-1)
+
+
+def children_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Sorted children cell indices of pairs, from their parents' contributions.
+
+    ``first`` and ``second`` have shape ``(R, B)``, and every pair differs on
+    the same number ``c`` of components.  Row ``r`` of the ``(R, 2**c)``
+    result is the componentwise minimum plus every subset sum of the
+    differences: a child copies either parent on each component.
+    """
+    diff = np.abs(first - second)
+    c = int(np.count_nonzero(diff[0]))
+    steps = diff[diff != 0].reshape(len(diff), c)
+    subsets = (np.arange(2**c)[:, None] >> np.arange(c)) & 1
+    base = np.minimum(first, second).sum(axis=1)
+    return np.sort(base[:, None] + steps @ subsets.T, axis=1)
+
+
 def children_set(theta: PairCell, parts: ComponentPartition, space: StateSpace) -> set:
     """The cells assembled componentwise from the two parents of ``theta``.
 
     On every component the child copies the first parent's subcell or the
     second's, independently of the other components.
     """
-    phi, psi = theta.first, theta.second
     _check_pair(theta, parts, space)
-    options = []
-    for block in parts:
-        a = tuple(phi.digits[v] for v in block)
-        b = tuple(psi.digits[v] for v in block)
-        options.append((a,) if a == b else (a, b))
-    children = set()
-    for choice in product(*options):
-        digits = [0] * phi.n
-        for block, sub in zip(parts, choice):
-            for v, d in zip(block, sub):
-                digits[v] = d
-        children.add(Cell(tuple(digits), phi.k))
-    return children
+    # Python integers, so no cell index can overflow whatever the vertex count
+    digits = np.array([theta.first.digits, theta.second.digits], dtype=object)
+    first, second = component_contributions(digits, parts, theta.k)
+    kids = children_indices(first[None], second[None])[0]
+    return {Cell.from_index(i, theta.n, theta.k) for i in kids.tolist()}
 
 
 def pair_children(sigma: PairCell, parts: ComponentPartition, space: StateSpace) -> set:

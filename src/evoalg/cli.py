@@ -12,11 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .algebra import build_algebra, export_matrix_csv, export_matrix_json, matrix_entries
+from .algebra import (
+    NONZERO_BUDGET, build_algebra, export_matrix_csv, export_matrix_json, nonzero_count,
+)
+# matrix_entries stays importable here: bench/tracing.py wraps it by this name
+from .algebra import matrix_entries  # noqa: F401
 from .cells import state_space_from_json
 from .errors import BudgetError, ValidationError
 from .graphs import graph_from_json
@@ -77,15 +82,16 @@ def load_scenario(path) -> Scenario:
 
 
 def _dump_json(payload, path, to_stdout: bool):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if to_stdout:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def cmd_build(args) -> int:
     scenario = load_scenario(args.scenario)
+    nonzeros = nonzero_count(scenario.graph, scenario.space.k)
+    if nonzeros > NONZERO_BUDGET:
+        raise BudgetError(f"{nonzeros} nonzeros exceed the nonzero budget of {NONZERO_BUDGET}")
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -96,7 +102,7 @@ def cmd_build(args) -> int:
         "vertices": scenario.graph.vertex_count,
         "states": scenario.space.k,
         "dimension": algebra.dimension,
-        "nonzeros": sum(1 for _ in matrix_entries(algebra)),
+        "nonzeros": nonzeros,
     }
     _dump_json(summary, out / "build_summary.json", args.stdout)
     print(f"matrix exported to {out}", file=sys.stderr)
@@ -106,8 +112,9 @@ def cmd_build(args) -> int:
 def _hierarchy_payload(scenario) -> dict:
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
     hierarchy = build_hierarchy(algebra)
+    labels = algebra.pair_labels()
     levels = [
-        [[algebra.pair_label(g) for g in block] for block in blocks]
+        [[labels[g] for g in block] for block in blocks]
         for blocks in hierarchy.levels
     ]
     try:
@@ -175,9 +182,10 @@ def _tail_cell_from_json(node) -> TailCell:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValidationError("limits.pairs.pattern: entries must be [site, state]")
         coord, state = entry
-        key = int(coord) if isinstance(coord, (int, float)) else tuple(int(x) for x in coord)
-        pattern.append((key, int(state)))
-    return TailCell(int(node["tail"]), tuple(pattern))
+        coords = coord if isinstance(coord, (list, tuple)) else [coord]
+        key = tuple(_number(x, "pairs.pattern", int) for x in coords)
+        pattern.append((key, _number(state, "pairs.pattern", int)))
+    return TailCell(_number(node["tail"], "pairs.tail", int), tuple(pattern))
 
 
 def _tail_label(cell: TailCell) -> str:
@@ -274,7 +282,7 @@ def cmd_dlr(args) -> int:
     k = scenario.space.k
     rows = []
     max_gap = 0.0
-    table = dlr_table(scenario.hamiltonian, domain)
+    table = dlr_table(scenario.hamiltonian, domain, scenario.measure)
     for states, result in zip(product(range(1, k + 1), repeat=len(domain)), table):
         max_gap = max(max_gap, result.gap)
         label = "(" + ",".join(scenario.space.label_of(s) for s in states) + ")"

@@ -266,19 +266,25 @@ class DlrGap:
     gap: float
 
 
-def dlr_table(h: Hamiltonian, domain) -> list:
+def dlr_table(h: Hamiltonian, domain, measure: Measure = None) -> list:
     """Both sides of the consistency identity for every domain assignment.
 
     Rows follow ``itertools.product(range(1, k + 1), repeat=len(domain))``.
     The right side averages the conditional probability, built from the
     potentials meeting the domain, over the outer neighbours' states.
+    ``measure`` is the Gibbs measure of ``h`` when the caller has built it
+    already; otherwise it is built here.
     """
     domain = tuple(sorted(set(domain)))
     if not domain:
         raise ValidationError("dlr: domain must be nonempty")
     if any(v < 0 or v >= h.n for v in domain):
         raise ValidationError("dlr: domain vertex out of range")
-    k, inside, weights = h.k, set(domain), gibbs_measure(h).weights
+    if measure is None:
+        measure = gibbs_measure(h)
+    elif (measure.n, measure.k) != (h.n, h.k):
+        raise ValidationError("dlr: measure does not match the Hamiltonian")
+    k, inside, weights = h.k, set(domain), measure.weights
     meeting = {e: m for e, m in h.pair_coupling.items() if inside & set(e)}
     local = sorted({v for e in meeting for v in e} - inside) + list(domain)
     cells, code = np.arange(k**h.n), 0
@@ -324,6 +330,14 @@ def _floats(raw, name: str, shape=()):
     if arr.shape != shape:
         raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {raw!r}")
     return arr if shape else float(arr)
+
+
+def _objects(spec: dict, name: str) -> list:
+    """The list of objects under ``spec[name]``, or an error naming the field."""
+    entries = spec.get(name, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValidationError(f"measure.hamiltonian.{name}: list of objects required, got {entries!r}")
+    return entries
 
 
 def _parse_cell_label(label: str, space, n: int) -> Cell:
@@ -383,13 +397,13 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             h = potts_hamiltonian(graph, k, coupling, beta)
         else:
             coupling = {}
-            for entry in spec.get("pair_coupling", []):
+            for entry in _objects(spec, "pair_coupling"):
                 edge = entry.get("edge")
                 if not isinstance(edge, (list, tuple)) or len(edge) != 2:
                     raise ValidationError("measure.hamiltonian.pair_coupling: malformed edge")
                 coupling[(vertex_of(edge[0]), vertex_of(edge[1]))] = entry.get("matrix")
             field_arr = np.zeros((n, k))
-            for entry in spec.get("site_field", []):
+            for entry in _objects(spec, "site_field"):
                 v = vertex_of(entry.get("vertex", -1))
                 if not 0 <= v < n:
                     raise ValidationError("measure.hamiltonian.site_field: vertex out of range")

@@ -9,6 +9,9 @@ Diagonal pairs sit alone at level 0, every other block strictly above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+
+import numpy as np
 
 from .algebra import EvolutionAlgebra
 from .errors import ValidationError
@@ -142,43 +145,43 @@ class Hierarchy:
 
 
 def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
-    """Group generators by children set and rank blocks by flow depth."""
-    matrix = algebra.matrix
-    kn = algebra.kn
-    groups: dict = {}
-    for g in range(algebra.dimension):
-        groups.setdefault(frozenset(matrix.children_cells(g)), []).append(g)
-    keys = sorted(groups, key=lambda s: (len(s), sorted(s)))
-    # every strict-subset key of K is the children set of a pair drawn from
-    # K, so the subsets can be enumerated without scanning all key pairs
-    level_of: dict = {}
-    subsets_of: dict = {}
-    for key in keys:
-        cells = sorted(key)
-        below = set()
-        for i, a in enumerate(cells):
-            for b in cells[i:]:
-                candidate = frozenset(matrix.children_cells(a * kn + b))
-                if candidate != key:
-                    below.add(candidate)
-        subsets_of[key] = below
-        level_of[key] = 1 + max((level_of[o] for o in below), default=-1)
-    depth = max(level_of.values()) + 1
-    leveled = [[] for _ in range(depth)]
-    for key in keys:
-        leveled[level_of[key]].append(tuple(sorted(groups[key])))
-    levels = tuple(tuple(sorted(blocks)) for blocks in leveled)
-    coord = {}
-    for lvl, blocks in enumerate(levels):
-        for pos, block in enumerate(blocks):
-            for g in block:
-                coord[g] = (lvl, pos)
-    flows = set()
-    for key in keys:
-        src = coord[groups[key][0]]
-        for other in subsets_of[key]:
-            flows.add((src, coord[groups[other][0]]))
-    return Hierarchy(levels, tuple(sorted(flows)), coord)
+    """Group generators into row classes and rank them by level.
+
+    A class whose parents differ on ``c`` components sits at level ``c``.
+    It flows to its ``3**c - 1`` proper sub-classes: on every disagreeing
+    component keep ``lo``, ``hi`` or both, short of both everywhere.
+    Blocks of a level are ordered by their smallest generator.
+    """
+    m = algebra.matrix
+    level, level_start = m.row_level, m.level_start
+    # the smallest generator of a class is (lo, hi) itself, so classes in
+    # key order are blocks in order of their smallest generator
+    pos = np.arange(len(level)) - level_start[level]
+    order = np.argsort(m.gen_row, kind="stable")
+    bounds = np.searchsorted(m.gen_row[order], np.arange(len(level) + 1)).tolist()
+    gens = order.tolist()
+    blocks = [tuple(gens[bounds[r] : bounds[r + 1]]) for r in range(len(level))]
+    levels = tuple(
+        tuple(blocks[level_start[c] : level_start[c + 1]]) for c in range(len(level_start) - 1)
+    )
+    coords = list(zip(level.tolist(), pos.tolist()))
+    coord = dict(zip(range(algebra.dimension), map(coords.__getitem__, m.gen_row.tolist())))
+    sources, targets = [], []
+    for c in range(len(levels)):
+        rows = np.arange(level_start[c], level_start[c + 1])
+        lo, hi = m.contrib[m.row_lo[rows]], m.contrib[m.row_hi[rows]]
+        steps = (hi - lo)[hi != lo].reshape(len(rows), c)
+        keep = np.array(list(product(range(3), repeat=c))[:-1]).reshape(3**c - 1, c)
+        sub_lo = m.row_lo[rows, None] + steps @ (keep == 1).T
+        sub_hi = m.row_lo[rows, None] + steps @ (keep != 0).T
+        sub_level = np.count_nonzero(keep == 2, axis=1)
+        sub_class = sub_level * algebra.dimension + sub_lo * algebra.kn + sub_hi
+        # classes run in (level, position) order: sorting each row sorts the flows
+        sources.append(np.repeat(rows, len(keep)))
+        targets.append(np.sort(np.searchsorted(m.classes, sub_class), axis=1).ravel())
+    src, dst = np.concatenate(sources).tolist(), np.concatenate(targets).tolist()
+    flows = tuple(zip(map(coords.__getitem__, src), map(coords.__getitem__, dst)))
+    return Hierarchy(levels, flows, coord)
 
 
 @dataclass(frozen=True)
@@ -226,10 +229,8 @@ def iso_check(left: EvolutionAlgebra, right: EvolutionAlgebra) -> IsoReport:
         raise ValidationError("iso_check: algebras built over different graphs")
     if left.space != right.space:
         raise ValidationError("iso_check: algebras built over different state spaces")
-    support_equal = all(
-        left.matrix.children_cells(g) == right.matrix.children_cells(g)
-        for g in range(left.dimension)
-    )
+    lm, rm = left.matrix, right.matrix
+    support_equal = np.array_equal(lm.classes[lm.gen_row], rm.classes[rm.gen_row])
     skeleton_equal = build_hierarchy(left).levels == build_hierarchy(right).levels
     verdict = (
         "isomorphic-per-theorem" if support_equal and skeleton_equal else "not-isomorphic-per-theorem"

@@ -142,3 +142,91 @@ def dlr_check_oracle(h, domain, assignment):
         spec = ev.ConditionalSpec(domain, boundary)
         rhs += float(mu.weights[idx]) * ev.conditional_prob(h, spec, assignment)
     return ev.DlrGap(lhs, rhs, abs(lhs - rhs))
+
+
+def pair_loop_rows(graph, space, measure):
+    """Children tuple and normalized weights of every generator, pair by pair.
+
+    The loop over all unordered cell pairs that built the heredity matrix
+    before the signature kernel: children come from ``itertools.product``
+    over the per-component options, and rows are shared by children set.
+    """
+    import itertools
+
+    n, k = graph.vertex_count, space.k
+    kn = k**n
+    parts = ev.components(graph)
+    place = [k**v for v in range(n)]
+    contrib = [
+        [sum((a // place[v]) % k * place[v] for v in blk) for blk in parts] for a in range(kn)
+    ]
+    weights_of = {}
+    pair_children = {}
+    for a in range(kn):
+        for b in range(a, kn):
+            options = [
+                (sa,) if sa == sb else (sa, sb) for sa, sb in zip(contrib[a], contrib[b])
+            ]
+            children = tuple(sorted(sum(combo) for combo in itertools.product(*options)))
+            if children not in weights_of:
+                w = measure.weights[list(children)]
+                weights_of[children] = w / w.sum()
+            pair_children[(a, b)] = children
+    children = [pair_children[(min(a, b), max(a, b))] for a in range(kn) for b in range(kn)]
+    return children, weights_of
+
+
+def oracle_entries(algebra):
+    """Every nonzero ``(row, col, value)`` from the pair-loop rows, sorted."""
+    children, weights_of = pair_loop_rows(algebra.graph, algebra.space, algebra.measure)
+    kn = algebra.kn
+    out = []
+    for g, cells in enumerate(children):
+        w = weights_of[cells]
+        row = {
+            a * kn + b: float(w[i] * w[j])
+            for i, a in enumerate(cells)
+            for j, b in enumerate(cells)
+        }
+        out.extend((g, j, row[j]) for j in sorted(row))
+    return out
+
+
+def oracle_hierarchy(algebra):
+    """Blocks, levels and flows by searching children sets for strict subsets.
+
+    A block's level is its longest flow distance to a diagonal singleton,
+    found from the children sets of the pairs drawn from its own children.
+    """
+    children, _ = pair_loop_rows(algebra.graph, algebra.space, algebra.measure)
+    kn = algebra.kn
+    groups = {}
+    for g in range(algebra.dimension):
+        groups.setdefault(frozenset(children[g]), []).append(g)
+    keys = sorted(groups, key=lambda s: (len(s), sorted(s)))
+    level_of, subsets_of = {}, {}
+    for key in keys:
+        cells = sorted(key)
+        below = set()
+        for i, a in enumerate(cells):
+            for b in cells[i:]:
+                candidate = frozenset(children[a * kn + b])
+                if candidate != key:
+                    below.add(candidate)
+        subsets_of[key] = below
+        level_of[key] = 1 + max((level_of[o] for o in below), default=-1)
+    leveled = [[] for _ in range(max(level_of.values()) + 1)]
+    for key in keys:
+        leveled[level_of[key]].append(tuple(sorted(groups[key])))
+    levels = tuple(tuple(sorted(blocks)) for blocks in leveled)
+    coord = {}
+    for lvl, blocks in enumerate(levels):
+        for pos, block in enumerate(blocks):
+            for g in block:
+                coord[g] = (lvl, pos)
+    flows = set()
+    for key in keys:
+        src = coord[groups[key][0]]
+        for other in subsets_of[key]:
+            flows.add((src, coord[groups[other][0]]))
+    return ev.Hierarchy(levels, tuple(sorted(flows)), coord)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,22 @@ def test_build_budget_exceeded(tmp_path):
     }
     scenario = write(tmp_path / "big.json", payload)
     assert main(["build", "--scenario", scenario, "--out", str(tmp_path)]) == 3
+
+
+def test_build_nonzero_budget_checked_before_enumeration(tmp_path, capsys):
+    # edgeless, 8 vertices, 2 states: 65,536 generators fit the dimension
+    # budget, but (2 + 4 * 2 * 1)^8 = 10^8 nonzeros do not
+    payload = free_scenario()
+    payload["graph"] = {"vertices": [str(i) for i in range(8)], "edges": []}
+    payload["measure"] = {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 1.0}}
+    scenario = write(tmp_path / "edgeless8.json", payload)
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main(["build", "--scenario", scenario, "--out", str(out)]) == 3
+    assert time.perf_counter() - started < 2.0
+    err = capsys.readouterr().err
+    assert "100000000 nonzeros" in err and "budget of 10000000" in err
+    assert not out.exists()
 
 
 def test_hierarchy_reports_level_structure(tmp_path):
@@ -221,6 +238,15 @@ def test_dlr_gap_report(tmp_path):
     assert len(payload["rows"]) == 4
 
 
+def test_dlr_builds_the_gibbs_measure_once(tmp_path, monkeypatch):
+    scenario = write(tmp_path / "p.json", potts_scenario(["1", "2", "3"], [["1", "2"], ["2", "3"]]))
+    calls = []
+    original = ev.measures.gibbs_measure
+    monkeypatch.setattr(ev.measures, "gibbs_measure", lambda h: calls.append(h) or original(h))
+    assert main(["dlr", "--scenario", scenario, "--domain", "2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_dlr_full_volume_gap_zero(tmp_path):
     scenario = write(tmp_path / "p.json", potts_scenario(["1", "2"], [["1", "2"]]))
     out = tmp_path / "out"
@@ -289,6 +315,16 @@ MALFORMED = {
     ),
     "non-numeric dimension": ("limits", limits_with(dimension="x"), "scenario.limits.dimension"),
     "scalar radii": ("limits", limits_with(radii=3), "scenario.limits.radii"),
+    "non-numeric tail state": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": "x"}, {"tail": 1}], "psi": [{"tail": 1}, {"tail": 1}]}]),
+        "scenario.limits.pairs.tail",
+    ),
+    "pair coupling entry not an object": (
+        "dlr",
+        {**general_scenario([0.5, 0.5]), "measure": {"hamiltonian": {"beta": 1.0, "pair_coupling": [3]}}},
+        "measure.hamiltonian.pair_coupling",
+    ),
 }
 
 

@@ -216,6 +216,18 @@ def test_dlr_table_domain_without_outer_neighbours():
     assert all(row.gap <= 1e-15 for row in table)
 
 
+def test_dlr_table_reuses_a_given_measure(monkeypatch):
+    h = ev.potts_hamiltonian(ev.Graph(4, frozenset({(0, 1), (1, 2), (2, 3)})), 2, 1.0, 1.5)
+    mu = ev.gibbs_measure(h)
+    expected = ev.dlr_table(h, (1, 2))
+    calls = []
+    monkeypatch.setattr(ev.measures, "gibbs_measure", lambda h: calls.append(h))
+    assert ev.dlr_table(h, (1, 2), mu) == expected
+    assert calls == []
+    with pytest.raises(ValidationError):
+        ev.dlr_table(h, (1,), ev.uniform_measure(3, 2))
+
+
 @pytest.mark.parametrize(
     "domain, assignment",
     [((), {}), ((5,), {5: 1}), ((0,), {1: 1}), ((0,), {0: 3}), ((0,), {0: 0})],
