@@ -90,43 +90,44 @@ class HeredityMatrix:
             w = measure.weights[kids]
             self._children.append(kids)
             self._weights.append(w / w.sum(axis=1, keepdims=True))
-        self._rows: dict = {}
-        self._row_support: dict = {}
 
-    def _row(self, rid: int) -> tuple:
-        """Children cells and normalized weights of a row class, as Python objects."""
-        row = self._rows.get(rid)
-        if row is None:
-            c = int(self.row_level[rid])
-            pos = rid - self.level_start[c]
-            row = tuple(self._children[c][pos].tolist()), self._weights[c][pos].tolist()
-            self._rows[rid] = row
-        return row
+    def children(self, index: int) -> tuple:
+        """Ascending children cells and their normalized weights, as arrays.
 
-    def children_cells(self, index: int) -> tuple:
-        """Sorted cell indices of the generator's children set."""
-        return self._row(int(self.gen_row[index]))[0]
-
-    def support(self, index: int) -> tuple:
-        """Sorted pair indices carrying nonzero coefficients in this row."""
-        rid = int(self.gen_row[index])
-        cached = self._row_support.get(rid)
-        if cached is None:
-            cells = self._row(rid)[0]
-            cached = tuple(sorted(a * self.kn + b for a in cells for b in cells))
-            self._row_support[rid] = cached
-        return cached
+        Both are rows of per-level arrays shared by the generator's whole
+        row class; the generator's heredity row is their outer product.
+        """
+        rid = self.gen_row[index]
+        c = self.row_level[rid]
+        pos = rid - self.level_start[c]
+        return self._children[c][pos], self._weights[c][pos]
 
     def row(self, index: int) -> dict:
         """The full sparse row as ``{pair_index: coefficient}``."""
         if not 0 <= index < self.dimension:
             raise ValidationError(f"row: pair index {index} out of range")
-        cells, w = self._row(int(self.gen_row[index]))
-        return {
-            a * self.kn + b: w[i] * w[j]
-            for i, a in enumerate(cells)
-            for j, b in enumerate(cells)
-        }
+        kids, w = self.children(index)
+        cols = np.add.outer(kids * self.kn, kids).ravel()
+        return dict(zip(cols.tolist(), np.outer(w, w).ravel().tolist()))
+
+    def combine(self, gens: list, scales: list) -> dict:
+        """``sum_g scales[g] * row(gens[g])`` as ``{pair_index: coefficient}``.
+
+        ``gens`` must be ascending: scales are summed per row class in that
+        order, so equal inputs give equal bits.  Each level's classes expand
+        to outer-product entries, and equal columns are merged sparsely.
+        """
+        rids, inverse = np.unique(self.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
+        totals = np.bincount(inverse, weights=scales)
+        bounds = np.searchsorted(rids, self.level_start).tolist()
+        cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for c, (r0, r1) in enumerate(zip(bounds[:-1], bounds[1:])):
+            pos = rids[r0:r1] - self.level_start[c]
+            kids, w = self._children[c][pos], self._weights[c][pos]
+            cols.append((kids[:, :, None] * self.kn + kids[:, None, :]).ravel())
+            vals.append((w[:, :, None] * w[:, None, :] * totals[r0:r1, None, None]).ravel())
+        keys, at = np.unique(np.concatenate(cols), return_inverse=True)
+        return dict(zip(keys.tolist(), np.bincount(at, weights=np.concatenate(vals)).tolist()))
 
     def entry_chunks(self, max_entries: int = 1 << 12):
         """All nonzero entries as ``(rows, cols, values)`` arrays, sorted.
@@ -245,25 +246,19 @@ class EvolutionAlgebra:
 
     def square(self, x: AlgebraElement) -> AlgebraElement:
         """Square of an element: squared coefficients drive the rows."""
-        out: dict = {}
-        for i in sorted(x.coeffs):
-            scale = x.coeffs[i] ** 2
-            for j, v in self.matrix.row(i).items():
-                out[j] = out.get(j, 0.0) + scale * v
-        return AlgebraElement(out)
+        gens = sorted(x.coeffs)
+        return AlgebraElement(self.matrix.combine(gens, [x.coeffs[i] ** 2 for i in gens]))
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         """Product of two elements; only matching generators survive.
 
-        Accumulation runs in sorted generator order, so the result does not
-        depend on the argument order.
+        The products ``x_i * y_i`` of the shared generators, in ascending
+        order, scale the rows of their row classes, and the rows are summed
+        by ``HeredityMatrix.combine``.  The result does not depend on the
+        argument order, bit for bit.
         """
-        out: dict = {}
-        for i in sorted(set(x.coeffs) & set(y.coeffs)):
-            scale = x.coeffs[i] * y.coeffs[i]
-            for j, v in self.matrix.row(i).items():
-                out[j] = out.get(j, 0.0) + scale * v
-        return AlgebraElement(out)
+        gens = sorted(x.coeffs.keys() & y.coeffs.keys())
+        return AlgebraElement(self.matrix.combine(gens, [x.coeffs[i] * y.coeffs[i] for i in gens]))
 
 
 def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> EvolutionAlgebra:

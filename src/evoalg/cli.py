@@ -66,8 +66,14 @@ def _read_scenario(path) -> dict:
 def _number(value, name: str, kind=float):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"scenario.limits.{name}: expected a number, got {value!r}") from None
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"scenario.limits.{name}: list required, got {value!r}")
+    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -178,7 +184,7 @@ def _tail_cell_from_json(node) -> TailCell:
     if not isinstance(node, dict) or "tail" not in node:
         raise ValidationError("limits.pairs: each cell needs a tail state")
     pattern = []
-    for entry in node.get("pattern", []):
+    for entry in _list(node.get("pattern", []), "pairs.pattern"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValidationError("limits.pairs.pattern: entries must be [site, state]")
         coord, state = entry
@@ -208,21 +214,19 @@ def cmd_limits(args) -> int:
     for key in ("dimension", "states", "radii", "beta"):
         if key not in spec:
             raise ValidationError(f"scenario.limits.{key}: missing")
-    radii = spec["radii"]
-    if not isinstance(radii, list):
-        raise ValidationError("scenario.limits.radii: list of integers required")
     scheme = VolumeScheme(
         _number(spec["dimension"], "dimension", int),
-        tuple(_number(r, "radii", int) for r in radii),
+        tuple(_number(r, "radii", int) for r in _list(spec["radii"], "radii")),
         _number(spec["states"], "states", int),
         _number(spec.get("J", 1.0), "J"),
         _number(spec["beta"], "beta"),
     )
-    pair_specs = spec.get("pairs", [])
     sequences = []
-    for entry in pair_specs:
-        phi = tuple(_tail_cell_from_json(c) for c in entry.get("phi", []))
-        psi = tuple(_tail_cell_from_json(c) for c in entry.get("psi", []))
+    for entry in _list(spec.get("pairs", []), "pairs"):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"scenario.limits.pairs: objects required, got {entry!r}")
+        phi = tuple(_tail_cell_from_json(c) for c in _list(entry.get("phi", []), "pairs.phi"))
+        psi = tuple(_tail_cell_from_json(c) for c in _list(entry.get("psi", []), "pairs.psi"))
         if len(phi) != 2 or len(psi) != 2:
             raise ValidationError("limits.pairs: phi and psi each need two cells")
         seq = coefficient_sequence(scheme, phi, psi)
@@ -249,6 +253,7 @@ def cmd_limits(args) -> int:
         betas = spec["low_temp"].get("betas") if isinstance(spec["low_temp"], dict) else None
         if not isinstance(betas, list) or not betas:
             raise ValidationError("scenario.limits.low_temp.betas: nonempty list required")
+        betas = [_number(b, "low_temp.betas") for b in betas]
         payload["low_temp"] = low_temp_limit_algebras(
             scheme.dimension, scheme.states, scheme.radii, betas, scheme.coupling
         )

@@ -172,8 +172,11 @@ def graph_from_json(descriptor: dict):
     if len(set(labels)) != len(labels):
         raise ValidationError("graph.vertices: duplicate labels")
     index = {v: i for i, v in enumerate(labels)}
+    raw_edges = descriptor.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise ValidationError(f"graph.edges: list required, got {raw_edges!r}")
     edges = set()
-    for raw in descriptor.get("edges", []):
+    for raw in raw_edges:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise ValidationError(f"graph.edges: malformed edge {raw!r}")
         a, b = str(raw[0]), str(raw[1])

@@ -90,6 +90,8 @@ class VolumeScheme:
             raise ValidationError("scheme: radii must be nonnegative")
         if self.states < 2:
             raise ValidationError("scheme: at least two states required")
+        if self.dimension not in (1, 2):
+            raise ValidationError("dimension: must be 1 or 2")
         object.__setattr__(self, "radii", radii)
         sites = (2 * radii[-1] + 1) ** self.dimension
         # with two or more states, more than 64 sites is always over budget
@@ -100,8 +102,6 @@ class VolumeScheme:
                 f"scheme: {predicted} cells at radius {radii[-1]} "
                 f"exceed the enumeration budget of {ENUMERATION_BUDGET}"
             )
-        # constructing the largest box also validates the dimension
-        self.box(radii[-1])
 
     def box(self, radius: int) -> LatticeBox:
         key = ("box", radius)

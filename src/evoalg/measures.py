@@ -401,7 +401,9 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
                 edge = entry.get("edge")
                 if not isinstance(edge, (list, tuple)) or len(edge) != 2:
                     raise ValidationError("measure.hamiltonian.pair_coupling: malformed edge")
-                coupling[(vertex_of(edge[0]), vertex_of(edge[1]))] = entry.get("matrix")
+                coupling[(vertex_of(edge[0]), vertex_of(edge[1]))] = _floats(
+                    entry.get("matrix"), "measure.hamiltonian.pair_coupling.matrix", (k, k)
+                )
             field_arr = np.zeros((n, k))
             for entry in _objects(spec, "site_field"):
                 v = vertex_of(entry.get("vertex", -1))

@@ -48,27 +48,27 @@ class Subalgebra:
 
 
 def generated_subalgebra(algebra: EvolutionAlgebra, seed) -> Subalgebra:
-    """Least support-closed superset of the seed generators."""
-    todo = [algebra.pair_index(p) for p in seed]
-    if not todo:
+    """Least support-closed superset of the seed generators.
+
+    Children sets are products over the components, so every pair drawn
+    from a generator's children has its children among them: a generator's
+    closure is its children-pair set, and a seed's is their union.
+    """
+    gens = [algebra.pair_index(p) for p in seed]
+    if not gens:
         raise ValidationError("generated_subalgebra: seed must be nonempty")
-    basis = set(todo)
-    while todo:
-        current = todo.pop()
-        for j in algebra.matrix.support(current):
-            if j not in basis:
-                basis.add(j)
-                todo.append(j)
+    basis = set()
+    for g in gens:
+        kids = algebra.matrix.children(g)[0]
+        basis.update(np.add.outer(kids * algebra.kn, kids).ravel().tolist())
     return Subalgebra(frozenset(basis))
 
 
 def precedes(algebra: EvolutionAlgebra, tau, sigma) -> bool:
     """Whether the row of ``sigma`` carries a positive coefficient at ``tau``."""
     t = algebra.pair_index(tau)
-    s = algebra.pair_index(sigma)
-    cells = set(algebra.matrix.children_cells(s))
-    a, b = divmod(t, algebra.kn)
-    return a in cells and b in cells
+    kids = algebra.matrix.children(algebra.pair_index(sigma))[0]
+    return bool(np.isin(divmod(t, algebra.kn), kids).all())
 
 
 @dataclass(frozen=True)
@@ -87,33 +87,26 @@ def descent_chain(algebra: EvolutionAlgebra, sigma) -> DescentChain:
     While a transit generator with a strictly smaller children set exists,
     the lowest-indexed one is taken; once only diagonal descendants remain
     the lowest-indexed of those closes the chain.  A diagonal start is its
-    own chain.
+    own chain.  The descendants are the children pairs, whose children sets
+    all lie inside the current one, so a smaller set is a lower level.
     """
-    kn = algebra.kn
-    matrix = algebra.matrix
+    m = algebra.matrix
     current = algebra.pair_index(sigma)
-    if len(matrix.children_cells(current)) == 1:
+    level = m.row_level[m.gen_row[current]]
+    if level == 0:
         return DescentChain((algebra.pair_from_index(current),))
     chain = []
-    while True:
-        cells = matrix.children_cells(current)
-        cur_set = frozenset(cells)
-        transit, diagonal = [], []
-        for a in cells:
-            for b in cells:
-                candidate = a * kn + b
-                if candidate == current:
-                    continue
-                cand_cells = frozenset(matrix.children_cells(candidate))
-                if not cand_cells < cur_set:
-                    continue
-                (diagonal if len(cand_cells) == 1 else transit).append(candidate)
-        if transit:
-            current = min(transit)
-            chain.append(current)
-        else:
-            chain.append(min(diagonal))
-            return DescentChain(tuple(algebra.pair_from_index(i) for i in chain))
+    while level > 0:
+        kids = m.children(current)[0]
+        # ascending children give ascending candidates
+        candidates = np.add.outer(kids * algebra.kn, kids).ravel()
+        levels = m.row_level[m.gen_row[candidates]]
+        lower = levels < level
+        transit = lower & (levels > 0)
+        first = np.argmax(transit if transit.any() else lower)
+        current, level = int(candidates[first]), int(levels[first])
+        chain.append(current)
+    return DescentChain(tuple(algebra.pair_from_index(i) for i in chain))
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ class Hierarchy:
 
     levels: tuple
     flows: tuple
-    _block_index: dict = field(default=None, repr=False, compare=False)
+    _block_index: dict = field(repr=False, compare=False)
 
     @property
     def level_count(self) -> int:
@@ -135,13 +128,10 @@ class Hierarchy:
 
     def block_of(self, index: int):
         """The ``(level, position)`` coordinates of a generator's block."""
-        if self._block_index is not None and index in self._block_index:
+        try:
             return self._block_index[index]
-        for lvl, blocks in enumerate(self.levels):
-            for pos, block in enumerate(blocks):
-                if index in block:
-                    return (lvl, pos)
-        raise ValidationError(f"generator {index} not present in the hierarchy")
+        except KeyError:
+            raise ValidationError(f"generator {index} not present in the hierarchy") from None
 
 
 def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
@@ -194,21 +184,21 @@ class StructureCounts:
 def structure_counts(algebra: EvolutionAlgebra) -> StructureCounts:
     """Count the singly-generated subalgebras of a connected-graph algebra.
 
-    Diagonal generators each span a one-dimensional subalgebra; unordered
-    pairs of distinct cells each generate a four-dimensional one.  The
-    enumeration deduplicates bases, it does not just evaluate formulas.
+    A generator's subalgebra is its children-pair set, so distinct
+    subalgebras are distinct row classes.  Diagonal generators each span a
+    one-dimensional subalgebra; unordered pairs of distinct cells each
+    generate a four-dimensional one.  The counts are the distinct row
+    classes among the diagonal and among the upper-triangle generators.
     """
     if len(components(algebra.graph)) != 1:
         raise ValidationError("structure_counts: graph must be connected")
-    kn = algebra.kn
-    singles = {frozenset(algebra.matrix.support(a * kn + a)) for a in range(kn)}
-    if any(len(s) != 1 for s in singles):
+    m, kn = algebra.matrix, algebra.kn
+    singles = m.gen_row[np.arange(kn) * (kn + 1)]
+    if m.row_level[singles].any():
         raise ValidationError("structure_counts: diagonal generator with non-unit row")
-    quads = set()
-    for a in range(kn):
-        for b in range(a + 1, kn):
-            quads.add(frozenset(algebra.matrix.support(a * kn + b)))
-    return StructureCounts(kn * kn, len(singles), len(quads))
+    first, second = np.triu_indices(kn, 1)
+    quads = m.gen_row[first * kn + second]
+    return StructureCounts(kn * kn, len(np.unique(singles)), len(np.unique(quads)))
 
 
 @dataclass(frozen=True)

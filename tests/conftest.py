@@ -230,3 +230,108 @@ def oracle_hierarchy(algebra):
         for other in subsets_of[key]:
             flows.add((src, coord[groups[other][0]]))
     return ev.Hierarchy(levels, tuple(sorted(flows)), coord)
+
+
+def oracle_supports(algebra):
+    """``(supports, children)`` of every generator, from the pair-loop rows.
+
+    ``supports[g]`` is the sorted tuple of pair indices in the row of ``g``;
+    generators with one children set share one tuple.
+    """
+    children, _ = pair_loop_rows(algebra.graph, algebra.space, algebra.measure)
+    kn = algebra.kn
+    by_set = {}
+    supports = [
+        by_set.setdefault(cells, tuple(sorted(a * kn + b for a in cells for b in cells)))
+        for cells in children
+    ]
+    return supports, children
+
+
+def oracle_closure(supports, start):
+    """Least support-closed superset of ``start``, by breadth-first search."""
+    todo = list(start)
+    basis = set(todo)
+    while todo:
+        current = todo.pop()
+        for j in supports[current]:
+            if j not in basis:
+                basis.add(j)
+                todo.append(j)
+    return frozenset(basis)
+
+
+def oracle_subalgebra(supports, seed, memo):
+    """The generated subalgebra by search, as ``generated_subalgebra`` did it.
+
+    The search from a seed reaches the seed plus the closure of every seed
+    generator's support; ``memo`` keeps those closures by support, so that a
+    sweep over all generators repeats no search.
+    """
+    basis = set(seed)
+    for g in seed:
+        if supports[g] not in memo:
+            memo[supports[g]] = oracle_closure(supports, supports[g])
+        basis |= memo[supports[g]]
+    return frozenset(basis)
+
+
+def oracle_descent(children, kn, sigma):
+    """Descent chain indices by comparing frozen children sets.
+
+    Among the pairs drawn from the current children set, those whose
+    children set is a strict subset are descendants; the lowest-indexed
+    transit one is taken while any exists, then the lowest diagonal one.
+    """
+    current = sigma
+    if len(children[current]) == 1:
+        return (current,)
+    chain = []
+    while True:
+        cells = children[current]
+        cur_set = frozenset(cells)
+        transit, diagonal = [], []
+        for a in cells:
+            for b in cells:
+                candidate = a * kn + b
+                if candidate == current:
+                    continue
+                cand_cells = frozenset(children[candidate])
+                if not cand_cells < cur_set:
+                    continue
+                (diagonal if len(cand_cells) == 1 else transit).append(candidate)
+        if transit:
+            current = min(transit)
+            chain.append(current)
+        else:
+            chain.append(min(diagonal))
+            return tuple(chain)
+
+
+def oracle_counts(supports, kn):
+    """Structure counts by deduplicating support sets."""
+    singles = {frozenset(supports[a * kn + a]) for a in range(kn)}
+    if any(len(s) != 1 for s in singles):
+        raise ev.ValidationError("structure_counts: diagonal generator with non-unit row")
+    quads = {frozenset(supports[a * kn + b]) for a in range(kn) for b in range(a + 1, kn)}
+    return ev.StructureCounts(kn * kn, len(singles), len(quads))
+
+
+def oracle_combine(algebra, scaled):
+    """``(sums, magnitudes)``: a dict accumulation of ``scale * row(g)`` over pair-loop rows.
+
+    ``scaled`` lists ``(generator, scale)``; ``magnitudes`` sums the absolute
+    values of the same terms, the size a rounding error is relative to.
+    """
+    children, weights_of = pair_loop_rows(algebra.graph, algebra.space, algebra.measure)
+    kn = algebra.kn
+    sums, magnitudes = {}, {}
+    for g, scale in scaled:
+        cells = children[g]
+        w = weights_of[cells]
+        for i, a in enumerate(cells):
+            for j, b in enumerate(cells):
+                term = scale * float(w[i] * w[j])
+                sums[a * kn + b] = sums.get(a * kn + b, 0.0) + term
+                magnitudes[a * kn + b] = magnitudes.get(a * kn + b, 0.0) + abs(term)
+    return sums, magnitudes

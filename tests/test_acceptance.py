@@ -130,7 +130,7 @@ def small_instances():
                     mu = ev.from_weights(np.arange(1.0, k**n + 1.0), n, k)
                     algebra = ev.build_algebra(graph, space, mu)
                     supports = [
-                        frozenset(algebra.matrix.support(i))
+                        frozenset(algebra.row(i))
                         for i in range(algebra.dimension)
                     ]
                     instances.append((algebra, supports))

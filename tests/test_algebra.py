@@ -187,7 +187,7 @@ def test_square_scales_quadratically(edge_algebra):
 def test_children_mass_square_matches_double_sum(free_algebra):
     mu = free_algebra.measure
     for index in range(free_algebra.dimension):
-        cells = free_algebra.matrix.children_cells(index)
+        cells = free_algebra.matrix.children(index)[0].tolist()
         linear = sum(float(mu.weights[c]) for c in cells) ** 2
         double = sum(
             float(mu.weights[a]) * float(mu.weights[b]) for a in cells for b in cells

@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
 from evoalg.cli import main
@@ -304,6 +309,15 @@ def limits_with(**fields):
     return payload
 
 
+def coupling_with(matrix):
+    payload = general_scenario([0.5, 0.5])
+    payload["measure"]["hamiltonian"]["pair_coupling"][0]["matrix"] = matrix
+    return payload
+
+
+TAILS = [{"tail": 1}, {"tail": 1}]
+
+
 MALFORMED = {
     "top-level array, build": ("build", [edge_scenario()], "scenario"),
     "top-level array, limits": ("limits", [limits_scenario()], "scenario"),
@@ -325,6 +339,28 @@ MALFORMED = {
         {**general_scenario([0.5, 0.5]), "measure": {"hamiltonian": {"beta": 1.0, "pair_coupling": [3]}}},
         "measure.hamiltonian.pair_coupling",
     ),
+    "non-numeric coupling matrix": (
+        "dlr",
+        coupling_with([["x", 1], [1, 0]]),
+        "measure.hamiltonian.pair_coupling.matrix",
+    ),
+    "pairs not a list": ("limits", limits_with(pairs=3), "scenario.limits.pairs"),
+    "pairs entry not an object": ("limits", limits_with(pairs=[3]), "scenario.limits.pairs"),
+    "phi not a list": (
+        "limits",
+        limits_with(pairs=[{"phi": 3, "psi": TAILS}]),
+        "scenario.limits.pairs.phi",
+    ),
+    "pattern not a list": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 1, "pattern": 5}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.pattern",
+    ),
+    "non-numeric low_temp beta": (
+        "limits",
+        limits_with(low_temp={"betas": [0.5, "hot"]}),
+        "scenario.limits.low_temp.betas",
+    ),
 }
 
 
@@ -341,3 +377,82 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, command, payload
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"error: {field}" in proc.stderr
+
+
+FUZZ_BASES = {
+    "build": edge_scenario(),
+    "hierarchy": potts_scenario(["1", "2", "3"], [["1", "2"], ["2", "3"]]),
+    "isocheck": edge_scenario(),
+    "limits": limits_scenario(
+        radii=(0, 1),
+        pairs=[{"phi": [{"tail": 1, "pattern": [[0, 2]]}, {"tail": 2}], "psi": TAILS}],
+        low_temp={"betas": [0.5, 2.0]},
+    ),
+    "dlr": coupling_with([[0, 1], [1, 0]]),
+}
+
+FUZZ_KEYS = st.sampled_from(
+    ["edge", "matrix", "vertex", "values", "beta", "model", "J", "tail", "pattern", "phi", "psi"]
+) | st.text(max_size=3)
+
+# at most three items per list keeps every graph at n <= 3 vertices
+FUZZ_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FUZZ_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def get(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def mutate(data, tree):
+    """Replace, delete or duplicate one node of a JSON tree."""
+    paths = list(json_paths(tree))
+    path = data.draw(st.sampled_from(paths))
+    action = data.draw(st.sampled_from(["replace", "delete", "copy"]))
+    if action == "copy":
+        value = copy.deepcopy(get(tree, data.draw(st.sampled_from(paths))))
+    else:
+        value = data.draw(FUZZ_VALUES)
+    if not path:
+        return value
+    parent = get(tree, path[:-1])
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_BASES)), st.data())
+def test_mutated_scenarios_exit_0_2_or_3(command, data):
+    trees = [copy.deepcopy(FUZZ_BASES[command]) for _ in range(2 if command == "isocheck" else 1)]
+    target = data.draw(st.integers(0, len(trees) - 1))
+    for _ in range(data.draw(st.integers(1, 3))):
+        trees[target] = mutate(data, trees[target])
+    with tempfile.TemporaryDirectory() as tmp:
+        names = [write(Path(tmp) / f"s{i}.json", tree) for i, tree in enumerate(trees)]
+        argv = [command, "--scenario", names[0], "--out", str(Path(tmp) / "out")]
+        if command == "isocheck":
+            argv += ["--scenario-b", names[1]]
+        if command == "dlr":
+            argv += ["--domain", "1"]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)

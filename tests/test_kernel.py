@@ -1,12 +1,15 @@
-"""The signature kernel against the pair-loop and subset-search oracles.
+"""The signature kernel against the pair-loop and search oracles.
 
-Rows, entries, hierarchies, the nonzero count and the exported bytes must
-equal what the code replaced by the kernel produced, exactly.
+Rows, entries, hierarchies, the nonzero count, the exported bytes and the
+subalgebra queries must equal what the code replaced by the kernel
+produced, exactly; element arithmetic must agree with a dict accumulation
+over the pair-loop rows to rounding.
 """
 
 import csv
 import itertools
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
 
-from conftest import oracle_entries, oracle_hierarchy
+import pytest
+
+from conftest import (
+    oracle_combine,
+    oracle_counts,
+    oracle_descent,
+    oracle_entries,
+    oracle_hierarchy,
+    oracle_subalgebra,
+    oracle_supports,
+)
 
 LABEL_POOL = ("a", "A", 'q"', "é", "\\", "ü,", "∑", "x y", "\t")
 
@@ -51,6 +64,50 @@ def check_entries(algebra, chunk):
     assert ev.nonzero_count(algebra.graph, algebra.space.k) == len(expected)
 
 
+def check_queries(algebra, seed):
+    """Subalgebras from every generator alone and with two random others,
+    every descent chain, ``precedes`` at a random pair, and the counts."""
+    supports, children = oracle_supports(algebra)
+    kn, dim = algebra.kn, algebra.dimension
+    rng = random.Random(seed)
+    memo = {}
+    for g in range(dim):
+        for seed_gens in ([g], [g, rng.randrange(dim), rng.randrange(dim)]):
+            got = ev.generated_subalgebra(algebra, seed_gens).basis
+            assert got == oracle_subalgebra(supports, seed_gens, memo)
+        chain = ev.descent_chain(algebra, g).elements
+        assert tuple(p.index for p in chain) == oracle_descent(children, kn, g)
+        tau = rng.randrange(dim)
+        assert ev.precedes(algebra, tau, g) == (tau in supports[g])
+    if len(ev.components(algebra.graph)) == 1:
+        assert ev.structure_counts(algebra) == oracle_counts(supports, kn)
+    else:
+        with pytest.raises(ev.ValidationError, match="connected"):
+            ev.structure_counts(algebra)
+
+
+def check_arithmetic(algebra, seed):
+    """``square`` and ``multiply`` on random signed elements against a dict accumulation."""
+    rng = random.Random(seed)
+    dim = algebra.dimension
+    gens = rng.sample(range(dim), min(dim, rng.randint(1, 40)))
+    x = ev.AlgebraElement({g: rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for g in gens})
+    shared = rng.sample(gens, rng.randint(0, len(gens)))
+    others = rng.sample(range(dim), min(dim, rng.randint(0, 40)))
+    y = ev.AlgebraElement({g: rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for g in shared + others})
+    cases = [
+        (algebra.square(x), [(g, v * v) for g, v in x.coeffs.items()]),
+        (algebra.multiply(x, y), [(g, v * y.coeffs[g]) for g, v in x.coeffs.items() if g in y.coeffs]),
+    ]
+    for got, scaled in cases:
+        sums, magnitudes = oracle_combine(algebra, scaled)
+        assert set(got.coeffs) <= set(sums)
+        for j, want in sums.items():
+            assert abs(got.coeffs.get(j, 0.0) - want) <= 1e-12 * magnitudes[j]
+    assert algebra.multiply(x, y).coeffs == algebra.multiply(y, x).coeffs
+    assert algebra.multiply(x, ev.AlgebraElement()).is_zero()
+
+
 def check_hierarchy(algebra):
     got, expected = ev.build_hierarchy(algebra), oracle_hierarchy(algebra)
     assert got.levels == expected.levels
@@ -70,10 +127,24 @@ def test_hierarchy_matches_subset_search(algebra):
     check_hierarchy(algebra)
 
 
+@settings(max_examples=30, deadline=None)
+@given(algebras(), st.integers(0, 2**32 - 1))
+def test_subalgebra_queries_match_search(algebra, seed):
+    check_queries(algebra, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras(), st.integers(0, 2**32 - 1))
+def test_arithmetic_matches_dict_accumulation(algebra, seed):
+    check_arithmetic(algebra, seed)
+
+
 def test_edgeless_six_vertices_match_oracles():
     algebra = edgeless_six()
     check_entries(algebra, 5000)
     check_hierarchy(algebra)
+    check_queries(algebra, 6)
+    check_arithmetic(algebra, 6)
 
 
 @settings(max_examples=25, deadline=None)

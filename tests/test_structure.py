@@ -113,6 +113,13 @@ def test_each_transit_block_feeds_two_singletons(edge_algebra):
         assert set(targets) == expected
 
 
+@pytest.mark.parametrize("index", [-1, 16, 10**6])
+def test_block_of_rejects_generator_out_of_range(edge_algebra, index):
+    hierarchy = ev.build_hierarchy(edge_algebra)
+    with pytest.raises(ValidationError, match=f"generator {index} not present"):
+        hierarchy.block_of(index)
+
+
 def test_every_generator_in_exactly_one_block(free_algebra):
     hierarchy = ev.build_hierarchy(free_algebra)
     seen = [g for blocks in hierarchy.levels for block in blocks for g in block]
