@@ -8,23 +8,29 @@ increasing family of boxes probes whether it settles down; for the Potts
 family at large inverse temperature the mass drifts onto the diagonal
 constant pairs, one candidate limit generator per state.
 
-Everything is exact enumeration: volumes whose cell count exceeds the
-budget are rejected rather than approximated, and every volume uses free
-boundary conditions.
+Everything is exact: a box's measure comes from a transfer matrix, not an
+approximation, volumes whose cell count exceeds the budget are rejected, and
+every volume uses free boundary conditions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cells import Cell, PairCell, StateSpace, children_set
 from .errors import BudgetError, ValidationError
 from .graphs import LatticeBox, components
-from .measures import ENUMERATION_BUDGET, gibbs_measure, potts_hamiltonian
+from .measures import ENUMERATION_BUDGET, POSITIVITY_FLOOR
+# gibbs_measure stays importable here: bench/tracing.py wraps it by this name
+from .measures import gibbs_measure  # noqa: F401
 
 __all__ = [
     "CONVERGENCE_TOL",
     "TailCell",
+    "BoxMeasure",
     "VolumeScheme",
     "CoefficientSequence",
     "finite_volume_coeff",
@@ -71,6 +77,53 @@ class TailCell:
         return Cell(tuple(digits), q)
 
 
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    top = x.max(axis=0)
+    return top + np.log(np.exp(x - top).sum(axis=0))
+
+
+class BoxMeasure:
+    """The exact free-boundary Potts measure on a box (Baxter 1982, ch. 2, 7).
+
+    The box is read as ``2r+1`` columns, the contiguous runs of ``width``
+    site indices (one site in 1-D, ``2r+1`` in 2-D); every equal neighbour
+    pair adds ``beta*J`` to a log weight.  ``log_partition`` is a log-sum-exp
+    sweep over the ``q^width`` column states and the smallest weight a
+    min-plus sweep, so no cell is enumerated.  Like the dense
+    ``gibbs_measure``, a box with a mass below ``POSITIVITY_FLOOR`` is rejected.
+    """
+
+    def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
+        self.columns = 2 * box.radius + 1
+        self.width = box.site_count // self.columns
+        self.k = states
+        self.strength = beta * coupling
+        codes = np.arange(states**self.width)
+        col = np.stack([codes // states**y % states for y in range(self.width)], axis=1)
+        inner = self.strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
+        bond = self.strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
+        log_z = low = inner
+        for _ in range(self.columns - 1):
+            log_z = inner + _logsumexp(log_z[:, None] + bond)
+            low = inner + (low[:, None] + bond).min(axis=0)
+        self.log_partition = float(_logsumexp(log_z))
+        if not math.isfinite(self.log_partition):
+            raise ValidationError("measure: weights must be finite")
+        if low.min() - self.log_partition < math.log(POSITIVITY_FLOOR):
+            raise ValidationError("gibbs: normalized weights underflow; measure no longer strictly positive")
+
+    def log_mass(self, cell: Cell) -> float:
+        """``-beta*H(cell) - log Z``, with ``H`` summed over the box edges."""
+        if cell.k != self.k or cell.n != self.columns * self.width:
+            raise ValidationError("measure: cell does not match the box")
+        d = np.reshape(cell.digits, (self.columns, self.width))
+        equal = np.count_nonzero(d[:, 1:] == d[:, :-1]) + np.count_nonzero(d[1:] == d[:-1])
+        return self.strength * equal - self.log_partition
+
+    def mass(self, cell: Cell) -> float:
+        return math.exp(self.log_mass(cell))
+
+
 @dataclass(frozen=True)
 class VolumeScheme:
     """An increasing family of boxes sharing one Potts Hamiltonian family."""
@@ -92,10 +145,14 @@ class VolumeScheme:
             raise ValidationError("scheme: at least two states required")
         if self.dimension not in (1, 2):
             raise ValidationError("dimension: must be 1 or 2")
+        if not 0 <= self.beta < math.inf:
+            raise ValidationError(f"scenario.limits.beta: must be finite and nonnegative, got {self.beta!r}")
+        if not math.isfinite(self.coupling):
+            raise ValidationError(f"scenario.limits.J: must be finite, got {self.coupling!r}")
         object.__setattr__(self, "radii", radii)
         sites = (2 * radii[-1] + 1) ** self.dimension
-        # with two or more states, more than 64 sites is always over budget
-        cells = self.states**sites if sites <= 64 else None
+        # the count is built and printed only below 10**20; anything larger is over budget
+        cells = self.states**sites if sites * math.log10(self.states) < 20 else None
         if cells is None or cells > ENUMERATION_BUDGET:
             predicted = f"{self.states}^{sites}" + (f" = {cells}" if cells else "")
             raise BudgetError(
@@ -109,12 +166,10 @@ class VolumeScheme:
             self._cache[key] = LatticeBox(self.dimension, radius)
         return self._cache[key]
 
-    def measure(self, radius: int):
+    def measure(self, radius: int) -> BoxMeasure:
         key = ("measure", radius)
         if key not in self._cache:
-            box = self.box(radius)
-            h = potts_hamiltonian(box.graph, self.states, self.coupling, self.beta)
-            self._cache[key] = gibbs_measure(h)
+            self._cache[key] = BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
         return self._cache[key]
 
 
@@ -142,7 +197,8 @@ def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
         return 0.0
     mu = scheme.measure(radius)
     total = sum(mu.mass(c) for c in kids)
-    return mu.mass(psi_pair.first) * mu.mass(psi_pair.second) / total**2
+    # dividing first keeps the square of a tiny total from underflowing to zero
+    return (mu.mass(psi_pair.first) / total) * (mu.mass(psi_pair.second) / total)
 
 
 @dataclass(frozen=True)
@@ -176,8 +232,9 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     that those generators are pairwise distinct.
     """
     betas = tuple(float(b) for b in beta_list)
-    if not betas or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValidationError("low_temp: beta list must be strictly increasing and nonempty")
+    ordered = all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
+    if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
+        raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     radii = tuple(int(r) for r in radii)
     candidates = []
     schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]

@@ -144,6 +144,24 @@ def dlr_check_oracle(h, domain, assignment):
     return ev.DlrGap(lhs, rhs, abs(lhs - rhs))
 
 
+def dense_box_measure(box, q, coupling, beta):
+    """The Potts measure of a lattice box by enumerating every cell."""
+    return ev.gibbs_measure(ev.potts_hamiltonian(box.graph, q, coupling, beta))
+
+
+def dense_log_partition(box, q, coupling, beta):
+    """``log`` of the unnormalized Boltzmann sum over every cell of the box."""
+    n = box.site_count
+    index = np.arange(q**n)
+    digits = [(index // q**v % q).astype(np.int8) for v in range(n)]
+    equal = np.zeros(len(index))
+    for x, y in box.graph.edges:
+        equal += digits[x] == digits[y]
+    log_w = beta * coupling * equal
+    top = log_w.max()
+    return float(top + np.log(np.exp(log_w - top).sum()))
+
+
 def pair_loop_rows(graph, space, measure):
     """Children tuple and normalized weights of every generator, pair by pair.
 

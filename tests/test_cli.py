@@ -361,6 +361,14 @@ MALFORMED = {
         limits_with(low_temp={"betas": [0.5, "hot"]}),
         "scenario.limits.low_temp.betas",
     ),
+    "negative beta, no pairs": ("limits", limits_with(beta=-1.0, pairs=[]), "scenario.limits.beta"),
+    "infinite beta, no pairs": ("limits", limits_with(beta=1e999, pairs=[]), "scenario.limits.beta"),
+    "infinite J, no pairs": ("limits", limits_with(J=1e999, pairs=[]), "scenario.limits.J"),
+    "negative low_temp beta": (
+        "limits",
+        limits_with(pairs=[], low_temp={"betas": [-1.0, 2.0]}),
+        "scenario.limits.low_temp.betas",
+    ),
 }
 
 

@@ -1,10 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from evoalg.cells import PairCell
+from conftest import dense_box_measure, dense_log_partition
+from evoalg.cells import Cell, PairCell
 from evoalg.errors import BudgetError, ValidationError
 from evoalg.limits import TailCell, VolumeScheme
 
@@ -186,3 +189,131 @@ def test_scheme_validates_radii():
         VolumeScheme(1, (2, 2), 2, 1.0, 1.0)
     with pytest.raises(ValidationError):
         VolumeScheme(1, (), 2, 1.0, 1.0)
+
+
+# every box within the enumeration budget: (dimension, states, radius)
+BOXES = (
+    [(1, 2, r) for r in range(10)]
+    + [(1, 3, r) for r in range(6)]
+    + [(d, q, r) for d in (2,) for q in (2, 3) for r in (0, 1)]
+)
+SMALL_BOXES = [b for b in BOXES if b[1] ** ((2 * b[2] + 1) ** b[0]) <= 3**9]
+LARGE_BOXES = [b for b in BOXES if b not in SMALL_BOXES]
+BETAS = st.floats(0.0, 8.0)
+COUPLINGS = st.floats(-2.0, 2.0)
+
+
+@functools.cache
+def all_cells(n, q):
+    return [Cell.from_index(i, n, q) for i in range(q**n)]
+
+
+@pytest.mark.parametrize("dimension, q, radius", SMALL_BOXES)
+@settings(max_examples=10, deadline=None)
+@given(beta=BETAS, coupling=COUPLINGS)
+def test_transfer_measure_matches_dense_on_every_cell(dimension, q, radius, beta, coupling):
+    scheme = VolumeScheme(dimension, (radius,), q, coupling, beta)
+    box = scheme.box(radius)
+    mu = scheme.measure(radius)
+    dense = dense_box_measure(box, q, coupling, beta)
+    got = [mu.mass(c) for c in all_cells(box.site_count, q)]
+    np.testing.assert_allclose(got, dense.weights, rtol=1e-12, atol=0)
+    assert math.isclose(
+        mu.log_partition, dense_log_partition(box, q, coupling, beta), rel_tol=1e-12, abs_tol=1e-12
+    )
+
+
+@pytest.mark.parametrize("dimension, q, radius", LARGE_BOXES)
+@settings(max_examples=2, deadline=None)
+@given(beta=BETAS, coupling=COUPLINGS, picks=st.lists(st.integers(0, 2**40), min_size=50, max_size=50))
+def test_transfer_measure_matches_dense_on_large_boxes(dimension, q, radius, beta, coupling, picks):
+    scheme = VolumeScheme(dimension, (radius,), q, coupling, beta)
+    box = scheme.box(radius)
+    mu = scheme.measure(radius)
+    dense = dense_box_measure(box, q, coupling, beta)
+    n = box.site_count
+    # the lightest and the heaviest cells, and a spread of others
+    indices = {int(np.argmin(dense.weights)), int(np.argmax(dense.weights))}
+    indices |= {p % q**n for p in picks}
+    for i in sorted(indices):
+        cell = Cell.from_index(i, n, q)
+        assert math.isclose(mu.mass(cell), dense.mass(cell), rel_tol=1e-12)
+        assert math.isclose(mu.log_mass(cell), math.log(dense.mass(cell)), rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(
+        mu.log_partition, dense_log_partition(box, q, coupling, beta), rel_tol=1e-12, abs_tol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "dimension, q, radius, strength",
+    [(1, 2, 2, s) for s in (2.0, 100.0, 170.0, 175.0, 200.0, -200.0)]
+    + [(2, 2, 1, s) for s in (50.0, 65.0, -65.0)]
+    + [(2, 3, 1, s) for s in (50.0, 65.0)],
+)
+def test_underflow_rejection_agrees_with_dense(dimension, q, radius, strength):
+    beta, coupling = abs(strength), math.copysign(1.0, strength)
+    scheme = VolumeScheme(dimension, (radius,), q, coupling, beta)
+    try:
+        dense_box_measure(scheme.box(radius), q, coupling, beta)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            scheme.measure(radius)
+        assert str(got.value) == str(exc)
+        assert str(exc).startswith("gibbs: normalized weights underflow")
+    else:
+        assert scheme.measure(radius).log_partition > 0
+
+
+OFF_CENTRE = [
+    ((1, 1), 2),
+    ((-1, 0), 2),
+    ((0, -1), 1),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(
+    beta=BETAS,
+    coupling=COUPLINGS,
+    marks=st.lists(st.sampled_from(OFF_CENTRE), min_size=1, max_size=3, unique_by=lambda m: m[0]),
+    tails=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    choice=st.tuples(st.booleans(), st.booleans()),
+)
+def test_off_centre_2d_coefficient_matches_dense(q, beta, coupling, marks, tails, choice):
+    first, second = (min(t, q) for t in tails)
+    phi = (TailCell(first), TailCell(second, tuple((c, min(s, q)) for c, s in marks)))
+    psi = (phi[choice[0]], phi[choice[1]])
+    scheme = VolumeScheme(2, (0, 1), q, coupling, beta)
+    box = scheme.box(1)
+    dense = dense_box_measure(box, q, coupling, beta)
+    restricted = PairCell(phi[0].restrict(box, q), phi[1].restrict(box, q))
+    kids = ev.children_set(restricted, ev.components(box.graph), ev.StateSpace(q))
+    total = sum(dense.mass(c) for c in kids)
+    expected = dense.mass(psi[0].restrict(box, q)) * dense.mass(psi[1].restrict(box, q)) / total**2
+    assert math.isclose(ev.finite_volume_coeff(scheme, 1, phi, psi), expected, rel_tol=1e-12)
+
+
+def test_coefficient_survives_tiny_masses():
+    # antiferromagnetic and cold: each constant cell has mass near 1e-209, so
+    # the square of their total underflows, yet the coefficient is 1/4
+    scheme = VolumeScheme(2, (1,), 2, -10.0, 4.0)
+    value = ev.finite_volume_coeff(scheme, 1, (const(1), const(2)), (const(1), const(1)))
+    assert value == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("states", [10**30, 10**300])
+def test_budget_message_for_huge_state_count(states):
+    with pytest.raises(BudgetError, match=r"\^5 cells at radius 2 exceed the enumeration budget of 1000000$") as exc:
+        VolumeScheme(1, (2,), states, 1.0, 1.0)
+    # the state count itself plus a fixed amount of text; no expanded power
+    assert str(exc.value) == (
+        f"scheme: {states}^5 cells at radius 2 exceed the enumeration budget of 1000000"
+    )
+    assert len(str(exc.value)) < len(str(states)) + 80
+
+
+def test_cell_must_match_box():
+    scheme = VolumeScheme(1, (1, 2), 2, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="does not match the box"):
+        scheme.measure(2).mass(const(1).restrict(scheme.box(1), 2))
