@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -54,7 +54,7 @@ def _read_scenario(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"scenario: cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8 or an integer past the digit limit
         raise ValidationError(f"scenario: invalid JSON in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError("scenario: top-level JSON object required")
@@ -64,10 +64,11 @@ def _read_scenario(path) -> dict:
 
 
 def _number(value, name: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"scenario.limits.{name}: expected a number, got {value!r}") from None
+    # no strings or booleans, and no fractions where an integer is due
+    if isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            return kind(value)
+    raise ValidationError(f"scenario.limits.{name}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def _list(value, name: str) -> list:

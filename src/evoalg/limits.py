@@ -2,15 +2,16 @@
 
 A tail cell assigns a state to every lattice site: a finite pattern plus a
 constant tail state outside of it.  Restricting a pair of tail cells to a
-box gives an ordinary pair cell there, and the box's Gibbs measure then
-yields the usual coefficient.  Tracking one coefficient across an
-increasing family of boxes probes whether it settles down; for the Potts
-family at large inverse temperature the mass drifts onto the diagonal
-constant pairs, one candidate limit generator per state.
+box gives an ordinary pair cell there.  A box is connected, so a restricted
+pair's children are its two cells, and a coefficient is a ratio of their
+Boltzmann weights in which ``Z`` cancels: the Gibbs specification view of
+Georgii (1988, ch. 1-2).  Tracking one coefficient across an increasing
+family of boxes probes whether it settles down; for the Potts family at
+large inverse temperature the mass drifts onto the diagonal constant pairs,
+one candidate limit generator per state.
 
-Everything is exact: a box's measure comes from a transfer matrix, not an
-approximation, volumes whose cell count exceeds the budget are rejected, and
-every volume uses free boundary conditions.
+Everything is exact, with free boundary conditions.  Only the ``low_temp``
+report needs normalised masses, from a transfer-matrix ``BoxMeasure``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import Cell, PairCell, StateSpace, children_set
+from .cells import Cell, PairCell
 from .errors import BudgetError, ValidationError
-from .graphs import LatticeBox, components
+from .graphs import LatticeBox
 from .measures import ENUMERATION_BUDGET, POSITIVITY_FLOOR
-# gibbs_measure stays importable here: bench/tracing.py wraps it by this name
+# these three stay importable here: bench/tracing.py wraps them by these names
+from .cells import children_set  # noqa: F401
+from .graphs import components  # noqa: F401
 from .measures import gibbs_measure  # noqa: F401
 
 __all__ = [
@@ -53,8 +56,6 @@ class TailCell:
     pattern: tuple = ()
 
     def __post_init__(self):
-        if int(self.tail) < 1:
-            raise ValidationError("tail cell: tail state must be at least 1")
         normalized = []
         seen = set()
         source = self.pattern.items() if isinstance(self.pattern, dict) else self.pattern
@@ -62,8 +63,6 @@ class TailCell:
             key = (int(coord),) if isinstance(coord, int) else tuple(int(x) for x in coord)
             if key in seen:
                 raise ValidationError(f"tail cell: duplicate pattern site {key}")
-            if int(state) < 1:
-                raise ValidationError("tail cell: pattern state must be at least 1")
             seen.add(key)
             normalized.append((key, int(state)))
         object.__setattr__(self, "tail", int(self.tail))
@@ -71,10 +70,19 @@ class TailCell:
 
     def restrict(self, box: LatticeBox, q: int) -> Cell:
         """The ordinary cell this tail cell induces on a box."""
+        for name, state in [("tail", self.tail), *(("pattern", s) for _, s in self.pattern)]:
+            if not 1 <= state <= q:
+                raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {state}")
         digits = [self.tail - 1] * box.site_count
         for coord, state in self.pattern:
             digits[box.site_index(coord)] = state - 1
         return Cell(tuple(digits), q)
+
+
+def _equal_edges(cell: Cell, columns: int) -> int:
+    """Equal neighbour pairs of a box cell whose sites form ``columns`` contiguous runs."""
+    d = np.reshape(cell.digits, (columns, -1))
+    return np.count_nonzero(d[:, 1:] == d[:, :-1]) + np.count_nonzero(d[1:] == d[:-1])
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -91,6 +99,7 @@ class BoxMeasure:
     sweep over the ``q^width`` column states and the smallest weight a
     min-plus sweep, so no cell is enumerated.  Like the dense
     ``gibbs_measure``, a box with a mass below ``POSITIVITY_FLOOR`` is rejected.
+    Only the ``low_temp`` report uses it; coefficients need no ``Z``.
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
@@ -116,9 +125,7 @@ class BoxMeasure:
         """``-beta*H(cell) - log Z``, with ``H`` summed over the box edges."""
         if cell.k != self.k or cell.n != self.columns * self.width:
             raise ValidationError("measure: cell does not match the box")
-        d = np.reshape(cell.digits, (self.columns, self.width))
-        equal = np.count_nonzero(d[:, 1:] == d[:, :-1]) + np.count_nonzero(d[1:] == d[:-1])
-        return self.strength * equal - self.log_partition
+        return self.strength * _equal_edges(cell, self.columns) - self.log_partition
 
     def mass(self, cell: Cell) -> float:
         return math.exp(self.log_mass(cell))
@@ -161,44 +168,38 @@ class VolumeScheme:
             )
 
     def box(self, radius: int) -> LatticeBox:
-        key = ("box", radius)
-        if key not in self._cache:
-            self._cache[key] = LatticeBox(self.dimension, radius)
-        return self._cache[key]
+        if radius not in self._cache:
+            self._cache[radius] = LatticeBox(self.dimension, radius)
+        return self._cache[radius]
 
     def measure(self, radius: int) -> BoxMeasure:
-        key = ("measure", radius)
-        if key not in self._cache:
-            self._cache[key] = BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
-        return self._cache[key]
-
-
-def _restricted_pair(pair, box: LatticeBox, q: int) -> PairCell:
-    first, second = pair
-    return PairCell(first.restrict(box, q), second.restrict(box, q))
+        return BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
 
 
 def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
     """The coefficient from ``phi`` to ``psi`` in one box's algebra.
 
-    ``phi`` and ``psi`` are pairs of tail cells.  Both are restricted to the
-    box, then the ratio of product masses over the children set of the
-    restricted ``phi`` is returned, or zero when the restricted ``psi`` is
-    not among its pair-children.
+    ``phi`` and ``psi`` are pairs of tail cells, restricted to the box.  The
+    coefficient is zero unless both cells of ``psi`` are among the cells of
+    ``phi``, its children set, and one when ``phi`` is diagonal.  Otherwise
+    a child's share ``w(c) / (w(phi_1) + w(phi_2))`` is the logistic of
+    ``+-beta*J*(eq(phi_1) - eq(phi_2))``, ``eq`` counting equal neighbours.
     """
     if radius not in scheme.radii:
         raise ValidationError(f"radius {radius} not part of the scheme")
     box = scheme.box(radius)
-    space = StateSpace(scheme.states)
-    phi_pair = _restricted_pair(phi, box, scheme.states)
-    psi_pair = _restricted_pair(psi, box, scheme.states)
-    kids = children_set(phi_pair, components(box.graph), space)
-    if psi_pair.first not in kids or psi_pair.second not in kids:
+    first, second = (c.restrict(box, scheme.states) for c in phi)
+    children = [c.restrict(box, scheme.states) for c in psi]
+    if any(c != first and c != second for c in children):
         return 0.0
-    mu = scheme.measure(radius)
-    total = sum(mu.mass(c) for c in kids)
-    # dividing first keeps the square of a tiny total from underflowing to zero
-    return (mu.mass(psi_pair.first) / total) * (mu.mass(psi_pair.second) / total)
+    strength = scheme.beta * scheme.coupling
+    if not math.isfinite(strength):  # beta and J are finite, but their product can overflow
+        raise ValidationError("measure: weights must be finite")
+    if first == second:
+        return 1.0
+    columns = 2 * radius + 1
+    gap = strength * (_equal_edges(first, columns) - _equal_edges(second, columns))
+    return math.prod(math.exp(-np.logaddexp(0.0, gap if c == second else -gap)) for c in children)
 
 
 @dataclass(frozen=True)
@@ -236,23 +237,20 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     radii = tuple(int(r) for r in radii)
-    candidates = []
     schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]
     largest = schemes[0].box(radii[-1])
     constant_cells = [
         TailCell(i).restrict(largest, states) for i in range(1, states + 1)
     ]
     generator_indices = [PairCell(c, c).index for c in constant_cells]
-    for i in range(1, states + 1):
-        masses = []
-        for scheme in schemes:
-            per_radius = []
-            for r in radii:
-                mu = scheme.measure(r)
-                cell = TailCell(i).restrict(scheme.box(r), states)
-                per_radius.append(mu.mass(cell) ** 2)
-            masses.append(per_radius)
-        candidates.append({"state": i, "masses": masses})
+    # every box edge of a constant cell is equal, so all states share one mass
+    masses = [
+        [scheme.measure(r).mass(TailCell(1).restrict(scheme.box(r), states)) ** 2 for r in radii]
+        for scheme in schemes
+    ]
+    candidates = [
+        {"state": i, "masses": [list(row) for row in masses]} for i in range(1, states + 1)
+    ]
     return {
         "dimension": dimension,
         "states": states,

@@ -149,6 +149,18 @@ def dense_box_measure(box, q, coupling, beta):
     return ev.gibbs_measure(ev.potts_hamiltonian(box.graph, q, coupling, beta))
 
 
+def dense_coeff(box, q, coupling, beta, phi, psi):
+    """A box coefficient from the searched children set and the dense measure."""
+    parents = PairCell(phi[0].restrict(box, q), phi[1].restrict(box, q))
+    kids = ev.children_set(parents, ev.components(box.graph), ev.StateSpace(q))
+    children = [c.restrict(box, q) for c in psi]
+    if any(c not in kids for c in children):
+        return 0.0
+    dense = dense_box_measure(box, q, coupling, beta)
+    total = sum(dense.mass(c) for c in kids)
+    return dense.mass(children[0]) * dense.mass(children[1]) / total**2
+
+
 def dense_log_partition(box, q, coupling, beta):
     """``log`` of the unnormalized Boltzmann sum over every cell of the box."""
     n = box.site_count

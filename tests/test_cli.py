@@ -232,6 +232,24 @@ def test_limits_low_temp_block(tmp_path):
     assert len(payload["low_temp"]["candidates"]) == 2
 
 
+def test_limits_cold_pairs_need_no_measure(tmp_path):
+    # far below the measure's underflow floor, yet Z cancels from the coefficient
+    pairs = [{"phi": [{"tail": 1}, {"tail": 2}], "psi": [{"tail": 1}, {"tail": 1}]}]
+    scenario = write(tmp_path / "l.json", limits_scenario(beta=400.0, pairs=pairs))
+    out = tmp_path / "out"
+    assert main(["limits", "--scenario", scenario, "--out", str(out)]) == 0
+    payload = json.loads((out / "limits.json").read_text())
+    assert payload["pairs"][0]["values"] == [0.25, 0.25]
+
+
+def test_limits_cold_low_temp_still_underflows(tmp_path, capsys):
+    scenario = write(tmp_path / "l.json", limits_scenario(pairs=[], low_temp={"betas": [400.0]}))
+    assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: gibbs: normalized weights underflow; measure no longer strictly positive\n"
+    )
+
+
 def test_dlr_gap_report(tmp_path):
     scenario = write(
         tmp_path / "p.json", potts_scenario(["1", "2", "3"], [["1", "2"], ["2", "3"]])
@@ -369,6 +387,36 @@ MALFORMED = {
         limits_with(pairs=[], low_temp={"betas": [-1.0, 2.0]}),
         "scenario.limits.low_temp.betas",
     ),
+    "fractional states": ("limits", limits_with(states=2.7), "scenario.limits.states: expected an integer"),
+    "string states": ("limits", limits_with(states="2"), "scenario.limits.states: expected an integer"),
+    "boolean dimension": ("limits", limits_with(dimension=True), "scenario.limits.dimension: expected an integer"),
+    "fractional radii": ("limits", limits_with(radii=[1.5, 2.9]), "scenario.limits.radii: expected an integer"),
+    "string beta": ("limits", limits_with(beta="5"), "scenario.limits.beta: expected a number"),
+    "fractional tail state": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 1.8}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.tail: expected an integer",
+    ),
+    "fractional pattern site": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 1, "pattern": [[0.6, 2]]}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.pattern: expected an integer",
+    ),
+    "tail state above q": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 5}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.tail: state must be in 1..2, got 5",
+    ),
+    "tail state zero": (
+        "limits",
+        limits_with(pairs=[{"phi": TAILS, "psi": [{"tail": 1}, {"tail": 0}]}]),
+        "scenario.limits.pairs.tail: state must be in 1..2, got 0",
+    ),
+    "pattern state above q": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 1, "pattern": [[0, 3]]}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.pattern: state must be in 1..2, got 3",
+    ),
 }
 
 
@@ -385,6 +433,27 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, command, payload
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"error: {field}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(b"\xff\xfe not UTF-8", id="undecodable bytes"),
+        pytest.param(
+            b'{"schema_version": 1, "limits": {"states": ' + b"9" * 5000 + b"}}",
+            id="overlong integer",
+            marks=pytest.mark.skipif(
+                not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                reason="no limit on int <-> str conversion in this interpreter",
+            ),
+        ),
+    ],
+)
+def test_unreadable_scenario_exits_2_without_traceback(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert main(["limits", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: scenario: invalid JSON in {path}")
 
 
 FUZZ_BASES = {

@@ -1,12 +1,14 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from conftest import dense_box_measure, dense_log_partition
+from conftest import dense_box_measure, dense_coeff, dense_log_partition
+from evoalg import limits
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import BudgetError, ValidationError
 from evoalg.limits import TailCell, VolumeScheme
@@ -264,34 +266,63 @@ def test_underflow_rejection_agrees_with_dense(dimension, q, radius, strength):
         assert scheme.measure(radius).log_partition > 0
 
 
-OFF_CENTRE = [
-    ((1, 1), 2),
-    ((-1, 0), 2),
-    ((0, -1), 1),
-]
+# sites off the centre of the box, one state each, per dimension
+OFF_CENTRE = {
+    1: [(1, 2), (-1, 2), (2, 1)],
+    2: [((1, 1), 2), ((-1, 0), 2), ((0, -1), 1)],
+}
 
 
+@pytest.mark.parametrize("dimension, radius", [(1, 2), (2, 1)])
 @pytest.mark.parametrize("q", [2, 3])
 @settings(max_examples=15, deadline=None)
 @given(
     beta=BETAS,
     coupling=COUPLINGS,
-    marks=st.lists(st.sampled_from(OFF_CENTRE), min_size=1, max_size=3, unique_by=lambda m: m[0]),
+    marks=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
     tails=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     choice=st.tuples(st.booleans(), st.booleans()),
 )
-def test_off_centre_2d_coefficient_matches_dense(q, beta, coupling, marks, tails, choice):
+def test_off_centre_coefficient_matches_dense(dimension, radius, q, beta, coupling, marks, tails, choice):
     first, second = (min(t, q) for t in tails)
-    phi = (TailCell(first), TailCell(second, tuple((c, min(s, q)) for c, s in marks)))
+    pattern = tuple((OFF_CENTRE[dimension][m][0], min(OFF_CENTRE[dimension][m][1], q)) for m in marks)
+    phi = (TailCell(first), TailCell(second, pattern))
     psi = (phi[choice[0]], phi[choice[1]])
-    scheme = VolumeScheme(2, (0, 1), q, coupling, beta)
-    box = scheme.box(1)
-    dense = dense_box_measure(box, q, coupling, beta)
-    restricted = PairCell(phi[0].restrict(box, q), phi[1].restrict(box, q))
-    kids = ev.children_set(restricted, ev.components(box.graph), ev.StateSpace(q))
-    total = sum(dense.mass(c) for c in kids)
-    expected = dense.mass(psi[0].restrict(box, q)) * dense.mass(psi[1].restrict(box, q)) / total**2
-    assert math.isclose(ev.finite_volume_coeff(scheme, 1, phi, psi), expected, rel_tol=1e-12)
+    scheme = VolumeScheme(dimension, (0, radius), q, coupling, beta)
+    expected = dense_coeff(scheme.box(radius), q, coupling, beta, phi, psi)
+    assert math.isclose(ev.finite_volume_coeff(scheme, radius, phi, psi), expected, rel_tol=1e-12)
+
+
+def test_coefficient_past_exp_overflow_is_finite():
+    # flipping the origin breaks two edges, so |gap| = 800 > log(max float)
+    scheme = VolumeScheme(1, (1, 2), 2, 1.0, 400.0)
+    phi = (const(1), flipped(1, 2))
+    psis = [(a, b) for a in phi for b in phi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [ev.finite_volume_coeff(scheme, 2, phi, psi) for psi in psis]
+    assert values == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_overflowing_strength_is_rejected():
+    # beta and J each pass the scheme's checks, but beta*J is infinite
+    scheme = VolumeScheme(1, (1,), 2, 1e200, 1e200)
+    with pytest.raises(ValidationError, match="^measure: weights must be finite$"):
+        ev.finite_volume_coeff(scheme, 1, (const(1), const(2)), (const(1), const(1)))
+
+
+def test_coefficients_build_no_measure_and_search_no_children(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coefficients need no box measure and no children search")
+
+    for name in ("BoxMeasure", "children_set", "components"):
+        monkeypatch.setattr(limits, name, refuse)
+    scheme = VolumeScheme(2, (0, 1), 3, 1.0, 0.7)
+    phi = (const(1), TailCell(2, (((0, 0), 3),)))
+    for psi in [(const(1), const(1)), phi, (phi[1], phi[1]), (const(3), const(1))]:
+        seq = ev.coefficient_sequence(scheme, phi, psi)
+        expected = [dense_coeff(scheme.box(r), 3, 1.0, 0.7, phi, psi) for r in scheme.radii]
+        np.testing.assert_allclose(seq.values, expected, rtol=1e-12)
 
 
 def test_coefficient_survives_tiny_masses():
