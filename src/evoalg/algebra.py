@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -152,6 +153,21 @@ class HeredityMatrix:
                 cols[at] = (kids[:, :, None] * self.kn + kids[:, None, :]).reshape(len(pos), -1)
                 vals[at] = (w[:, :, None] * w[:, None, :]).reshape(len(pos), -1)
             yield np.repeat(np.arange(g0, g1), size), cols, vals
+
+    def entry_texts(self):
+        """``entry_chunks`` as flat ``(row, col, value, ...)`` tuples of strings.
+
+        The table holds the per-level products ``entry_chunks`` computes, so
+        every chunk value is in it, bit for bit, and is formatted only once.
+        """
+        values = np.unique(np.concatenate([(w[:, :, None] * w[:, None, :]).ravel() for w in self._weights]))
+        value_text = np.array(list(map(repr, values.tolist())), dtype=object)
+        index_text = np.array(list(map(str, range(self.dimension))), dtype=object)
+        for rows, cols, vals in self.entry_chunks():
+            # ascending needles keep the binary searches in cache
+            uniq, at = np.unique(vals, return_inverse=True)
+            cells = (index_text[rows], index_text[cols], value_text[np.searchsorted(values, uniq)][at])
+            yield tuple(np.stack(cells, axis=1).ravel().tolist())
 
 
 class AlgebraElement:
@@ -288,23 +304,21 @@ def export_matrix_csv(algebra: EvolutionAlgebra, path):
     """Write the entries as ``csv.writer`` would, one chunk of rows at a time."""
     with open(path, "w", newline="") as fh:
         fh.write("row,col,value\r\n")
-        for rows, cols, vals in algebra.matrix.entry_chunks():
-            entries = zip(rows.tolist(), cols.tolist(), vals.tolist())
-            fh.write("".join(f"{i},{j},{v!r}\r\n" for i, j, v in entries))
+        for cells in algebra.matrix.entry_texts():
+            fh.write("%s,%s,%s\r\n" * (len(cells) // 3) % cells)
 
 
 def export_matrix_json(algebra: EvolutionAlgebra, path):
     """Write what ``json.dump(payload, fh, sort_keys=True, indent=1)`` would, a chunk at a time."""
-    labels = json.dumps(algebra.pair_labels(), indent=1).replace("\n", "\n ")
+    labels = ",\n  ".join(map(encode_basestring_ascii, algebra.pair_labels()))
     with open(path, "w") as fh:
         fh.write(f'{{\n "dimension": {algebra.dimension},\n "entries": [')
         sep = "\n"
-        for rows, cols, vals in algebra.matrix.entry_chunks():
-            entries = zip(rows.tolist(), cols.tolist(), vals.tolist())
-            fh.write(sep + ",\n".join(f"  [\n   {i},\n   {j},\n   {v!r}\n  ]" for i, j, v in entries))
+        for cells in algebra.matrix.entry_texts():
+            fh.write(sep + ",\n".join(["  [\n   %s,\n   %s,\n   %s\n  ]"] * (len(cells) // 3)) % cells)
             sep = ",\n"
         fh.write(
-            f'\n ],\n "labels": {labels},\n "schema_version": 1,\n'
+            f'\n ],\n "labels": [\n  {labels}\n ],\n "schema_version": 1,\n'
             f' "states": {algebra.space.k},\n "vertices": {algebra.graph.vertex_count}\n}}\n'
         )
 

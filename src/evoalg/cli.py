@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import asdict, dataclass
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .algebra import (
@@ -23,7 +24,7 @@ from .algebra import (
 # matrix_entries stays importable here: bench/tracing.py wraps it by this name
 from .algebra import matrix_entries  # noqa: F401
 from .cells import state_space_from_json
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 from .graphs import graph_from_json
 from .limits import (
     TailCell,
@@ -68,12 +69,12 @@ def _number(value, name: str, kind=float):
     if isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool):
         with suppress(OverflowError):
             return kind(value)
-    raise ValidationError(f"scenario.limits.{name}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    raise ValidationError(f"scenario.limits.{name}: expected {'an integer' if kind is int else 'a number'}, got {shown(value)}")
 
 
 def _list(value, name: str) -> list:
     if not isinstance(value, list):
-        raise ValidationError(f"scenario.limits.{name}: list required, got {value!r}")
+        raise ValidationError(f"scenario.limits.{name}: list required, got {shown(value)}")
     return value
 
 
@@ -92,6 +93,33 @@ def _dump_json(payload, path, to_stdout: bool):
     with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _write_list(fh, seq, indent: str, text):
+    """Write ``seq`` as an indented JSON list, ``text(part)`` laying out 1,024 items at a time."""
+    for i in range(0, len(seq), 1024):
+        fh.write(("," if i else "[") + "\n" + text(seq[i : i + 1024]))
+    fh.write(f"\n{indent}]" if seq else "[]")
+
+
+def _write_hierarchy(payload, fh):
+    """Write ``json.dump(payload, fh, sort_keys=True, indent=1)`` and a newline, in batches.
+
+    A batch of flows fills one ``%d`` template, and each label passes once
+    through the encoder ``json.dump`` uses.  There is always a level 0.
+    """
+    counts = payload["counts"]
+    counts = "null" if counts is None else "{\n" + ",\n".join(f'  "{k}": {counts[k]}' for k in sorted(counts)) + "\n }"
+    fh.write(f'{{\n "counts": {counts},\n "flows": ')
+    flow = "  [\n   [\n    %d,\n    %d\n   ],\n   [\n    %d,\n    %d\n   ]\n  ]"
+    flat = chain.from_iterable
+    _write_list(fh, payload["flows"], " ", lambda part: ",\n".join([flow] * len(part)) % tuple(flat(flat(part))))
+    fh.write(f',\n "level_count": {payload["level_count"]},\n "levels": [')
+    for i, blocks in enumerate(payload["levels"]):
+        fh.write(",\n  " if i else "\n  ")
+        _write_list(fh, blocks, "  ", lambda part: ",\n".join(
+            "   [\n    " + ",\n    ".join(map(encode_basestring_ascii, b)) + "\n   ]" for b in part))
+    fh.write(f'\n ],\n "schema_version": {payload["schema_version"]}\n}}\n')
 
 
 def cmd_build(args) -> int:
@@ -125,12 +153,7 @@ def _hierarchy_payload(scenario) -> dict:
         for blocks in hierarchy.levels
     ]
     try:
-        counts = structure_counts(algebra)
-        counts_payload = {
-            "dimension": counts.dimension,
-            "one_dimensional": counts.one_dimensional,
-            "four_dimensional": counts.four_dimensional,
-        }
+        counts_payload = asdict(structure_counts(algebra))
     except ValidationError:
         counts_payload = None
     return {
@@ -138,7 +161,7 @@ def _hierarchy_payload(scenario) -> dict:
         "level_count": hierarchy.level_count,
         "levels": levels,
         "counts": counts_payload,
-        "flows": [[list(a), list(b)] for a, b in hierarchy.flows],
+        "flows": hierarchy.flows,
     }
 
 
@@ -159,7 +182,8 @@ def cmd_hierarchy(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if not args.stdout:
         (out / "hierarchy.txt").write_text(_hierarchy_text(payload))
-    _dump_json(payload, out / "hierarchy.json", args.stdout)
+    with nullcontext(sys.stdout) if args.stdout else open(out / "hierarchy.json", "w") as fh:
+        _write_hierarchy(payload, fh)
     return 0
 
 
@@ -169,12 +193,7 @@ def cmd_isocheck(args) -> int:
     left = build_algebra(first.graph, first.space, first.measure)
     right = build_algebra(second.graph, second.space, second.measure)
     report = iso_check(left, right)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "support_equal": report.support_equal,
-        "skeleton_equal": report.skeleton_equal,
-        "verdict": report.verdict,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(payload, out / "isocheck.json", args.stdout)
@@ -225,7 +244,7 @@ def cmd_limits(args) -> int:
     sequences = []
     for entry in _list(spec.get("pairs", []), "pairs"):
         if not isinstance(entry, dict):
-            raise ValidationError(f"scenario.limits.pairs: objects required, got {entry!r}")
+            raise ValidationError(f"scenario.limits.pairs: objects required, got {shown(entry)}")
         phi = tuple(_tail_cell_from_json(c) for c in _list(entry.get("phi", []), "pairs.phi"))
         psi = tuple(_tail_cell_from_json(c) for c in _list(entry.get("psi", []), "pairs.psi"))
         if len(phi) != 2 or len(psi) != 2:

@@ -7,3 +7,9 @@ class ValidationError(ValueError):
 
 class BudgetError(RuntimeError):
     """Raised when a request exceeds the exact-enumeration budgets."""
+
+
+def shown(value) -> str:
+    """A rejected value for an error message: its type, then its repr cut to 60 characters."""
+    text = repr(value)
+    return f"{type(value).__name__} {text[:60]}{'…' * (len(text) > 60)}"

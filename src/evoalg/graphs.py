@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 __all__ = [
     "Graph",
@@ -174,7 +174,7 @@ def graph_from_json(descriptor: dict):
     index = {v: i for i, v in enumerate(labels)}
     raw_edges = descriptor.get("edges", [])
     if not isinstance(raw_edges, list):
-        raise ValidationError(f"graph.edges: list required, got {raw_edges!r}")
+        raise ValidationError(f"graph.edges: list required, got {shown(raw_edges)}")
     edges = set()
     for raw in raw_edges:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .cells import Cell
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 from .graphs import Graph
 
 __all__ = [
@@ -328,7 +328,7 @@ def _floats(raw, name: str, shape=()):
     except (TypeError, ValueError):
         arr = np.empty(0)
     if arr.shape != shape:
-        raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {raw!r}")
+        raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {shown(raw)}")
     return arr if shape else float(arr)
 
 
@@ -336,7 +336,7 @@ def _objects(spec: dict, name: str) -> list:
     """The list of objects under ``spec[name]``, or an error naming the field."""
     entries = spec.get(name, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValidationError(f"measure.hamiltonian.{name}: list of objects required, got {entries!r}")
+        raise ValidationError(f"measure.hamiltonian.{name}: list of objects required, got {shown(entries)}")
     return entries
 
 

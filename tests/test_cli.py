@@ -435,6 +435,48 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, command, payload
     assert f"error: {field}" in proc.stderr
 
 
+def edges_with(edges):
+    payload = edge_scenario()
+    payload["graph"]["edges"] = edges
+    return payload
+
+
+BIG = {f"key{i}": i for i in range(2000)}
+LONG_VALUES = {
+    "4,000-digit beta": ("limits", limits_with(beta=10**3999), "scenario.limits.beta", "int"),
+    "2,000-key radii": ("limits", limits_with(radii=BIG), "scenario.limits.radii", "dict"),
+    "2,000-character states": ("limits", limits_with(states="9" * 2000), "scenario.limits.states", "str"),
+    "2,000-character tail": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": "x" * 2000}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.tail",
+        "str",
+    ),
+    "2,000-item pairs entry": ("limits", limits_with(pairs=[list(range(2000))]), "scenario.limits.pairs", "list"),
+    "2,000-key edges": ("build", edges_with(BIG), "graph.edges", "dict"),
+    "2,000-item site field": ("dlr", general_scenario(list(range(2000))), "measure.hamiltonian.site_field", "list"),
+    "2,000-key pair coupling": (
+        "dlr",
+        {**general_scenario([0.5, 0.5]), "measure": {"hamiltonian": {"beta": 1.0, "pair_coupling": BIG}}},
+        "measure.hamiltonian.pair_coupling",
+        "dict",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, payload, field, kind", LONG_VALUES.values(), ids=list(LONG_VALUES))
+def test_rejected_values_are_echoed_cut_short(tmp_path, capsys, command, payload, field, kind):
+    scenario = write(tmp_path / "bad.json", payload)
+    argv = [command, "--scenario", scenario, "--out", str(tmp_path / "out")]
+    if command == "dlr":
+        argv += ["--domain", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}")
+    assert f"got {kind} " in err and err.endswith("…\n")
+    assert len(err) < len(field) + 160
+
+
 @pytest.mark.parametrize(
     "text",
     [

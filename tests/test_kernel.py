@@ -7,6 +7,9 @@ over the pair-loop rows to rounding.
 """
 
 import csv
+import dataclasses
+import filecmp
+import io
 import itertools
 import json
 import random
@@ -17,6 +20,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
+from evoalg import cli
 
 import pytest
 
@@ -173,3 +177,112 @@ def test_exports_match_csv_and_json_writers(algebra):
         ev.export_matrix_json(algebra, out / "matrix.json")
         for name in ("csv", "json"):
             assert (out / f"matrix.{name}").read_bytes() == (out / f"expected.{name}").read_bytes()
+
+
+def write_like_writers(algebra, out: Path, entries):
+    """``expected.csv`` and ``expected.json`` from ``csv.writer`` and ``json.dump``."""
+    payload = {
+        "schema_version": 1,
+        "vertices": algebra.graph.vertex_count,
+        "states": algebra.space.k,
+        "dimension": algebra.dimension,
+        "labels": [algebra.pair_label(i) for i in range(algebra.dimension)],
+        "entries": entries,
+    }
+    with open(out / "expected.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "value"])
+        writer.writerows([i, j, repr(v)] for i, j, v in entries)
+    with open(out / "expected.json", "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize(
+    "n, edges, names",
+    [
+        pytest.param(3, {(0, 1)}, ('q"', "\\", "∑"), id="edge plus vertex, k=3"),
+        pytest.param(6, set(), ("é", "\t"), id="edgeless n=6, k=2"),
+    ],
+)
+def test_exports_match_writers_across_chunks(tmp_path, n, edges, names):
+    """Entries that span several 4,096-entry chunks are formatted from one value table."""
+    k = len(names)
+    measure = ev.from_weights(np.random.default_rng(n).uniform(0.1, 1.0, size=k**n), n, k)
+    algebra = ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k, names), measure)
+    entries = oracle_entries(algebra)
+    assert len(entries) > 4096
+    write_like_writers(algebra, tmp_path, entries)
+    ev.export_matrix_csv(algebra, tmp_path / "matrix.csv")
+    ev.export_matrix_json(algebra, tmp_path / "matrix.json")
+    for name in ("csv", "json"):
+        assert filecmp.cmp(tmp_path / f"matrix.{name}", tmp_path / f"expected.{name}", shallow=False)
+
+
+def dumped(payload) -> str:
+    fh = io.StringIO()
+    json.dump(payload, fh, sort_keys=True, indent=1)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def written(payload) -> str:
+    fh = io.StringIO()
+    cli._write_hierarchy(payload, fh)
+    return fh.getvalue()
+
+
+def oracle_hierarchy_payload(algebra) -> dict:
+    """The hierarchy report's payload, in plain lists, from the search oracles."""
+    hierarchy = oracle_hierarchy(algebra)
+    labels = [algebra.pair_label(i) for i in range(algebra.dimension)]
+    counts = None
+    if len(ev.components(algebra.graph)) == 1:
+        counts = dataclasses.asdict(oracle_counts(oracle_supports(algebra)[0], algebra.kn))
+    return {
+        "schema_version": 1,
+        "level_count": len(hierarchy.levels),
+        "levels": [[[labels[g] for g in block] for block in blocks] for blocks in hierarchy.levels],
+        "counts": counts,
+        "flows": [[list(a), list(b)] for a, b in hierarchy.flows],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras(labels=True))
+def test_hierarchy_report_matches_json_dump(algebra):
+    payload = oracle_hierarchy_payload(algebra)
+    assert written(payload) == dumped(payload)
+
+
+def scenario_file(path, vertices, edges, names):
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "graph": {"vertices": vertices, "edges": edges},
+        "states": {"states": names},
+        "measure": {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 0.7}},
+    }))
+    return str(path)
+
+
+SIX = [f"v{i}" for i in range(6)]
+HIERARCHY_SCENARIOS = {
+    # 4,032 flows and 2,016 level-1 blocks, so both span several batches
+    "connected path": (SIX, [[a, b] for a, b in zip(SIX, SIX[1:])], ['q"', "\\"], dict),
+    "two paths": (SIX, [["v0", "v1"], ["v1", "v2"], ["v3", "v4"], ["v4", "v5"]], ["é", "\t"], type(None)),
+    "one vertex, one state": (["only"], [], ["∑"], dict),
+}
+
+
+@pytest.mark.parametrize("vertices, edges, names, counts", HIERARCHY_SCENARIOS.values(), ids=list(HIERARCHY_SCENARIOS))
+def test_hierarchy_json_is_json_dump_of_its_payload(tmp_path, capsys, vertices, edges, names, counts):
+    scenario = scenario_file(tmp_path / "s.json", vertices, edges, names)
+    payload = cli._hierarchy_payload(cli.load_scenario(scenario))
+    assert isinstance(payload["counts"], counts)
+    assert (payload["flows"] == ()) == (len(vertices) == 1)
+    expected = dumped(payload).encode("ascii")
+    assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "hierarchy.json").read_bytes() == expected
+    capsys.readouterr()
+    assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path), "--stdout"]) == 0
+    assert capsys.readouterr().out.encode("ascii") == expected
