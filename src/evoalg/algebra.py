@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .cells import PairCell, StateSpace, children_indices, component_contributions
+from .cells import PairCell, StateSpace, cell_digits, children_indices, component_contributions
 from .errors import BudgetError, ValidationError
 from .graphs import Graph, components
 from .measures import Measure
@@ -68,8 +68,7 @@ class HeredityMatrix:
         self.kn = kn
         self.dimension = kn * kn
         cells = np.arange(kn, dtype=np.int64)
-        digits = cells[:, None] // k ** np.arange(n, dtype=np.int64) % k
-        self.contrib = component_contributions(digits, components(graph), k)
+        self.contrib = component_contributions(cell_digits(n, k), components(graph), k)
         lo = np.zeros((kn, kn), dtype=np.int64)
         level = np.zeros((kn, kn), dtype=np.int64)
         for part in self.contrib.T:

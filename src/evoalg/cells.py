@@ -25,6 +25,7 @@ __all__ = [
     "Cell",
     "PairCell",
     "Subcell",
+    "cell_digits",
     "restrict",
     "children_set",
     "component_contributions",
@@ -119,6 +120,11 @@ class Cell:
 
     def label(self, space: StateSpace) -> str:
         return "(" + ",".join(space.label_of(s) for s in self.states) + ")"
+
+
+def cell_digits(n: int, k: int) -> np.ndarray:
+    """The ``(k**n, n)`` digit table of every cell: row ``i`` holds the digits of index ``i``."""
+    return np.arange(k**n, dtype=np.int64)[:, None] // k ** np.arange(n, dtype=np.int64) % k
 
 
 @dataclass(frozen=True)

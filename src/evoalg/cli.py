@@ -46,7 +46,6 @@ class Scenario:
     space: object
     measure: object
     hamiltonian: object
-    raw: dict
 
 
 def _read_scenario(path) -> dict:
@@ -86,7 +85,7 @@ def load_scenario(path) -> Scenario:
     graph, labels = graph_from_json(raw["graph"])
     space = state_space_from_json(raw["states"])
     measure, hamiltonian = measure_from_json(raw["measure"], graph, space, labels)
-    return Scenario(graph, labels, space, measure, hamiltonian, raw)
+    return Scenario(graph, labels, space, measure, hamiltonian)
 
 
 def _dump_json(payload, path, to_stdout: bool):

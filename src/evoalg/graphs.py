@@ -69,12 +69,6 @@ class ComponentPartition:
     def __iter__(self):
         return iter(self.blocks)
 
-    def block_of(self, v: int) -> int:
-        for i, blk in enumerate(self.blocks):
-            if v in blk:
-                return i
-        raise ValidationError(f"vertex {v} not covered by the partition")
-
 
 def components(g: Graph) -> ComponentPartition:
     """Decompose ``g`` into maximal connected subgraphs.

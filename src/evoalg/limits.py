@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import Cell, PairCell
-from .errors import BudgetError, ValidationError
+from .cells import Cell, PairCell, cell_digits
+from .errors import BudgetError, ValidationError, shown
 from .graphs import LatticeBox
 from .measures import ENUMERATION_BUDGET, POSITIVITY_FLOOR
 # these three stay importable here: bench/tracing.py wraps them by these names
@@ -72,7 +72,9 @@ class TailCell:
         """The ordinary cell this tail cell induces on a box."""
         for name, state in [("tail", self.tail), *(("pattern", s) for _, s in self.pattern)]:
             if not 1 <= state <= q:
-                raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {state}")
+                # a state of up to 60 digits reads as itself, a longer one as errors.shown cuts it
+                got = state if len(str(state)) <= 60 else shown(state)
+                raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {got}")
         digits = [self.tail - 1] * box.site_count
         for coord, state in self.pattern:
             digits[box.site_index(coord)] = state - 1
@@ -96,10 +98,13 @@ class BoxMeasure:
     The box is read as ``2r+1`` columns, the contiguous runs of ``width``
     site indices (one site in 1-D, ``2r+1`` in 2-D); every equal neighbour
     pair adds ``beta*J`` to a log weight.  ``log_partition`` is a log-sum-exp
-    sweep over the ``q^width`` column states and the smallest weight a
-    min-plus sweep, so no cell is enumerated.  Like the dense
-    ``gibbs_measure``, a box with a mass below ``POSITIVITY_FLOOR`` is rejected.
-    Only the ``low_temp`` report uses it; coefficients need no ``Z``.
+    sweep over the ``q^width`` column states, so no cell is enumerated.
+    With ``q >= 2`` states, as ``VolumeScheme`` requires, the smallest log
+    weight is ``min(0, beta*J*E)`` over the box's ``E`` edges: a box is
+    bipartite, so a proper 2-colouring has no equal edge and a constant
+    cell has every edge equal.  Like the dense ``gibbs_measure``, a box
+    with a mass below ``POSITIVITY_FLOOR`` is rejected.  Only the
+    ``low_temp`` report uses it; coefficients need no ``Z``.
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
@@ -107,18 +112,17 @@ class BoxMeasure:
         self.width = box.site_count // self.columns
         self.k = states
         self.strength = beta * coupling
-        codes = np.arange(states**self.width)
-        col = np.stack([codes // states**y % states for y in range(self.width)], axis=1)
+        col = cell_digits(self.width, states)
         inner = self.strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
         bond = self.strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
-        log_z = low = inner
+        log_z = inner
         for _ in range(self.columns - 1):
             log_z = inner + _logsumexp(log_z[:, None] + bond)
-            low = inner + (low[:, None] + bond).min(axis=0)
         self.log_partition = float(_logsumexp(log_z))
         if not math.isfinite(self.log_partition):
             raise ValidationError("measure: weights must be finite")
-        if low.min() - self.log_partition < math.log(POSITIVITY_FLOOR):
+        edges = (self.columns - 1) * self.width + self.columns * (self.width - 1)
+        if min(0.0, self.strength * edges) - self.log_partition < math.log(POSITIVITY_FLOOR):
             raise ValidationError("gibbs: normalized weights underflow; measure no longer strictly positive")
 
     def log_mass(self, cell: Cell) -> float:

@@ -10,11 +10,10 @@ is never materialized; pair masses are computed on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .cells import Cell
+from .cells import Cell, cell_digits
 from .errors import BudgetError, ValidationError, shown
 from .graphs import Graph
 
@@ -144,31 +143,34 @@ def _digit_table(n: int, k: int) -> np.ndarray:
     count = k**n
     if count > ENUMERATION_BUDGET:
         raise BudgetError(f"{count} cells exceed the enumeration budget of {ENUMERATION_BUDGET}")
-    idx = np.arange(count)
-    digits = np.empty((count, n), dtype=np.int64)
-    for v in range(n):
-        digits[:, v] = (idx // k**v) % k
-    return digits
+    return cell_digits(n, k)
 
 
-def _all_energies(h: Hamiltonian) -> np.ndarray:
-    digits = _digit_table(h.n, h.k)
-    energy = np.zeros(len(digits))
-    for v in range(h.n):
-        energy += h.site_field[v][digits[:, v]]
-    for (x, y), mat in h.pair_coupling.items():
-        energy += mat[digits[:, x], digits[:, y]]
-    return energy
+def _energy(h: Hamiltonian, digit, vertices, edges):
+    """Site fields on ``vertices`` plus couplings on ``edges``, at the 0-based states ``digit[v]``.
+
+    ``digit[v]`` is one state or an array of states; fields are added
+    vertex by vertex, then couplings in the order of ``edges``.
+    """
+    total = sum(h.site_field[v][digit[v]] for v in vertices)
+    for x, y in edges:
+        total += h.pair_coupling[(x, y)][digit[x], digit[y]]
+    return total
+
+
+def _code(digits, k: int):
+    """Base-``k`` code of a digit sequence, its first digit most significant."""
+    value = 0
+    for d in digits:
+        value = value * k + d
+    return value
 
 
 def hamiltonian_energy(h: Hamiltonian, cell: Cell) -> float:
     """Total energy of one cell: site fields plus all edge couplings."""
     if cell.n != h.n or cell.k != h.k:
         raise ValidationError("energy: cell does not match the Hamiltonian")
-    total = sum(h.site_field[v][cell.digits[v]] for v in range(h.n))
-    for (x, y), mat in h.pair_coupling.items():
-        total += mat[cell.digits[x], cell.digits[y]]
-    return float(total)
+    return float(_energy(h, cell.digits, range(h.n), h.pair_coupling))
 
 
 def gibbs_measure(h: Hamiltonian) -> Measure:
@@ -177,7 +179,7 @@ def gibbs_measure(h: Hamiltonian) -> Measure:
     Free boundary: the graph is the whole volume.  The max of ``-beta * H``
     is subtracted before exponentiation.
     """
-    log_w = -h.beta * _all_energies(h)
+    log_w = -h.beta * _energy(h, _digit_table(h.n, h.k).T, range(h.n), h.pair_coupling)
     log_w -= log_w.max()
     w = np.exp(log_w)
     w /= w.sum()
@@ -217,46 +219,42 @@ class ConditionalSpec:
                 raise ValidationError(f"conditional: boundary state {s} at vertex {v} out of range")
 
 
-def _conditional_energy(h: Hamiltonian, spec: ConditionalSpec, digits_on_domain: dict) -> float:
-    """Energy of the potentials meeting the domain, boundary filled outside."""
-    def digit(v: int) -> int:
-        if v in digits_on_domain:
-            return digits_on_domain[v]
-        return int(spec.boundary[v]) - 1
+def _local_specification(h: Hamiltonian, domain: tuple) -> tuple:
+    """``(outer, cond)``: the law of the domain given its outer neighbours.
 
-    inside = set(spec.domain)
-    total = sum(h.site_field[v][digits_on_domain[v]] for v in spec.domain)
-    for (x, y), mat in h.pair_coupling.items():
-        if x in inside or y in inside:
-            total += mat[digit(x), digit(y)]
-    return float(total)
+    ``outer`` lists, ascending, the vertices outside the sorted ``domain``
+    that share an edge with it.  ``cond[o, d]`` is the probability of the
+    domain states with base-``k`` code ``d`` given the outer states with
+    code ``o``; both codes put their first vertex most significant.  Only
+    the potentials meeting the domain enter (Georgii 1988, ch. 1-2).
+    """
+    k, inside = h.k, set(domain)
+    meeting = [e for e in h.pair_coupling if inside & set(e)]
+    outer = sorted({v for e in meeting for v in e} - inside)
+    local = outer + list(domain)
+    digit = dict(zip(local, _digit_table(len(local), k).T[::-1]))
+    log_w = -h.beta * _energy(h, digit, domain, meeting).reshape(-1, k ** len(domain))
+    cond = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    cond /= cond.sum(axis=1, keepdims=True)
+    return outer, cond
 
 
 def conditional_prob(h: Hamiltonian, spec: ConditionalSpec, assignment: dict) -> float:
     """Conditional probability of a domain assignment given the boundary.
 
     ``assignment`` maps every domain vertex to a state in ``1..k``.  The
-    normalization runs over all assignments of the domain, so the values
-    sum to 1 for any fixed boundary.
+    value is one entry of the local specification that ``dlr_table``
+    averages: only the boundary states of the domain's outer neighbours
+    matter, and the values sum to 1 over the domain's assignments.
     """
     spec.validate(h)
     if set(assignment) != set(spec.domain):
         raise ValidationError("conditional: assignment must cover exactly the domain")
-    target = {v: int(assignment[v]) - 1 for v in spec.domain}
-    if any(d < 0 or d >= h.k for d in target.values()):
+    target = [int(assignment[v]) - 1 for v in spec.domain]
+    if any(d < 0 or d >= h.k for d in target):
         raise ValidationError("conditional: assignment state out of range")
-    log_w = []
-    target_log = None
-    for combo in product(range(h.k), repeat=len(spec.domain)):
-        digits = dict(zip(spec.domain, combo))
-        value = -h.beta * _conditional_energy(h, spec, digits)
-        log_w.append(value)
-        if digits == target:
-            target_log = value
-    log_w = np.array(log_w)
-    shift = log_w.max()
-    z = np.exp(log_w - shift).sum()
-    return float(np.exp(target_log - shift) / z)
+    outer, cond = _local_specification(h, spec.domain)
+    return float(cond[_code((int(spec.boundary[v]) - 1 for v in outer), h.k), _code(target, h.k)])
 
 
 @dataclass(frozen=True)
@@ -284,23 +282,14 @@ def dlr_table(h: Hamiltonian, domain, measure: Measure = None) -> list:
         measure = gibbs_measure(h)
     elif (measure.n, measure.k) != (h.n, h.k):
         raise ValidationError("dlr: measure does not match the Hamiltonian")
-    k, inside, weights = h.k, set(domain), measure.weights
-    meeting = {e: m for e, m in h.pair_coupling.items() if inside & set(e)}
-    local = sorted({v for e in meeting for v in e} - inside) + list(domain)
-    cells, code = np.arange(k**h.n), 0
-    for v in local:  # base-k code of the outer then the domain states
-        code = code * k + cells // k**v % k
+    k = h.k
+    outer, cond = _local_specification(h, domain) if len(domain) < h.n else ([], None)
+    local, cells = outer + list(domain), np.arange(k**h.n)
+    code = _code((cells // k**v % k for v in local), k)
     # joint mass of (outer neighbours' states, domain states)
-    joint = np.bincount(code, weights, k ** len(local)).reshape(-1, k ** len(domain))
+    joint = np.bincount(code, measure.weights, k ** len(local)).reshape(-1, k ** len(domain))
     lhs = rhs = joint.sum(axis=0)
-    if len(domain) < h.n:
-        digit = dict(zip(local, np.indices((k,) * len(local)).reshape(len(local), -1)))
-        energy = sum(h.site_field[v][digit[v]] for v in domain)
-        for (x, y), mat in meeting.items():
-            energy = energy + mat[digit[x], digit[y]]
-        log_w = -h.beta * energy.reshape(joint.shape)
-        cond = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        cond /= cond.sum(axis=1, keepdims=True)
+    if cond is not None:
         rhs = joint.sum(axis=1) @ cond
     return [DlrGap(float(a), float(b), abs(float(a) - float(b))) for a, b in zip(lhs, rhs)]
 
@@ -313,7 +302,7 @@ def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
     digits = [int(assignment[v]) - 1 for v in domain]
     if any(not 0 <= d < h.k for d in digits):
         raise ValidationError("dlr: assignment state out of range")
-    return dlr_table(h, domain)[sum(d * h.k**i for i, d in enumerate(reversed(digits)))]
+    return dlr_table(h, domain)[_code(digits, h.k)]
 
 
 def product_mass(mu: Measure, pairs) -> float:

@@ -452,6 +452,18 @@ LONG_VALUES = {
         "scenario.limits.pairs.tail",
         "str",
     ),
+    "4,000-digit tail": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 10**3999}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.tail",
+        "int",
+    ),
+    "4,000-digit pattern state": (
+        "limits",
+        limits_with(pairs=[{"phi": [{"tail": 1, "pattern": [[0, 10**3999]]}, {"tail": 1}], "psi": TAILS}]),
+        "scenario.limits.pairs.pattern",
+        "int",
+    ),
     "2,000-item pairs entry": ("limits", limits_with(pairs=[list(range(2000))]), "scenario.limits.pairs", "list"),
     "2,000-key edges": ("build", edges_with(BIG), "graph.edges", "dict"),
     "2,000-item site field": ("dlr", general_scenario(list(range(2000))), "measure.hamiltonian.site_field", "list"),

@@ -249,8 +249,9 @@ def test_transfer_measure_matches_dense_on_large_boxes(dimension, q, radius, bet
 @pytest.mark.parametrize(
     "dimension, q, radius, strength",
     [(1, 2, 2, s) for s in (2.0, 100.0, 170.0, 175.0, 200.0, -200.0)]
-    + [(2, 2, 1, s) for s in (50.0, 65.0, -65.0)]
-    + [(2, 3, 1, s) for s in (50.0, 65.0)],
+    + [(2, 2, 1, s) for s in (50.0, 65.0, -50.0, -65.0)]
+    + [(2, 3, 1, s) for s in (50.0, 65.0, -50.0, -65.0)]
+    + [(1, 3, 2, s) for s in (170.0, 175.0, -170.0, -175.0)],
 )
 def test_underflow_rejection_agrees_with_dense(dimension, q, radius, strength):
     beta, coupling = abs(strength), math.copysign(1.0, strength)

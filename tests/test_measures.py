@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import evoalg as ev
 from evoalg.errors import BudgetError, ValidationError
 
-from conftest import cell, dlr_check_oracle, pair, reference_measure_for
+from conftest import cell, conditional_prob_oracle, dlr_check_oracle, pair, reference_measure_for
 
 
 def test_from_weights_uniform():
@@ -191,6 +191,22 @@ def test_dlr_table_matches_cell_loop_oracle(instance, data):
         expected = dlr_check_oracle(h, domain, dict(zip(domain, assignments[i])))
         assert table[i].lhs == pytest.approx(expected.lhs, rel=1e-12, abs=0.0)
         assert table[i].rhs == pytest.approx(expected.rhs, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dlr_instances(), st.data())
+def test_conditional_prob_matches_assignment_loop_oracle(instance, data):
+    h, domain = instance
+    # the oracle loops over every assignment once per assignment
+    assume(h.k ** (2 * len(domain)) <= ORACLE_WORK)
+    outside = [v for v in range(h.n) if v not in domain]
+    boundaries = st.lists(st.integers(1, h.k), min_size=len(outside), max_size=len(outside))
+    for _ in range(3):
+        spec = ev.ConditionalSpec(domain, dict(zip(outside, data.draw(boundaries))))
+        for states in itertools.product(range(1, h.k + 1), repeat=len(domain)):
+            assignment = dict(zip(domain, states))
+            expected = conditional_prob_oracle(h, spec, assignment)
+            assert ev.conditional_prob(h, spec, assignment) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_dlr_table_every_domain_of_a_small_graph():
