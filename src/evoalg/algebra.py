@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
@@ -153,15 +154,20 @@ class HeredityMatrix:
                 vals[at] = (w[:, :, None] * w[:, None, :]).reshape(len(pos), -1)
             yield np.repeat(np.arange(g0, g1), size), cols, vals
 
+    @cached_property
+    def _text_table(self) -> tuple:
+        """Sorted distinct coefficients, their ``repr`` texts and the ``str`` texts of the indices."""
+        values = np.unique(np.concatenate([(w[:, :, None] * w[:, None, :]).ravel() for w in self._weights]))
+        value_text = np.array(list(map(repr, values.tolist())), dtype=object)
+        return values, value_text, np.array(list(map(str, range(self.dimension))), dtype=object)
+
     def entry_texts(self):
         """``entry_chunks`` as flat ``(row, col, value, ...)`` tuples of strings.
 
-        The table holds the per-level products ``entry_chunks`` computes, so
-        every chunk value is in it, bit for bit, and is formatted only once.
+        The table holds the per-level products ``entry_chunks`` computes (every
+        chunk value, bit for bit) and is built once per matrix for both exports.
         """
-        values = np.unique(np.concatenate([(w[:, :, None] * w[:, None, :]).ravel() for w in self._weights]))
-        value_text = np.array(list(map(repr, values.tolist())), dtype=object)
-        index_text = np.array(list(map(str, range(self.dimension))), dtype=object)
+        values, value_text, index_text = self._text_table
         for rows, cols, vals in self.entry_chunks():
             # ascending needles keep the binary searches in cache
             uniq, at = np.unique(vals, return_inverse=True)

@@ -332,38 +332,32 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument(
-            "--stdout", action="store_true", help="write the JSON report to stdout"
-        )
+        p.add_argument("--stdout", action="store_true", help="write the JSON report to stdout")
+        p.set_defaults(run=run)
+        return p
 
-    common(sub.add_parser("build", help="build and export the coefficient matrix"))
-    common(sub.add_parser("hierarchy", help="level decomposition and counts"))
-    iso = sub.add_parser("isocheck", help="compare two scenarios over one graph")
-    common(iso)
+    command("build", cmd_build, "build and export the coefficient matrix")
+    command("hierarchy", cmd_hierarchy, "level decomposition and counts")
+    iso = command("isocheck", cmd_isocheck, "compare two scenarios over one graph")
     iso.add_argument("--scenario-b", required=True, help="second scenario JSON file")
-    common(sub.add_parser("limits", help="finite-volume coefficient trends"))
-    dlr = sub.add_parser("dlr", help="consistency gaps for a domain")
-    common(dlr)
+    command("limits", cmd_limits, "finite-volume coefficient trends")
+    dlr = command("dlr", cmd_dlr, "consistency gaps for a domain")
     dlr.add_argument("--domain", required=True, help="comma-separated vertex labels")
     return parser
 
 
-_COMMANDS = {
-    "build": cmd_build,
-    "hierarchy": cmd_hierarchy,
-    "isocheck": cmd_isocheck,
-    "limits": cmd_limits,
-    "dlr": cmd_dlr,
-}
+# built once: parse_args leaves the parser unchanged, and main runs once per command
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,6 +112,10 @@ class BoxMeasure:
         self.width = box.site_count // self.columns
         self.k = states
         self.strength = beta * coupling
+        size = states ** (2 * self.width)  # the column pairs compared below
+        if size > ENUMERATION_BUDGET:
+            raise BudgetError(f"transfer table: {states}^{2 * self.width} = {size} column pairs "
+                              f"exceed the enumeration budget of {ENUMERATION_BUDGET}")
         col = cell_digits(self.width, states)
         inner = self.strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
         bond = self.strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
@@ -242,16 +246,14 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     radii = tuple(int(r) for r in radii)
     schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]
-    largest = schemes[0].box(radii[-1])
-    constant_cells = [
-        TailCell(i).restrict(largest, states) for i in range(1, states + 1)
-    ]
-    generator_indices = [PairCell(c, c).index for c in constant_cells]
-    # every box edge of a constant cell is equal, so all states share one mass
+    # every box edge of a constant cell is equal, so all states share one mass;
+    # the measures come first, so an over-budget box is rejected before q cells are built
     masses = [
         [scheme.measure(r).mass(TailCell(1).restrict(scheme.box(r), states)) ** 2 for r in radii]
         for scheme in schemes
     ]
+    constant_cells = [TailCell(i).restrict(schemes[0].box(radii[-1]), states) for i in range(1, states + 1)]
+    generator_indices = [PairCell(c, c).index for c in constant_cells]
     candidates = [
         {"state": i, "masses": [list(row) for row in masses]} for i in range(1, states + 1)
     ]

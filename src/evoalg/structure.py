@@ -212,8 +212,10 @@ def iso_check(left: EvolutionAlgebra, right: EvolutionAlgebra) -> IsoReport:
     """Compare zero patterns and hierarchy skeletons of two algebras.
 
     Both algebras must live over the same graph and state space.  The
-    verdict only certifies the relation-preserving identity map on
-    generators, hence the qualified name.
+    hierarchy's ``levels`` list one block per ``gen_row`` value, grouped by
+    ``level_start``, so skeletons are equal exactly when those arrays are;
+    they depend only on the graph and ``k``.  The verdict only certifies
+    the relation-preserving identity map on generators, hence its name.
     """
     if left.graph != right.graph:
         raise ValidationError("iso_check: algebras built over different graphs")
@@ -221,7 +223,7 @@ def iso_check(left: EvolutionAlgebra, right: EvolutionAlgebra) -> IsoReport:
         raise ValidationError("iso_check: algebras built over different state spaces")
     lm, rm = left.matrix, right.matrix
     support_equal = np.array_equal(lm.classes[lm.gen_row], rm.classes[rm.gen_row])
-    skeleton_equal = build_hierarchy(left).levels == build_hierarchy(right).levels
+    skeleton_equal = np.array_equal(lm.gen_row, rm.gen_row) and np.array_equal(lm.level_start, rm.level_start)
     verdict = (
         "isomorphic-per-theorem" if support_equal and skeleton_equal else "not-isomorphic-per-theorem"
     )
@@ -238,10 +240,6 @@ class CollapsedTable:
 
     classes: tuple
     rows: tuple
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
 
 def collapse_by_symmetry(algebra: EvolutionAlgebra, classes) -> CollapsedTable:

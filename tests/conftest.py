@@ -289,6 +289,31 @@ def oracle_hierarchy(algebra):
     return ev.Hierarchy(levels, tuple(sorted(flows)), coord)
 
 
+def oracle_levels(matrix):
+    """``Hierarchy.levels`` spelled out from a matrix's arrays.
+
+    The generators of each row class, in class order, cut into levels at
+    ``level_start``: what ``build_hierarchy`` lists, read with dicts.
+    """
+    blocks = {}
+    for g, r in enumerate(matrix.gen_row.tolist()):
+        blocks.setdefault(r, []).append(g)
+    ordered = [tuple(blocks[r]) for r in sorted(blocks)]
+    bounds = matrix.level_start.tolist()
+    return tuple(tuple(ordered[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def oracle_iso(left, right):
+    """The iso report from per-generator row keys and the hierarchy levels."""
+    def keys(m):
+        return [(m.row_level[r], m.row_lo[r], m.row_hi[r]) for r in m.gen_row.tolist()]
+
+    support = keys(left.matrix) == keys(right.matrix)
+    skeleton = oracle_levels(left.matrix) == oracle_levels(right.matrix)
+    verdict = "isomorphic-per-theorem" if support and skeleton else "not-isomorphic-per-theorem"
+    return ev.IsoReport(support, skeleton, verdict)
+
+
 def oracle_supports(algebra):
     """``(supports, children)`` of every generator, from the pair-loop rows.
 

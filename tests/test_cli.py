@@ -250,6 +250,29 @@ def test_limits_cold_low_temp_still_underflows(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_limits_transfer_table_budget(tmp_path, capsys, monkeypatch, dimension):
+    """A million states at radius 0 pass the cell budget but not the q^2 column-pair table."""
+    def refuse(*args):
+        raise AssertionError("the transfer table was allocated")
+
+    monkeypatch.setattr(ev.limits, "cell_digits", refuse)
+    payload = limits_scenario(radii=(0,))
+    payload["limits"].update(dimension=dimension, states=1000000)
+    scenario = write(tmp_path / "l.json", payload)
+    assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    payload["limits"]["low_temp"] = {"betas": [1.0]}
+    scenario = write(tmp_path / "cold.json", payload)
+    capsys.readouterr()
+    assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (
+        "budget exceeded: transfer table: 1000000^2 = 1000000000000 column pairs "
+        "exceed the enumeration budget of 1000000\n"
+    )
+
+
 def test_dlr_gap_report(tmp_path):
     scenario = write(
         tmp_path / "p.json", potts_scenario(["1", "2", "3"], [["1", "2"], ["2", "3"]])
@@ -296,6 +319,26 @@ def test_stdout_mode(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["level_count"] == 2
     assert not (out / "hierarchy.json").exists()
+
+
+def test_main_reuses_its_parser_after_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A usage error leaves the one parser intact: the next report equals a lone call's."""
+    scenario = write(tmp_path / "p.json", potts_scenario(["1", "2", "3"], [["1", "2"], ["2", "3"]]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ev.__file__).parents[1]))
+    lone = tmp_path / "lone"
+    subprocess.run(
+        [sys.executable, "-m", "evoalg.cli", "hierarchy", "--scenario", scenario, "--out", str(lone)],
+        check=True, env=env,
+    )
+    monkeypatch.setattr(ev.cli, "_parser", lambda: pytest.fail("main built a parser"))
+    with pytest.raises(SystemExit) as exc:
+        main(["hierarchy", "--scenario", scenario, "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    again = tmp_path / "again"
+    assert main(["hierarchy", "--scenario", scenario, "--out", str(again)]) == 0
+    for name in ("hierarchy.json", "hierarchy.txt"):
+        assert (again / name).read_bytes() == (lone / name).read_bytes()
 
 
 def test_unknown_scenario_file(tmp_path):

@@ -6,6 +6,8 @@ produced, exactly; element arithmetic must agree with a dict accumulation
 over the pair-loop rows to rounding.
 """
 
+import builtins
+import copy
 import csv
 import dataclasses
 import filecmp
@@ -20,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from evoalg import cli
+from evoalg import algebra as algebra_module, cli, structure
 
 import pytest
 
@@ -30,6 +32,8 @@ from conftest import (
     oracle_descent,
     oracle_entries,
     oracle_hierarchy,
+    oracle_iso,
+    oracle_levels,
     oracle_subalgebra,
     oracle_supports,
 )
@@ -255,12 +259,12 @@ def test_hierarchy_report_matches_json_dump(algebra):
     assert written(payload) == dumped(payload)
 
 
-def scenario_file(path, vertices, edges, names):
+def scenario_file(path, vertices, edges, names, measure=None):
     path.write_text(json.dumps({
         "schema_version": 1,
         "graph": {"vertices": vertices, "edges": edges},
         "states": {"states": names},
-        "measure": {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 0.7}},
+        "measure": measure or {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 0.7}},
     }))
     return str(path)
 
@@ -286,3 +290,80 @@ def test_hierarchy_json_is_json_dump_of_its_payload(tmp_path, capsys, vertices, 
     capsys.readouterr()
     assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path), "--stdout"]) == 0
     assert capsys.readouterr().out.encode("ascii") == expected
+
+
+def tampered(algebra, how, rng):
+    """A copy of ``algebra`` whose matrix has its ``gen_row`` or ``level_start`` changed."""
+    m = copy.copy(algebra.matrix)
+    if how == "swap":
+        i, j = rng.integers(m.dimension, size=2)
+        m.gen_row = m.gen_row.copy()
+        m.gen_row[[i, j]] = m.gen_row[[j, i]]
+    elif how == "shuffle":
+        m.gen_row = rng.permutation(m.gen_row)
+    elif how == "extra level":
+        m.level_start = np.append(m.level_start, m.level_start[-1])
+    elif how == "moved boundary":
+        i = int(rng.integers(1, len(m.level_start) - 1))
+        old, lo, hi = m.level_start[i], m.level_start[i - 1], m.level_start[i + 1]
+        m.level_start = m.level_start.copy()
+        m.level_start[i] = rng.choice([v for v in range(lo, hi + 1) if v != old])
+    return dataclasses.replace(algebra, matrix=m)
+
+
+TAMPERS = ("none", "swap", "shuffle", "extra level", "moved boundary")
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(), st.integers(0, 2**32 - 1), st.sampled_from(TAMPERS))
+def test_iso_check_matches_hierarchy_oracle(left, seed, how):
+    """Two measures per graph, the second matrix possibly tampered with."""
+    rng = np.random.default_rng(seed)
+    n, k = left.graph.vertex_count, left.space.k
+    measure = ev.from_weights(rng.uniform(0.1, 1.0, size=k**n), n, k)
+    right = tampered(ev.build_algebra(left.graph, left.space, measure), how, rng)
+    assert ev.iso_check(left, right) == oracle_iso(left, right)
+    assert ev.iso_check(right, left) == oracle_iso(right, left)
+    if how != "moved boundary":  # a moved boundary breaks the flow search, not the levels
+        assert ev.build_hierarchy(right).levels == oracle_levels(right.matrix)
+    if how == "none":
+        assert oracle_levels(left.matrix) == oracle_hierarchy(left).levels
+        assert ev.iso_check(left, right).verdict == "isomorphic-per-theorem"
+    elif how != "swap":
+        assert not ev.iso_check(left, right).skeleton_equal
+
+
+def test_iso_check_builds_no_hierarchy(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("iso_check built a hierarchy")
+
+    monkeypatch.setattr(structure, "build_hierarchy", refuse)
+    monkeypatch.setattr(cli, "build_hierarchy", refuse)
+    edges = [[a, b] for a, b in zip(SIX, SIX[1:])]
+    first = scenario_file(tmp_path / "a.json", SIX, edges, ["a", "b"])
+    weights = {f"({','.join(c)})": 1.0 + i for i, c in enumerate(itertools.product("ab", repeat=6))}
+    second = scenario_file(tmp_path / "b.json", SIX, edges, ["a", "b"], {"weights": weights})
+    argv = ["isocheck", "--scenario", first, "--scenario-b", second, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "isocheck.json").read_text())
+    assert report["verdict"] == "isomorphic-per-theorem"
+    left, right = (cli.load_scenario(path) for path in (first, second))
+    left, right = (ev.build_algebra(s.graph, s.space, s.measure) for s in (left, right))
+    skewed = tampered(right, "extra level", np.random.default_rng(0))
+    assert ev.iso_check(left, skewed) == ev.IsoReport(True, False, "not-isomorphic-per-theorem")
+
+
+def test_build_formats_each_distinct_coefficient_once(tmp_path, monkeypatch):
+    """Both exports of one ``build`` read one ``repr`` table."""
+    names = ["x", "y", "z"]
+    rng = np.random.default_rng(3)
+    cells = itertools.product(names, repeat=3)
+    weights = {f"({','.join(c)})": w for c, w in zip(cells, rng.uniform(0.1, 1.0, 27).tolist())}
+    scenario = scenario_file(tmp_path / "s.json", SIX[:3], [["v0", "v1"]], names, {"weights": weights})
+    calls = []
+    monkeypatch.setattr(algebra_module, "repr", lambda v: calls.append(v) or builtins.repr(v), raising=False)
+    assert cli.main(["build", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    loaded = cli.load_scenario(scenario)
+    distinct = {v for _, _, v in ev.matrix_entries(ev.build_algebra(loaded.graph, loaded.space, loaded.measure))}
+    assert len(distinct) > 100
+    assert sorted(calls) == sorted(distinct)
