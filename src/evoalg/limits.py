@@ -245,6 +245,10 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     radii = tuple(int(r) for r in radii)
+    count = states * len(betas) * len(radii)  # the masses the report prints
+    if count > ENUMERATION_BUDGET:
+        raise BudgetError(f"low_temp: {states} states * {len(betas)} betas * {len(radii)} radii = {count} "
+                          f"masses exceed the enumeration budget of {ENUMERATION_BUDGET}")
     schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]
     # every box edge of a constant cell is equal, so all states share one mass;
     # the measures come first, so an over-budget box is rejected before q cells are built

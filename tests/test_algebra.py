@@ -100,6 +100,14 @@ def test_single_surviving_diagonal_term(edge_algebra):
     assert product.distance(expected) < 1e-15
 
 
+@pytest.mark.parametrize("index", [-1, -16, 16, 10**6])
+def test_arithmetic_rejects_out_of_range_generators(edge_algebra, index):
+    bad = AlgebraElement({index: 1.0, 5: 0.5})
+    for call in (edge_algebra.square, lambda z: edge_algebra.multiply(z, z)):
+        with pytest.raises(ValidationError, match=rf"^pair index {index} out of range$"):
+            call(bad)
+
+
 def test_row_accessor(edge_algebra, free_algebra):
     assert edge_algebra.row(phi(4, 4)) == {phi(4, 4).index: 1.0}
     assert len(edge_algebra.row(phi(1, 2))) == 4

@@ -273,6 +273,24 @@ def test_limits_transfer_table_budget(tmp_path, capsys, monkeypatch, dimension):
     )
 
 
+def test_low_temp_report_size_budget(tmp_path, capsys, monkeypatch):
+    """The report's states * betas * radii masses are counted before any box measure is built."""
+    def refuse(*args):
+        raise AssertionError("a box measure was built")
+
+    monkeypatch.setattr(ev.limits, "BoxMeasure", refuse)
+    payload = limits_scenario(radii=(0,), low_temp={"betas": [i / 100 for i in range(1001)]})
+    payload["limits"]["states"] = 1000
+    scenario = write(tmp_path / "l.json", payload)
+    capsys.readouterr()
+    assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: low_temp: 1000 states * 1001 betas * 1 radii = 1001000 masses "
+        "exceed the enumeration budget of 1000000\n"
+    )
+    assert not (tmp_path / "limits.json").exists()
+
+
 def test_dlr_gap_report(tmp_path):
     scenario = write(
         tmp_path / "p.json", potts_scenario(["1", "2", "3"], [["1", "2"], ["2", "3"]])

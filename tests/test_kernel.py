@@ -3,7 +3,8 @@
 Rows, entries, hierarchies, the nonzero count, the exported bytes and the
 subalgebra queries must equal what the code replaced by the kernel
 produced, exactly; element arithmetic must agree with a dict accumulation
-over the pair-loop rows to rounding.
+over the pair-loop rows to rounding, and with a sort-merge accumulation
+of the row classes exactly.
 """
 
 import builtins
@@ -34,6 +35,7 @@ from conftest import (
     oracle_hierarchy,
     oracle_iso,
     oracle_levels,
+    oracle_sorted_combine,
     oracle_subalgebra,
     oracle_supports,
 )
@@ -114,6 +116,26 @@ def check_arithmetic(algebra, seed):
             assert abs(got.coeffs.get(j, 0.0) - want) <= 1e-12 * magnitudes[j]
     assert algebra.multiply(x, y).coeffs == algebra.multiply(y, x).coeffs
     assert algebra.multiply(x, ev.AlgebraElement()).is_zero()
+    # an element holding every generator expands to at least `dimension` entries,
+    # which combine sums over all columns; generator 1 = (cell 0, cell 1) has level 1
+    # and expands to 4 entries, which it sorts unless the algebra is tiny
+    full = ev.AlgebraElement({g: rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for g in range(dim)})
+    single = ev.AlgebraElement({1: rng.uniform(0.1, 1.0)})
+    faint = ev.AlgebraElement({g: 4e-8 * v for g, v in full.coeffs.items()})  # squares straddle COEFF_DROP
+    for a in (full, faint, single, x):
+        gens = sorted(a.coeffs)
+        check_exact(algebra, algebra.square(a), gens, [a.coeffs[i] ** 2 for i in gens])
+        for b in (full, single, x, y):
+            gens = sorted(a.coeffs.keys() & b.coeffs.keys())
+            check_exact(algebra, algebra.multiply(a, b), gens, [a.coeffs[i] * b.coeffs[i] for i in gens])
+
+
+def check_exact(algebra, got, gens, scales):
+    """``got`` equals the sort-merge oracle over ``scales * row(gens)``: keys, order and bits."""
+    want = oracle_sorted_combine(algebra.matrix, gens, scales)
+    assert list(got.coeffs) == list(want)
+    assert [v.hex() for v in got.coeffs.values()] == [v.hex() for v in want.values()]
+    assert all(abs(v) >= algebra_module.COEFF_DROP for v in got.coeffs.values())
 
 
 def check_hierarchy(algebra):
@@ -145,6 +167,29 @@ def test_subalgebra_queries_match_search(algebra, seed):
 @given(algebras(), st.integers(0, 2**32 - 1))
 def test_arithmetic_matches_dict_accumulation(algebra, seed):
     check_arithmetic(algebra, seed)
+
+
+@pytest.mark.parametrize("level", [1, 6])
+def test_cancelling_pair_multiplies_to_zero(level):
+    """``(a,b)`` and ``(b,a)`` share a row class, so opposite signs cancel exactly.
+
+    On the 4,096-generator edgeless algebra a level-1 class expands to 4
+    entries, which ``combine`` merges by sorting; a level-6 class expands
+    to 4,096, which it sums over all columns.
+    """
+    algebra = edgeless_six()
+    a, b = 0, 2**level - 1  # the cells differ on the first `level` vertices
+    forward, backward = a * algebra.kn + b, b * algebra.kn + a
+    assert algebra.matrix.row_level[algebra.matrix.gen_row[forward]] == level
+    dense = 4**level * algebra_module._DENSE_SHARE >= algebra.dimension
+    assert dense == (level == 6)
+    x = ev.AlgebraElement({forward: 1.0, backward: 1.0})
+    y = ev.AlgebraElement({forward: 1.0, backward: -1.0})
+    product = algebra.multiply(x, y)
+    assert product.is_zero() and algebra.multiply(y, x).is_zero()
+    assert all(abs(v) >= algebra_module.COEFF_DROP for v in product.coeffs.values())
+    # the same pair with equal signs keeps the whole doubled row
+    assert algebra.multiply(x, x).coeffs == {j: 2 * v for j, v in algebra.row(forward).items()}
 
 
 def test_edgeless_six_vertices_match_oracles():

@@ -174,6 +174,21 @@ def test_budget_rejected():
         VolumeScheme(1, (100000,), 2, 1.0, 1.0)
 
 
+def test_low_temp_budget_comes_before_any_scheme(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scheme or a box measure was built")
+
+    monkeypatch.setattr(limits, "VolumeScheme", refuse)
+    monkeypatch.setattr(limits, "BoxMeasure", refuse)
+    betas = [i / 100 for i in range(1001)]
+    with pytest.raises(BudgetError, match=r"^low_temp: 1000 states \* 1001 betas \* 1 radii = 1001000 masses "):
+        ev.low_temp_limit_algebras(1, 1000, [0], betas)
+    with pytest.raises(BudgetError, match=r"= 1000002 masses exceed the enumeration budget of 1000000$"):
+        ev.low_temp_limit_algebras(1, 2, range(500001), [1.0])
+    with pytest.raises(AssertionError, match="a scheme"):  # a million masses are within the budget
+        ev.low_temp_limit_algebras(1, 2, range(500000), [1.0])
+
+
 def test_pattern_must_fit_in_box():
     scheme = VolumeScheme(1, (1,), 2, 1.0, 1.0)
     with pytest.raises(ValidationError):
