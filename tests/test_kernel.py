@@ -345,7 +345,12 @@ def tampered(algebra, how, rng):
         m.gen_row = m.gen_row.copy()
         m.gen_row[[i, j]] = m.gen_row[[j, i]]
     elif how == "shuffle":
-        m.gen_row = rng.permutation(m.gen_row)
+        # gen_row repeats values, so a permutation can give it back unchanged;
+        # it always holds two distinct values, so some permutation changes it
+        shuffled = rng.permutation(m.gen_row)
+        while np.array_equal(shuffled, m.gen_row):
+            shuffled = rng.permutation(m.gen_row)
+        m.gen_row = shuffled
     elif how == "extra level":
         m.level_start = np.append(m.level_start, m.level_start[-1])
     elif how == "moved boundary":
