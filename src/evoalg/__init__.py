@@ -24,10 +24,7 @@ from .cells import (
     Cell,
     PairCell,
     StateSpace,
-    Subcell,
     children_set,
-    pair_children,
-    restrict,
     state_space_from_json,
 )
 from .errors import BudgetError, ValidationError
@@ -37,7 +34,6 @@ from .graphs import (
     LatticeBox,
     components,
     graph_from_json,
-    lattice_box,
 )
 from .limits import (
     CoefficientSequence,
@@ -60,7 +56,6 @@ from .measures import (
     hamiltonian_energy,
     measure_from_json,
     potts_hamiltonian,
-    product_mass,
     uniform_measure,
 )
 from .structure import (

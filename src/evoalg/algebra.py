@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -24,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .cells import PairCell, StateSpace, cell_digits, children_indices, component_contributions
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, shown
 from .graphs import Graph, components
 from .measures import Measure
 
@@ -117,14 +118,13 @@ class HeredityMatrix:
     def combine(self, gens: list, scales: list) -> dict:
         """``sum_g scales[g] * row(gens[g])`` as ``{pair_index: coefficient}``.
 
-        ``gens`` must be ascending: scales are summed per row class in that
-        order, so equal inputs give equal bits.  Each level's classes expand
-        to outer-product entries, summed per column in that order over all
-        columns or over the sorted distinct ones, with the same bits either
-        way.  Keys come out ascending; coefficients below ``COEFF_DROP`` drop.
+        ``gens`` must be ascending and in range: scales are summed per row
+        class in that order, so equal inputs give equal bits.  Each level's
+        classes expand to outer-product entries, summed per column in that
+        order over all columns or over the sorted distinct ones, with the
+        same bits either way.  Keys come out ascending; coefficients below
+        ``COEFF_DROP`` drop.
         """
-        if gens and not (0 <= gens[0] and gens[-1] < self.dimension):
-            raise ValidationError(f"pair index {gens[0] if gens[0] < 0 else gens[-1]} out of range")
         rids, inverse = np.unique(self.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
         totals = np.bincount(inverse, weights=scales)
         bounds = np.searchsorted(rids, self.level_start).tolist()
@@ -187,15 +187,30 @@ class HeredityMatrix:
             yield tuple(np.stack(cells, axis=1).ravel().tolist())
 
 
+def _is_index(key) -> bool:
+    """Whether ``key`` is an integer, numpy integers included; bools are not."""
+    # the exact type test spares plain ints the slow abstract-class check
+    return type(key) is int or (isinstance(key, numbers.Integral) and not isinstance(key, bool))
+
+
 class AlgebraElement:
-    """Sparse linear combination of generators; near-zero entries dropped."""
+    """Sparse linear combination of generators; near-zero entries dropped.
+
+    Keys must be integers and coefficients finite reals; whether a key is a
+    generator of a given algebra is checked where the algebra reads it.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict = None):
-        self.coeffs = {
-            int(i): float(v) for i, v in (coeffs or {}).items() if abs(v) >= COEFF_DROP
-        }
+        self.coeffs = {}
+        for i, v in (coeffs or {}).items():
+            if not _is_index(i):
+                raise ValidationError(f"element: generator must be an integer, got {shown(i)}")
+            if not ((type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v)):
+                raise ValidationError(f"element: coefficient of {i} must be a finite real, got {shown(v)}")
+            if abs(v) >= COEFF_DROP:
+                self.coeffs[int(i)] = float(v)
 
     @classmethod
     def _of(cls, coeffs: dict) -> "AlgebraElement":
@@ -257,6 +272,8 @@ class EvolutionAlgebra:
             if pair.n != self.graph.vertex_count or pair.k != self.space.k:
                 raise ValidationError("pair cell does not match this algebra")
             return pair.index
+        if not _is_index(pair):
+            raise ValidationError(f"pair index must be an integer or a pair cell, got {shown(pair)}")
         index = int(pair)
         if not 0 <= index < self.dimension:
             raise ValidationError(f"pair index {index} out of range")
@@ -285,18 +302,22 @@ class EvolutionAlgebra:
         return self.matrix.row(self.pair_index(pair))
 
     def square(self, x: AlgebraElement) -> AlgebraElement:
-        """Square of an element: squared coefficients drive the rows."""
-        gens = sorted(x.coeffs)
-        return AlgebraElement._of(self.matrix.combine(gens, [x.coeffs[i] ** 2 for i in gens]))
+        """Square of an element: ``multiply(x, x)``, bit for bit."""
+        return self.multiply(x, x)
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         """Product of two elements; only matching generators survive.
 
-        The products ``x_i * y_i`` of the shared generators, in ascending
-        order, scale the rows of their row classes, and the rows are summed
-        by ``HeredityMatrix.combine``.  The result does not depend on the
+        Every key of either factor must be a generator of this algebra.  The
+        products ``x_i * y_i`` of the shared generators, in ascending order,
+        scale the rows of their row classes, and the rows are summed by
+        ``HeredityMatrix.combine``.  The result does not depend on the
         argument order, bit for bit.
         """
+        for coeffs in (x.coeffs, y.coeffs):
+            low, high = min(coeffs, default=0), max(coeffs, default=0)
+            if low < 0 or high >= self.dimension:
+                raise ValidationError(f"pair index {low if low < 0 else high} out of range")
         gens = sorted(x.coeffs.keys() & y.coeffs.keys())
         return AlgebraElement._of(self.matrix.combine(gens, [x.coeffs[i] * y.coeffs[i] for i in gens]))
 
@@ -354,15 +375,32 @@ def load_matrix_csv(path) -> dict:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["row", "col", "value"]:
-            raise ValidationError("matrix csv: unexpected header")
-        for r, c, v in reader:
-            entries[(int(r), int(c))] = float(v)
+            raise ValidationError(f"matrix csv {path}: unexpected header")
+        for line in reader:
+            try:
+                r, c, v = line
+                entries[(int(r), int(c))] = float(v)
+            except ValueError:
+                raise ValidationError(
+                    f"matrix csv {path} line {reader.line_num}: integer row and col and a value required, "
+                    f"got {shown(line)}"
+                ) from None
     return entries
 
 
 def load_matrix_json(path) -> dict:
+    """Read an exported JSON back into ``{(row, col): value}``."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema_version") != 1:
-        raise ValidationError("matrix json: unsupported schema_version")
-    return {(int(r), int(c)): float(v) for r, c, v in payload["entries"]}
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValidationError(f"matrix json {path}: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("schema_version") != 1:
+        raise ValidationError(f"matrix json {path}: object with schema_version 1 required")
+    try:
+        entries = {(r, c): float(v) for r, c, v in payload["entries"]}
+        if all(type(r) is int and type(c) is int for r, c in entries):
+            return entries
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ValidationError(f"matrix json {path}: entries of [row, col, value], integer row and col, required")

@@ -24,13 +24,10 @@ __all__ = [
     "StateSpace",
     "Cell",
     "PairCell",
-    "Subcell",
     "cell_digits",
-    "restrict",
     "children_set",
     "component_contributions",
     "children_indices",
-    "pair_children",
     "state_space_from_json",
 ]
 
@@ -162,26 +159,6 @@ class PairCell:
         return f"({self.first.label(space)},{self.second.label(space)})"
 
 
-@dataclass(frozen=True)
-class Subcell:
-    """A partial assignment: states on a sorted tuple of vertices."""
-
-    vertices: tuple
-    states: tuple
-
-
-def restrict(cell: Cell, block) -> Subcell:
-    """Restriction of the assignment to a vertex block.
-
-    Children sets only ever restrict to components, but any in-range block
-    is accepted for reuse elsewhere.
-    """
-    vertices = tuple(sorted(set(block)))
-    if any(v < 0 or v >= cell.n for v in vertices):
-        raise ValidationError("restrict: block contains out-of-range vertices")
-    return Subcell(vertices, tuple(cell.digits[v] + 1 for v in vertices))
-
-
 def component_contributions(digits, parts: ComponentPartition, k: int) -> np.ndarray:
     """``sum(digits[..., v] * k**v)`` over each component's vertices, in ``digits``' dtype.
 
@@ -221,12 +198,6 @@ def children_set(theta: PairCell, parts: ComponentPartition, space: StateSpace) 
     first, second = component_contributions(digits, parts, theta.k)
     kids = children_indices(first[None], second[None])[0]
     return {Cell.from_index(i, theta.n, theta.k) for i in kids.tolist()}
-
-
-def pair_children(sigma: PairCell, parts: ComponentPartition, space: StateSpace) -> set:
-    """All ordered pairs of children of ``sigma``; always contains ``sigma``."""
-    kids = children_set(sigma, parts, space)
-    return {PairCell(a, b) for a in kids for b in kids}
 
 
 def _check_pair(theta: PairCell, parts: ComponentPartition, space: StateSpace):

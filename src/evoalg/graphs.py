@@ -17,7 +17,6 @@ __all__ = [
     "ComponentPartition",
     "LatticeBox",
     "components",
-    "lattice_box",
     "graph_from_json",
 ]
 
@@ -143,11 +142,6 @@ class LatticeBox:
             return self._index[key]
         except KeyError:
             raise ValidationError(f"coordinate {key} outside box of radius {self.radius}") from None
-
-
-def lattice_box(dimension: int, radius: int) -> Graph:
-    """Nearest-neighbor graph on the ``(2*radius+1)**dimension`` box sites."""
-    return LatticeBox(dimension, radius).graph
 
 
 def graph_from_json(descriptor: dict):

@@ -30,7 +30,6 @@ __all__ = [
     "conditional_prob",
     "dlr_check",
     "dlr_table",
-    "product_mass",
     "measure_from_json",
 ]
 
@@ -303,11 +302,6 @@ def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
     if any(not 0 <= d < h.k for d in digits):
         raise ValidationError("dlr: assignment state out of range")
     return dlr_table(h, domain)[_code(digits, h.k)]
-
-
-def product_mass(mu: Measure, pairs) -> float:
-    """Product-measure mass of a set of pair cells."""
-    return float(sum(mu.weights[p.first.index] * mu.weights[p.second.index] for p in pairs))
 
 
 def _floats(raw, name: str, shape=()):

@@ -58,6 +58,17 @@ def brute_children(theta, parts, k):
     return out
 
 
+def pair_children(sigma, parts, space):
+    """All ordered pairs of children of ``sigma``; always contains ``sigma``."""
+    kids = ev.children_set(sigma, parts, space)
+    return {PairCell(a, b) for a in kids for b in kids}
+
+
+def product_mass(mu, pairs):
+    """Product-measure mass of a set of pair cells."""
+    return float(sum(mu.weights[p.first.index] * mu.weights[p.second.index] for p in pairs))
+
+
 def brute_row(algebra, generator):
     """Coefficient row via direct product-mass sums over brute children."""
     parts = ev.components(algebra.graph)

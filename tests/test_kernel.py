@@ -124,10 +124,18 @@ def check_arithmetic(algebra, seed):
     faint = ev.AlgebraElement({g: 4e-8 * v for g, v in full.coeffs.items()})  # squares straddle COEFF_DROP
     for a in (full, faint, single, x):
         gens = sorted(a.coeffs)
-        check_exact(algebra, algebra.square(a), gens, [a.coeffs[i] ** 2 for i in gens])
+        check_exact(algebra, algebra.square(a), gens, [a.coeffs[i] * a.coeffs[i] for i in gens])
+        check_square_is_product(algebra, a)
         for b in (full, single, x, y):
             gens = sorted(a.coeffs.keys() & b.coeffs.keys())
             check_exact(algebra, algebra.multiply(a, b), gens, [a.coeffs[i] * b.coeffs[i] for i in gens])
+
+
+def check_square_is_product(algebra, x):
+    """``square(x)`` and ``multiply(x, x)`` have the same keys in the same order and the same bits."""
+    square, product = algebra.square(x).coeffs, algebra.multiply(x, x).coeffs
+    assert list(square) == list(product)
+    assert [v.hex() for v in square.values()] == [v.hex() for v in product.values()]
 
 
 def check_exact(algebra, got, gens, scales):
@@ -190,6 +198,19 @@ def test_cancelling_pair_multiplies_to_zero(level):
     assert all(abs(v) >= algebra_module.COEFF_DROP for v in product.coeffs.values())
     # the same pair with equal signs keeps the whole doubled row
     assert algebra.multiply(x, x).coeffs == {j: 2 * v for j, v in algebra.row(forward).items()}
+
+
+def test_square_is_product_on_every_generator():
+    """One element holding all 6,561 generators of a 3-state, 4-vertex edgeless algebra.
+
+    For 7 of these coefficients ``v ** 2`` and ``v * v`` differ in the last bit.
+    """
+    rng = np.random.default_rng(1)
+    measure = ev.from_weights(rng.uniform(0.1, 1.0, size=81), 4, 3)
+    algebra = ev.build_algebra(ev.Graph(4), ev.StateSpace(3), measure)
+    x = ev.AlgebraElement(dict(enumerate(rng.uniform(-1.0, 1.0, size=algebra.dimension).tolist())))
+    assert len(x.coeffs) == 6561
+    check_square_is_product(algebra, x)
 
 
 def test_edgeless_six_vertices_match_oracles():

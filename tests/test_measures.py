@@ -8,7 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 import evoalg as ev
 from evoalg.errors import BudgetError, ValidationError
 
-from conftest import cell, conditional_prob_oracle, dlr_check_oracle, pair, reference_measure_for
+from conftest import (
+    cell,
+    conditional_prob_oracle,
+    dlr_check_oracle,
+    pair,
+    pair_children,
+    product_mass,
+    reference_measure_for,
+)
 
 
 def test_from_weights_uniform():
@@ -258,20 +266,20 @@ def test_product_mass_of_everything_is_one():
     from evoalg.cells import PairCell
 
     pairs = [PairCell.from_index(i, 2, 2) for i in range(16)]
-    assert ev.product_mass(mu, pairs) == pytest.approx(1.0, abs=1e-12)
+    assert product_mass(mu, pairs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_mass_of_children_square(edge_graph, two_states):
     mu = reference_measure_for()
     parts = ev.components(edge_graph)
     sigma = pair((1, 1), (1, 2))
-    mass = ev.product_mass(mu, ev.pair_children(sigma, parts, two_states))
+    mass = product_mass(mu, pair_children(sigma, parts, two_states))
     assert mass == pytest.approx((0.1 + 0.2) ** 2, abs=1e-14)
 
 
 def test_product_mass_single_pair():
     mu = reference_measure_for()
-    assert ev.product_mass(mu, [pair((1, 1), (2, 2))]) == pytest.approx(
+    assert product_mass(mu, [pair((1, 1), (2, 2))]) == pytest.approx(
         0.1 * 0.4, abs=1e-15
     )
 

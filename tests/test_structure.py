@@ -5,7 +5,7 @@ import pytest
 import evoalg as ev
 from evoalg.errors import ValidationError
 
-from conftest import display_cells, measure_from_state_weights, random_positive_measure
+from conftest import display_cells, measure_from_state_weights, pair_children, random_positive_measure
 
 from test_algebra import phi
 
@@ -42,7 +42,7 @@ def test_precedes_matches_children_membership(edge_algebra, two_states):
     parts = ev.components(edge_algebra.graph)
     for s in range(edge_algebra.dimension):
         sigma = edge_algebra.pair_from_index(s)
-        kids = {p.index for p in ev.pair_children(sigma, parts, two_states)}
+        kids = {p.index for p in pair_children(sigma, parts, two_states)}
         for t in range(edge_algebra.dimension):
             assert ev.precedes(edge_algebra, t, s) == (t in kids)
 
@@ -261,7 +261,7 @@ def test_closure_equals_children_exhaustively():
         algebra = ev.build_algebra(graph, space, random_positive_measure(rng, 3, 2))
         for index in range(algebra.dimension):
             sigma = algebra.pair_from_index(index)
-            kids = {p.index for p in ev.pair_children(sigma, parts, space)}
+            kids = {p.index for p in pair_children(sigma, parts, space)}
             assert ev.generated_subalgebra(algebra, [index]).basis == frozenset(kids)
 
 
@@ -270,10 +270,10 @@ def test_descent_chain_nesting(free_algebra, two_states):
     for index in range(free_algebra.dimension):
         chain = ev.descent_chain(free_algebra, index)
         sigma = free_algebra.pair_from_index(index)
-        previous = ev.pair_children(sigma, parts, two_states)
+        previous = pair_children(sigma, parts, two_states)
         assert len(chain) <= len(previous)
         for tau in chain.elements:
-            current = ev.pair_children(tau, parts, two_states)
+            current = pair_children(tau, parts, two_states)
             assert current <= previous
             previous = current
         assert len(previous) == 1
