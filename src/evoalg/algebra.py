@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .cells import PairCell, StateSpace, cell_digits, children_indices, component_contributions
-from .errors import BudgetError, ValidationError, shown
+from .errors import BudgetError, ValidationError, is_index, shown
 from .graphs import Graph, components
 from .measures import Measure
 
@@ -187,12 +187,6 @@ class HeredityMatrix:
             yield tuple(np.stack(cells, axis=1).ravel().tolist())
 
 
-def _is_index(key) -> bool:
-    """Whether ``key`` is an integer, numpy integers included; bools are not."""
-    # the exact type test spares plain ints the slow abstract-class check
-    return type(key) is int or (isinstance(key, numbers.Integral) and not isinstance(key, bool))
-
-
 class AlgebraElement:
     """Sparse linear combination of generators; near-zero entries dropped.
 
@@ -205,9 +199,13 @@ class AlgebraElement:
     def __init__(self, coeffs: dict = None):
         self.coeffs = {}
         for i, v in (coeffs or {}).items():
-            if not _is_index(i):
+            if not is_index(i):
                 raise ValidationError(f"element: generator must be an integer, got {shown(i)}")
-            if not ((type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v)):
+            try:
+                finite = (type(v) is float or isinstance(v, numbers.Real)) and math.isfinite(v)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise ValidationError(f"element: coefficient of {i} must be a finite real, got {shown(v)}")
             if abs(v) >= COEFF_DROP:
                 self.coeffs[int(i)] = float(v)
@@ -272,7 +270,7 @@ class EvolutionAlgebra:
             if pair.n != self.graph.vertex_count or pair.k != self.space.k:
                 raise ValidationError("pair cell does not match this algebra")
             return pair.index
-        if not _is_index(pair):
+        if not is_index(pair):
             raise ValidationError(f"pair index must be an integer or a pair cell, got {shown(pair)}")
         index = int(pair)
         if not 0 <= index < self.dimension:
@@ -371,7 +369,8 @@ def export_matrix_json(algebra: EvolutionAlgebra, path):
 def load_matrix_csv(path) -> dict:
     """Read an exported CSV back into ``{(row, col): value}``."""
     entries = {}
-    with open(path, newline="") as fh:
+    # bytes that are not UTF-8 reach the header and field checks below as lone surrogates, which no number parses
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["row", "col", "value"]:

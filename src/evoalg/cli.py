@@ -202,15 +202,10 @@ def cmd_isocheck(args) -> int:
 def _tail_cell_from_json(node) -> TailCell:
     if not isinstance(node, dict) or "tail" not in node:
         raise ValidationError("limits.pairs: each cell needs a tail state")
-    pattern = []
-    for entry in _list(node.get("pattern", []), "pairs.pattern"):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValidationError("limits.pairs.pattern: entries must be [site, state]")
-        coord, state = entry
-        coords = coord if isinstance(coord, (list, tuple)) else [coord]
-        key = tuple(_number(x, "pairs.pattern", int) for x in coords)
-        pattern.append((key, _number(state, "pairs.pattern", int)))
-    return TailCell(_number(node["tail"], "pairs.tail", int), tuple(pattern))
+    pattern = _list(node.get("pattern", []), "pairs.pattern")
+    if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in pattern):
+        raise ValidationError("limits.pairs.pattern: entries must be [site, state]")
+    return TailCell(node["tail"], tuple(pattern))  # TailCell checks that sites and states are integers
 
 
 def _tail_label(cell: TailCell) -> str:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -13,3 +15,9 @@ def shown(value) -> str:
     """A rejected value for an error message: its type, then its repr cut to 60 characters."""
     text = repr(value)
     return f"{type(value).__name__} {text[:60]}{'…' * (len(text) > 60)}"
+
+
+def is_index(key) -> bool:
+    """Whether ``key`` is an integer, numpy integers included; bools are not."""
+    # the exact type test spares plain ints the slow abstract-class check
+    return type(key) is int or (isinstance(key, numbers.Integral) and not isinstance(key, bool))

@@ -7,10 +7,11 @@ All objects are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
-from .errors import ValidationError, shown
+from .errors import ValidationError, is_index, shown
 
 __all__ = [
     "Graph",
@@ -35,21 +36,13 @@ class Graph:
         if self.vertex_count < 1:
             raise ValidationError("vertex_count: must be a positive integer")
         normalized = set()
-        for e in self.edges:
-            x, y = e
+        for x, y in self.edges:
             if x == y:
                 raise ValidationError(f"edges: loop edge ({x},{y}) not allowed")
             if not (0 <= x < self.vertex_count and 0 <= y < self.vertex_count):
                 raise ValidationError(f"edges: endpoint out of range in ({x},{y})")
             normalized.add((min(x, y), max(x, y)))
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    @property
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
-    def neighbors(self, v: int) -> list:
-        return sorted({y for x, y in self.edges if x == v} | {x for x, y in self.edges if y == v})
 
 
 @dataclass(frozen=True)
@@ -75,13 +68,13 @@ def components(g: Graph) -> ComponentPartition:
     Uses BFS from the smallest unvisited vertex, so blocks come out ordered
     by smallest contained label.
     """
-    adjacency = {v: [] for v in g.vertices}
+    adjacency = {v: [] for v in range(g.vertex_count)}
     for x, y in g.edges:
         adjacency[x].append(y)
         adjacency[y].append(x)
     seen = [False] * g.vertex_count
     blocks = []
-    for start in g.vertices:
+    for start in range(g.vertex_count):
         if seen[start]:
             continue
         queue = [start]
@@ -102,46 +95,55 @@ def components(g: Graph) -> ComponentPartition:
 class LatticeBox:
     """The centered box ``{-n..n}^d`` with nearest-neighbor edges.
 
-    Sites are enumerated lexicographically; ``site_index`` maps a coordinate
-    tuple to its graph vertex.  Boxes of increasing radius are nested as
-    coordinate sets.
+    Sites are enumerated lexicographically, so ``site_index`` is arithmetic:
+    the box is ``2n+1`` contiguous runs of ``(2n+1)^(d-1)`` sites.  ``sites``
+    and ``graph`` are built on first read; a box costs O(1) until then.
+    Boxes of increasing radius are nested as coordinate sets.
     """
 
     dimension: int
     radius: int
-    sites: tuple = field(init=False)
-    graph: Graph = field(init=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValidationError("dimension: must be 1 or 2")
-        if self.radius < 0:
-            raise ValidationError("radius: must be nonnegative")
-        axis = range(-self.radius, self.radius + 1)
-        sites = tuple(product(axis, repeat=self.dimension))
-        index = {c: i for i, c in enumerate(sites)}
-        edges = set()
-        for c in sites:
-            for d in range(self.dimension):
-                step = tuple(x + (1 if i == d else 0) for i, x in enumerate(c))
-                if step in index:
-                    edges.add((index[c], index[step]))
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "graph", Graph(len(sites), frozenset(edges)))
+        if not is_index(self.dimension) or self.dimension not in (1, 2):
+            raise ValidationError(f"dimension: must be 1 or 2, got {shown(self.dimension)}")
+        if not is_index(self.radius) or self.radius < 0:
+            raise ValidationError(f"radius: must be a nonnegative integer, got {shown(self.radius)}")
+        for name in ("dimension", "radius"):  # Python ints, so no box size overflows
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def site_count(self) -> int:
-        return len(self.sites)
+        return (2 * self.radius + 1) ** self.dimension
+
+    @cached_property
+    def sites(self) -> tuple:
+        return tuple(product(range(-self.radius, self.radius + 1), repeat=self.dimension))
+
+    @cached_property
+    def graph(self) -> Graph:
+        side = 2 * self.radius + 1
+        # (i, i+1) inside a run of the last coordinate, (i, i+side) across runs in 2-D
+        edges = {(i, i + 1) for i in range(self.site_count) if (i + 1) % side}
+        edges.update((i, i + side) for i in range(self.site_count - side))  # none in 1-D
+        return Graph(self.site_count, frozenset(edges))
 
     def site_index(self, coord) -> int:
-        key = (coord,) if isinstance(coord, int) else tuple(coord)
+        key = coordinate(coord, "coordinate")
         if len(key) != self.dimension:
             raise ValidationError(f"coordinate {key} does not match dimension {self.dimension}")
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValidationError(f"coordinate {key} outside box of radius {self.radius}") from None
+        if any(abs(x) > self.radius for x in key):
+            raise ValidationError(f"coordinate {key} outside box of radius {self.radius}")
+        return sum((x + self.radius) * (2 * self.radius + 1) ** place for place, x in enumerate(reversed(key)))
+
+
+def coordinate(coord, name: str) -> tuple:
+    """A lattice site as a tuple of ints, from one integer or a tuple or list of them."""
+    key = tuple(coord) if isinstance(coord, (tuple, list)) else (coord,)
+    for x in key:
+        if not is_index(x):
+            raise ValidationError(f"{name}: expected an integer, got {shown(x)}")
+    return tuple(int(x) for x in key)
 
 
 def graph_from_json(descriptor: dict):

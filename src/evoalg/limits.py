@@ -1,29 +1,25 @@
 """Finite-volume coefficients over growing lattice boxes.
 
-A tail cell assigns a state to every lattice site: a finite pattern plus a
-constant tail state outside of it.  Restricting a pair of tail cells to a
-box gives an ordinary pair cell there.  A box is connected, so a restricted
-pair's children are its two cells, and a coefficient is a ratio of their
-Boltzmann weights in which ``Z`` cancels: the Gibbs specification view of
-Georgii (1988, ch. 1-2).  Tracking one coefficient across an increasing
-family of boxes probes whether it settles down; for the Potts family at
-large inverse temperature the mass drifts onto the diagonal constant pairs,
-one candidate limit generator per state.
-
-Everything is exact, with free boundary conditions.  Only the ``low_temp``
-report needs normalised masses, from a transfer-matrix ``BoxMeasure``.
+A tail cell is a finite pattern over a constant tail state; restricted to a
+box it gives an ordinary cell.  A box is connected, so a restricted pair's
+children are its two cells, and a coefficient is a ratio of their Boltzmann
+weights in which ``Z`` cancels (Georgii 1988, ch. 1-2).  At large inverse
+temperature the Potts mass drifts onto the diagonal constant pairs, one
+candidate limit generator per state.  Everything is exact, with free
+boundary conditions; only the ``low_temp`` report needs the normalised
+masses of a transfer-matrix ``BoxMeasure``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Cell, PairCell, cell_digits
-from .errors import BudgetError, ValidationError, shown
-from .graphs import LatticeBox
+from .cells import Cell, cell_digits
+from .errors import BudgetError, ValidationError, is_index, shown
+from .graphs import LatticeBox, coordinate
 from .measures import ENUMERATION_BUDGET, POSITIVITY_FLOOR
 # these three stay importable here: bench/tracing.py wraps them by these names
 from .cells import children_set  # noqa: F401
@@ -56,17 +52,18 @@ class TailCell:
     pattern: tuple = ()
 
     def __post_init__(self):
-        normalized = []
-        seen = set()
-        source = self.pattern.items() if isinstance(self.pattern, dict) else self.pattern
-        for coord, state in source:
-            key = (int(coord),) if isinstance(coord, int) else tuple(int(x) for x in coord)
-            if key in seen:
+        pattern = {}
+        for coord, state in self.pattern.items() if isinstance(self.pattern, dict) else self.pattern:
+            key = coordinate(coord, "scenario.limits.pairs.pattern")
+            if not is_index(state):
+                raise ValidationError(f"scenario.limits.pairs.pattern: expected an integer, got {shown(state)}")
+            if key in pattern:
                 raise ValidationError(f"tail cell: duplicate pattern site {key}")
-            seen.add(key)
-            normalized.append((key, int(state)))
+            pattern[key] = int(state)
+        if not is_index(self.tail):
+            raise ValidationError(f"scenario.limits.pairs.tail: expected an integer, got {shown(self.tail)}")
         object.__setattr__(self, "tail", int(self.tail))
-        object.__setattr__(self, "pattern", tuple(sorted(normalized)))
+        object.__setattr__(self, "pattern", tuple(sorted(pattern.items())))
 
     def restrict(self, box: LatticeBox, q: int) -> Cell:
         """The ordinary cell this tail cell induces on a box."""
@@ -87,6 +84,22 @@ def _equal_edges(cell: Cell, columns: int) -> int:
     return np.count_nonzero(d[:, 1:] == d[:, :-1]) + np.count_nonzero(d[1:] == d[:-1])
 
 
+def _check_budget(count, formula: str, unit: str) -> None:
+    """Reject a predicted ``count`` past ``ENUMERATION_BUDGET``; one of 10**20 or more is not printed."""
+    if count > ENUMERATION_BUDGET:
+        predicted = count if count < 10**20 else "10^20 or more"
+        raise BudgetError(f"{formula} = {predicted} {unit} exceed the enumeration budget of {ENUMERATION_BUDGET}")
+
+
+def _sweep_entries(dimension: int, radius: int, states: int):
+    """``columns * states**(2*width)``, the entries of one box's transfer sweep; ``math.inf``, unbuilt, from 10**20."""
+    columns = 2 * radius + 1
+    power = 2 * columns ** (dimension - 1)  # below 2 * 10**20, so a float, once columns is below 10**20
+    if columns < 10**20 and math.log10(columns) + power * math.log10(states) < 20:
+        return columns * int(states) ** power
+    return math.inf
+
+
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     top = x.max(axis=0)
     return top + np.log(np.exp(x - top).sum(axis=0))
@@ -96,15 +109,11 @@ class BoxMeasure:
     """The exact free-boundary Potts measure on a box (Baxter 1982, ch. 2, 7).
 
     The box is read as ``2r+1`` columns, the contiguous runs of ``width``
-    site indices (one site in 1-D, ``2r+1`` in 2-D); every equal neighbour
-    pair adds ``beta*J`` to a log weight.  ``log_partition`` is a log-sum-exp
-    sweep over the ``q^width`` column states, so no cell is enumerated.
-    With ``q >= 2`` states, as ``VolumeScheme`` requires, the smallest log
-    weight is ``min(0, beta*J*E)`` over the box's ``E`` edges: a box is
-    bipartite, so a proper 2-colouring has no equal edge and a constant
-    cell has every edge equal.  Like the dense ``gibbs_measure``, a box
-    with a mass below ``POSITIVITY_FLOOR`` is rejected.  Only the
-    ``low_temp`` report uses it; coefficients need no ``Z``.
+    site indices (one in 1-D, ``2r+1`` in 2-D); every equal neighbour pair
+    adds ``beta*J`` to a log weight, and ``log_partition`` is a log-sum-exp
+    sweep over the ``q^width`` column states.  With ``q >= 2`` the smallest
+    log weight is ``min(0, beta*J*E)`` over the ``E`` box edges (a box is
+    bipartite), and a mass below ``POSITIVITY_FLOOR`` is rejected.
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
@@ -112,10 +121,7 @@ class BoxMeasure:
         self.width = box.site_count // self.columns
         self.k = states
         self.strength = beta * coupling
-        size = states ** (2 * self.width)  # the column pairs compared below
-        if size > ENUMERATION_BUDGET:
-            raise BudgetError(f"transfer table: {states}^{2 * self.width} = {size} column pairs "
-                              f"exceed the enumeration budget of {ENUMERATION_BUDGET}")
+        _check_budget(_sweep_entries(box.dimension, box.radius, states), "transfer sweep: columns * q^(2*width)", "entries")
         col = cell_digits(self.width, states)
         inner = self.strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
         bond = self.strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
@@ -139,46 +145,42 @@ class BoxMeasure:
         return math.exp(self.log_mass(cell))
 
 
+def _scheme_shape(dimension, radii, states) -> tuple:
+    """Check a scheme's integer inputs; return them as Python ints and a tuple of radii."""
+    if not is_index(dimension) or dimension not in (1, 2):
+        raise ValidationError(f"dimension: must be 1 or 2, got {shown(dimension)}")
+    radii = tuple(radii)
+    integers = all(is_index(r) for r in radii)
+    if not (radii and integers and radii[0] >= 0 and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise ValidationError(f"scheme: radii must be nonnegative, strictly increasing integers, got {shown(radii)}")
+    if not is_index(states) or states < 2:
+        raise ValidationError(f"scheme: states must be an integer of at least 2, got {shown(states)}")
+    return int(dimension), tuple(int(r) for r in radii), int(states)
+
+
 @dataclass(frozen=True)
 class VolumeScheme:
-    """An increasing family of boxes sharing one Potts Hamiltonian family."""
+    """An increasing family of boxes sharing one Potts Hamiltonian family; its budget counts box sites."""
 
     dimension: int
     radii: tuple
     states: int
     coupling: float = 1.0
     beta: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        radii = tuple(int(r) for r in self.radii)
-        if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValidationError("scheme: radii must be strictly increasing and nonempty")
-        if radii[0] < 0:
-            raise ValidationError("scheme: radii must be nonnegative")
-        if self.states < 2:
-            raise ValidationError("scheme: at least two states required")
-        if self.dimension not in (1, 2):
-            raise ValidationError("dimension: must be 1 or 2")
+        shape = _scheme_shape(self.dimension, self.radii, self.states)
         if not 0 <= self.beta < math.inf:
             raise ValidationError(f"scenario.limits.beta: must be finite and nonnegative, got {self.beta!r}")
         if not math.isfinite(self.coupling):
             raise ValidationError(f"scenario.limits.J: must be finite, got {self.coupling!r}")
-        object.__setattr__(self, "radii", radii)
-        sites = (2 * radii[-1] + 1) ** self.dimension
-        # the count is built and printed only below 10**20; anything larger is over budget
-        cells = self.states**sites if sites * math.log10(self.states) < 20 else None
-        if cells is None or cells > ENUMERATION_BUDGET:
-            predicted = f"{self.states}^{sites}" + (f" = {cells}" if cells else "")
-            raise BudgetError(
-                f"scheme: {predicted} cells at radius {radii[-1]} "
-                f"exceed the enumeration budget of {ENUMERATION_BUDGET}"
-            )
+        for name, value in zip(("dimension", "radii", "states"), shape):
+            object.__setattr__(self, name, value)
+        _check_budget(sum((2 * r + 1) ** self.dimension for r in self.radii),
+                      f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
 
     def box(self, radius: int) -> LatticeBox:
-        if radius not in self._cache:
-            self._cache[radius] = LatticeBox(self.dimension, radius)
-        return self._cache[radius]
+        return LatticeBox(self.dimension, radius)
 
     def measure(self, radius: int) -> BoxMeasure:
         return BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
@@ -244,29 +246,20 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     ordered = all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
-    radii = tuple(int(r) for r in radii)
-    count = states * len(betas) * len(radii)  # the masses the report prints
-    if count > ENUMERATION_BUDGET:
-        raise BudgetError(f"low_temp: {states} states * {len(betas)} betas * {len(radii)} radii = {count} "
-                          f"masses exceed the enumeration budget of {ENUMERATION_BUDGET}")
-    schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]
-    # every box edge of a constant cell is equal, so all states share one mass;
-    # the measures come first, so an over-budget box is rejected before q cells are built
-    masses = [
-        [scheme.measure(r).mass(TailCell(1).restrict(scheme.box(r), states)) ** 2 for r in radii]
-        for scheme in schemes
-    ]
-    constant_cells = [TailCell(i).restrict(schemes[0].box(radii[-1]), states) for i in range(1, states + 1)]
-    generator_indices = [PairCell(c, c).index for c in constant_cells]
-    candidates = [
-        {"state": i, "masses": [list(row) for row in masses]} for i in range(1, states + 1)
-    ]
+    dimension, radii, states = _scheme_shape(dimension, radii, states)
+    # the box measures' sweeps; the q*|betas|*|radii| printed masses are fewer
+    _check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
+                  f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
+    # every box edge of a constant cell is equal, so all states share one mass
+    schemes = (VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas)
+    masses = [[s.measure(r).mass(TailCell(1).restrict(s.box(r), states)) ** 2 for r in radii] for s in schemes]
     return {
         "dimension": dimension,
         "states": states,
         "radii": list(radii),
         "betas": list(betas),
         "coupling": coupling,
-        "candidates": candidates,
-        "distinct_generators": len(set(generator_indices)) == states,
+        "candidates": [{"state": i, "masses": [list(row) for row in masses]} for i in range(1, states + 1)],
+        # distinct constant cells make distinct diagonal pairs, so distinct generators
+        "distinct_generators": True,
     }

@@ -1,5 +1,7 @@
 """Shared fixtures: two-vertex reference algebras and brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -87,8 +89,6 @@ def random_positive_measure(rng, n, k):
 
 def all_small_instances(max_n=3, ks=(2, 3)):
     """Every graph on up to max_n vertices with every edge subset."""
-    import itertools
-
     for n in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(2 ** len(pairs)):
@@ -134,8 +134,6 @@ def conditional_prob_oracle(h, spec, assignment):
     couplings on every edge meeting it, with the boundary filled in
     outside; the target's Boltzmann weight is divided by their total.
     """
-    import itertools
-
     inside = set(spec.domain)
     target = tuple(int(assignment[v]) - 1 for v in spec.domain)
     log_w, target_log = [], None
@@ -182,6 +180,24 @@ def dlr_check_oracle(h, domain, assignment):
     return ev.DlrGap(lhs, rhs, abs(lhs - rhs))
 
 
+def loop_lattice_box(dimension, radius):
+    """Sites, site index and graph of a box from a loop over every site and axis.
+
+    The construction ``LatticeBox`` used before it computed indices by
+    arithmetic and built its graph only when read.
+    """
+    axis = range(-radius, radius + 1)
+    sites = tuple(itertools.product(axis, repeat=dimension))
+    index = {c: i for i, c in enumerate(sites)}
+    edges = set()
+    for c in sites:
+        for d in range(dimension):
+            step = tuple(x + (1 if i == d else 0) for i, x in enumerate(c))
+            if step in index:
+                edges.add((index[c], index[step]))
+    return sites, index, ev.Graph(len(sites), frozenset(edges))
+
+
 def dense_box_measure(box, q, coupling, beta):
     """The Potts measure of a lattice box by enumerating every cell."""
     return ev.gibbs_measure(ev.potts_hamiltonian(box.graph, q, coupling, beta))
@@ -219,8 +235,6 @@ def pair_loop_rows(graph, space, measure):
     before the signature kernel: children come from ``itertools.product``
     over the per-component options, and rows are shared by children set.
     """
-    import itertools
-
     n, k = graph.vertex_count, space.k
     kn = k**n
     parts = ev.components(graph)

@@ -1,0 +1,86 @@
+"""Regenerate ``limits_manifest.json``, the golden digests of ``evoalg limits``.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/make_limits_manifest.py
+
+Each scenario is run through ``evoalg.cli.main``; the manifest keeps the
+scenario itself, the exit code, the stderr text and the sha256 of
+``limits.json`` and ``limits.csv``.  ``tests/test_golden.py`` reruns every
+entry and compares.  Regenerate only when a report is meant to change, and
+list each changed entry in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from evoalg import cli
+
+MANIFEST = Path(__file__).with_name("limits_manifest.json")
+REPORTS = ("limits.json", "limits.csv")
+
+SCENARIOS = {
+    # the Byte-identical reports scenario of the CI workflow
+    "ci_2d_q3_low_temp": {
+        "dimension": 2, "states": 3, "radii": [0, 1], "J": -1.0, "beta": 1.7,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 2, "pattern": [[[0, 0], 1]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+        "low_temp": {"betas": [0.5, 20.0, 57.0]},
+    },
+    # the shape of the gibbs workload's 1-D command
+    "gibbs_1d_radii_0_7": {
+        "dimension": 1, "states": 2, "radii": list(range(8)), "J": 1.07, "beta": 1.93,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 2, "pattern": [[0, 1]]}],
+                   "psi": [{"tail": 2, "pattern": [[0, 1]]}, {"tail": 1}]},
+                  {"phi": [{"tail": 2}, {"tail": 2, "pattern": [[0, 1]]}],
+                   "psi": [{"tail": 2}, {"tail": 2}]}],
+        "low_temp": {"betas": [0.41, 2.2, 4.7]},
+    },
+    # the shape of the gibbs workload's 2-D command
+    "gibbs_2d_q3_radii_0_1": {
+        "dimension": 2, "states": 3, "radii": [0, 1], "J": 0.93, "beta": 1.61,
+        "pairs": [{"phi": [{"tail": 3}, {"tail": 1, "pattern": [[[0, 0], 2]]}],
+                   "psi": [{"tail": 1, "pattern": [[[0, 0], 2]]}, {"tail": 3}]}],
+    },
+    # an antiferromagnetic 2-D pair with an off-centre pattern
+    "pattern_2d_negative_J": {
+        "dimension": 2, "states": 2, "radii": [1], "J": -0.8, "beta": 1.2,
+        "pairs": [{"phi": [{"tail": 1, "pattern": [[[1, 0], 2], [[0, -1], 2]]}, {"tail": 2}],
+                   "psi": [{"tail": 2}, {"tail": 1, "pattern": [[[1, 0], 2], [[0, -1], 2]]}]},
+                  {"phi": [{"tail": 1, "pattern": [[[1, 1], 2]]}, {"tail": 1}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
+}
+
+
+def run(limits: dict, workdir: Path) -> dict:
+    """Run one ``limits`` scenario and return its manifest entry."""
+    scenario = workdir / "scenario.json"
+    scenario.write_text(json.dumps({"schema_version": 1, "limits": limits}))
+    out = workdir / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(["limits", "--scenario", str(scenario), "--out", str(out)])
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() if (out / name).exists() else None
+        for name in REPORTS
+    }
+    return {"exit": code, "stderr": stderr.getvalue(), "sha256": digests}
+
+
+def main() -> int:
+    manifest = {}
+    for name, limits in SCENARIOS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest[name] = {"limits": limits, **run(limits, Path(tmp))}
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -122,7 +122,8 @@ def test_arithmetic_rejects_out_of_range_generators(edge_algebra, index):
 @pytest.mark.parametrize(
     "coeffs",
     [{1.5: 1.0}, {True: 1.0}, {"3": 1.0}, {np.bool_(True): 1.0}, {None: 1.0},
-     {0: float("nan")}, {0: float("inf")}, {0: -np.inf}, {0: "1.5"}, {0: None}, {0: 1j}],
+     {0: float("nan")}, {0: float("inf")}, {0: -np.inf}, {0: "1.5"}, {0: None}, {0: 1j},
+     {0: 10**400}],
     ids=repr,
 )
 def test_element_rejects_non_integer_keys_and_non_finite_coefficients(coeffs):
@@ -277,12 +278,14 @@ def test_matrix_export_import_roundtrip(tmp_path, edge_algebra):
         ("flag.json", '{"schema_version": 1, "entries": [[true, 0, 1.0]]}', ": "),
         ("short.csv", "row,col,value\r\n0,0,1.0\r\n1,1\r\n", " line 3: "),
         ("fraction.csv", "row,col,value\r\n0,0.5,1.0\r\n", " line 2: "),
+        ("latin.csv", b"row,col,value\r\n0,0,1.0\r\n\xff\xfe,0,1.0\r\n", " line 3: "),
+        ("latin-header.csv", b"row,col,val\xffue\r\n0,0,1.0\r\n", ": unexpected header"),
     ],
-    ids=["list.json", "bare.json", "flag.json", "short.csv", "fraction.csv"],
+    ids=["list.json", "bare.json", "flag.json", "short.csv", "fraction.csv", "latin.csv", "latin-header.csv"],
 )
 def test_matrix_loaders_name_the_malformed_file(tmp_path, name, text, where):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     kind = path.suffix[1:]
     load = {"json": ev.load_matrix_json, "csv": ev.load_matrix_csv}[kind]
     with pytest.raises(ValidationError, match="^" + re.escape(f"matrix {kind} {path}{where}")):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,11 +215,39 @@ def test_limits_emits_csv_and_json(tmp_path):
     assert payload["pairs"][0]["converged"] is True
 
 
-def test_limits_budget(tmp_path, capsys):
-    scenario = write(tmp_path / "l.json", limits_scenario(radii=(1, 10)))
+def test_limits_budget(tmp_path, capsys, monkeypatch):
+    """Coefficients touch every box site once per cell, so box sites over all radii are budgeted."""
+    def refuse(*args):
+        raise AssertionError("a box was built")
+
+    monkeypatch.setattr(ev.limits, "LatticeBox", refuse)
+    scenario = write(tmp_path / "l.json", limits_scenario(radii=(0, 1, 499998)))
     assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "2097152 cells" in err and "budget of 1000000" in err
+    assert "= 1000001 box sites" in err and "budget of 1000000" in err
+    assert not (tmp_path / "limits.json").exists()
+    # exactly the budget: 1 + 999999 sites
+    scenario = write(tmp_path / "l.json", limits_scenario(radii=(0, 499999), pairs=[]))
+    assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+
+
+def test_limits_pairs_on_long_chains_and_wide_squares(tmp_path):
+    beta = 0.7
+    flip = [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[0, 2]]}], "psi": [{"tail": 1}, {"tail": 1}]}]
+    scenario = write(tmp_path / "l.json", limits_scenario(radii=(0, 10, 100, 1000), beta=beta, pairs=flip))
+    out = tmp_path / "line"
+    assert main(["limits", "--scenario", scenario, "--out", str(out)]) == 0
+    values = json.loads((out / "limits.json").read_text())["pairs"][0]["values"]
+    # a lone site has no edge; from r=1 on the flip breaks two equal edges
+    assert values[0] == 0.25
+    assert values[1:] == pytest.approx([(1 + math.exp(-2 * beta)) ** -2] * 3, abs=1e-12)
+    flip[0]["phi"][1]["pattern"] = [[[0, 0], 2]]
+    payload = limits_scenario(radii=(100,), beta=beta, pairs=flip)
+    payload["limits"]["dimension"] = 2
+    out = tmp_path / "square"
+    assert main(["limits", "--scenario", write(tmp_path / "s.json", payload), "--out", str(out)]) == 0
+    values = json.loads((out / "limits.json").read_text())["pairs"][0]["values"]
+    assert values == pytest.approx([(1 + math.exp(-4 * beta)) ** -2], abs=1e-12)
 
 
 def test_limits_low_temp_block(tmp_path):
@@ -252,7 +281,7 @@ def test_limits_cold_low_temp_still_underflows(tmp_path, capsys):
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_limits_transfer_table_budget(tmp_path, capsys, monkeypatch, dimension):
-    """A million states at radius 0 pass the cell budget but not the q^2 column-pair table."""
+    """A million states at radius 0 cost coefficients nothing, but their q^2 transfer table is over budget."""
     def refuse(*args):
         raise AssertionError("the transfer table was allocated")
 
@@ -268,27 +297,46 @@ def test_limits_transfer_table_budget(tmp_path, capsys, monkeypatch, dimension):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == (
-        "budget exceeded: transfer table: 1000000^2 = 1000000000000 column pairs "
-        "exceed the enumeration budget of 1000000\n"
+        "budget exceeded: low_temp: 1 betas * sum over 1 radii of columns * q^(2*width) "
+        "= 1000000000000 entries exceed the enumeration budget of 1000000\n"
     )
 
 
 def test_low_temp_report_size_budget(tmp_path, capsys, monkeypatch):
-    """The report's states * betas * radii masses are counted before any box measure is built."""
+    """The sweeps of every box measure, which outnumber the printed masses, are counted before any is built."""
+    # a thousand states at radius 0 under one beta: 10^6 entries, exactly the budget
+    payload = limits_scenario(radii=(0,), low_temp={"betas": [1.0]})
+    payload["limits"]["states"] = 1000
+    out = tmp_path / "out"
+    assert main(["limits", "--scenario", write(tmp_path / "l.json", payload), "--out", str(out)]) == 0
+    assert len(json.loads((out / "limits.json").read_text())["low_temp"]["candidates"]) == 1000
+
     def refuse(*args):
         raise AssertionError("a box measure was built")
 
     monkeypatch.setattr(ev.limits, "BoxMeasure", refuse)
-    payload = limits_scenario(radii=(0,), low_temp={"betas": [i / 100 for i in range(1001)]})
-    payload["limits"]["states"] = 1000
-    scenario = write(tmp_path / "l.json", payload)
+    payload["limits"]["low_temp"]["betas"] = [1.0, 2.0]
     capsys.readouterr()
-    assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 3
+    assert main(["limits", "--scenario", write(tmp_path / "l.json", payload), "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
-        "budget exceeded: low_temp: 1000 states * 1001 betas * 1 radii = 1001000 masses "
-        "exceed the enumeration budget of 1000000\n"
+        "budget exceeded: low_temp: 2 betas * sum over 1 radii of columns * q^(2*width) "
+        "= 2000000 entries exceed the enumeration budget of 1000000\n"
     )
     assert not (tmp_path / "limits.json").exists()
+
+
+def test_low_temp_square_boxes_up_to_radius_3(tmp_path, capsys):
+    # per beta, 7 columns * 2^14 = 114688 entries at r=3 and 9 * 2^18 = 2359296 at r=4
+    payload = limits_scenario(radii=(3,), beta=0.5, pairs=[], low_temp={"betas": [0.5]})
+    payload["limits"]["dimension"] = 2
+    out = tmp_path / "out"
+    assert main(["limits", "--scenario", write(tmp_path / "l.json", payload), "--out", str(out)]) == 0
+    masses = json.loads((out / "limits.json").read_text())["low_temp"]["candidates"][0]["masses"]
+    assert 0 < masses[0][0] < 1
+    payload["limits"]["radii"] = [4]
+    capsys.readouterr()
+    assert main(["limits", "--scenario", write(tmp_path / "l.json", payload), "--out", str(tmp_path)]) == 3
+    assert "= 2359296 entries exceed the enumeration budget of 1000000" in capsys.readouterr().err
 
 
 def test_dlr_gap_report(tmp_path):

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import evoalg as ev
+from conftest import loop_lattice_box
+from evoalg import graphs
 from evoalg.errors import ValidationError
 
 
@@ -84,6 +86,30 @@ def test_box_edges_are_unit_steps():
     for x, y in box.graph.edges:
         cx, cy = box.sites[x], box.sites[y]
         assert sum(abs(a - b) for a, b in zip(cx, cy)) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", range(5))
+def test_lattice_box_matches_loop_oracle(d, n):
+    sites, index, graph = loop_lattice_box(d, n)
+    box = ev.LatticeBox(d, n)
+    assert box.site_count == len(sites)
+    assert all(box.site_index(c) == i for c, i in index.items())
+    assert box.sites == sites
+    assert box.graph == graph
+
+
+def test_lattice_box_is_built_only_when_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "Graph", refuse)
+    box = ev.LatticeBox(2, 10**6)
+    assert box.site_count == (2 * 10**6 + 1) ** 2
+    assert box.site_index((-10**6, -10**6)) == 0
+    assert box.site_index((10**6, 10**6)) == box.site_count - 1
+    assert box.site_index((0, 1)) == 10**6 * (2 * 10**6 + 1) + 10**6 + 1
+    assert "graph" not in vars(box) and "sites" not in vars(box)
 
 
 def test_graph_from_json_roundtrip():

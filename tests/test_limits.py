@@ -164,14 +164,34 @@ def test_low_temp_infinite_temperature_is_symmetric():
     assert np.allclose(first["masses"], second["masses"])
 
 
-def test_budget_rejected():
-    with pytest.raises(BudgetError, match=r"2\^25 = 33554432 cells .* budget of 1000000$"):
-        VolumeScheme(2, (1, 2), 2, 1.0, 1.0)
-    with pytest.raises(BudgetError, match=r"2\^21 = 2097152 cells .* budget of 1000000$"):
-        VolumeScheme(1, (10,), 2, 1.0, 1.0)
-    # too many digits to print: the count is given as a power
-    with pytest.raises(BudgetError, match=r"2\^200001 cells .* budget of 1000000$"):
-        VolumeScheme(1, (100000,), 2, 1.0, 1.0)
+def test_budget_rejected(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a box was built")
+
+    # the sites of every box, 1 + 999999, are exactly the budget
+    VolumeScheme(1, (0, 499999), 2, 1.0, 1.0)
+    monkeypatch.setattr(limits, "LatticeBox", refuse)
+    with pytest.raises(BudgetError, match=r"^scheme: sum of \(2r\+1\)\^1 over 3 radii = 1000001 box sites "
+                                          r"exceed the enumeration budget of 1000000$"):
+        VolumeScheme(1, (0, 1, 499998), 2, 1.0, 1.0)
+    with pytest.raises(BudgetError, match=r"\^2 over 2 radii = 1002002 box sites .* budget of 1000000$"):
+        VolumeScheme(2, (0, 500), 2, 1.0, 1.0)
+    # too many digits to print: the count is given as a bound
+    with pytest.raises(BudgetError, match=r"^scheme: sum of \(2r\+1\)\^2 over 1 radii = 10\^20 or more box sites exceed"):
+        VolumeScheme(2, (10**30,), 2, 1.0, 1.0)
+
+
+def test_transfer_sweep_budget(monkeypatch):
+    """A box measure's sweep adds columns * q^(2*width) entries; one past the budget builds no table."""
+    # one column of a thousand states: exactly the budget
+    assert limits.BoxMeasure(ev.LatticeBox(1, 0), 1000, 1.0, 0.1).log_partition == pytest.approx(math.log(1000))
+    limits.BoxMeasure(ev.LatticeBox(2, 3), 2, 1.0, 0.5)  # 7 * 2^14 = 114688
+    monkeypatch.setattr(limits, "cell_digits", lambda *args: pytest.fail("the transfer table was allocated"))
+    with pytest.raises(BudgetError, match=r"^transfer sweep: columns \* q\^\(2\*width\) = 1002001 entries "
+                                          r"exceed the enumeration budget of 1000000$"):
+        limits.BoxMeasure(ev.LatticeBox(1, 0), 1001, 1.0, 0.1)
+    with pytest.raises(BudgetError, match=r"^transfer sweep: columns \* q\^\(2\*width\) = 2359296 entries "):
+        limits.BoxMeasure(ev.LatticeBox(2, 4), 2, 1.0, 0.5)
 
 
 def test_low_temp_budget_comes_before_any_scheme(monkeypatch):
@@ -181,12 +201,59 @@ def test_low_temp_budget_comes_before_any_scheme(monkeypatch):
     monkeypatch.setattr(limits, "VolumeScheme", refuse)
     monkeypatch.setattr(limits, "BoxMeasure", refuse)
     betas = [i / 100 for i in range(1001)]
-    with pytest.raises(BudgetError, match=r"^low_temp: 1000 states \* 1001 betas \* 1 radii = 1001000 masses "):
+    with pytest.raises(BudgetError, match=r"^low_temp: 1001 betas \* sum over 1 radii of columns \* q\^\(2\*width\) "
+                                          r"= 1001000000 entries "):
         ev.low_temp_limit_algebras(1, 1000, [0], betas)
-    with pytest.raises(BudgetError, match=r"= 1000002 masses exceed the enumeration budget of 1000000$"):
-        ev.low_temp_limit_algebras(1, 2, range(500001), [1.0])
-    with pytest.raises(AssertionError, match="a scheme"):  # a million masses are within the budget
-        ev.low_temp_limit_algebras(1, 2, range(500000), [1.0])
+    # 4 * (1 + 3 + 249997) = 1000004 entries, one column past the budget
+    with pytest.raises(BudgetError, match=r"= 1000004 entries exceed the enumeration budget of 1000000$"):
+        ev.low_temp_limit_algebras(1, 2, [0, 1, 124998], [1.0])
+    with pytest.raises(AssertionError, match="a scheme"):  # 4 * (1 + 249999), exactly the budget
+        ev.low_temp_limit_algebras(1, 2, [0, 124999], [1.0])
+    with pytest.raises(AssertionError, match="a scheme"):
+        ev.low_temp_limit_algebras(1, 1000, [0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ev.LatticeBox(1.0, 2), "dimension"),
+        (lambda: ev.LatticeBox(1, 2.0), "radius"),
+        (lambda: ev.LatticeBox(1, True), "radius"),
+        (lambda: ev.LatticeBox(1, 2).site_index((True,)), "coordinate"),
+        (lambda: ev.LatticeBox(1, 2).site_index(1.0), "coordinate"),
+        (lambda: ev.LatticeBox(2, 2).site_index("01"), "coordinate"),
+        (lambda: TailCell(1.9), "pairs.tail"),
+        (lambda: TailCell("1"), "pairs.tail"),
+        (lambda: TailCell(1, {0: 2.5}), "pairs.pattern"),
+        (lambda: TailCell(1, {0.5: 2}), "pairs.pattern"),
+        (lambda: TailCell(1, {(0, False): 2}), "pairs.pattern"),
+        (lambda: VolumeScheme(1, (1.5,), 2, 1.0, 1.0), "radii"),
+        (lambda: VolumeScheme(1, (True,), 2, 1.0, 1.0), "radii"),
+        (lambda: VolumeScheme(1, (1,), 2.5, 1.0, 1.0), "states"),
+        (lambda: VolumeScheme(1, (1,), "2", 1.0, 1.0), "states"),
+        (lambda: VolumeScheme(2.0, (1,), 2, 1.0, 1.0), "dimension"),
+        (lambda: ev.low_temp_limit_algebras(1, 2.5, [1], [1.0]), "states"),
+    ],
+    ids=[
+        "box-dimension-float", "box-radius-float", "box-radius-bool", "site-bool", "site-float",
+        "site-string", "tail-float", "tail-string", "pattern-state-float", "pattern-site-float",
+        "pattern-site-bool", "radii-float", "radii-bool", "states-float", "states-string",
+        "scheme-dimension-float", "low-temp-states-float",
+    ],
+)
+def test_lattice_inputs_must_be_integers(build, field):
+    with pytest.raises(ValidationError, match=field):
+        build()
+
+
+def test_lattice_inputs_accept_numpy_integers():
+    box = ev.LatticeBox(np.int64(2), np.int32(3))
+    assert box.site_index((np.int64(-3), np.uint8(1))) == 4
+    cell = TailCell(np.int64(2), {np.int16(1): np.int64(1)})
+    assert (cell.tail, cell.pattern) == (2, (((1,), 1),))
+    scheme = VolumeScheme(np.int64(1), (np.int64(0), np.int8(2)), np.int64(3), 1.0, 1.0)
+    assert scheme.radii == (0, 2) and all(type(r) is int for r in scheme.radii)
+    assert ev.finite_volume_coeff(scheme, 2, (cell, cell), (cell, cell)) == 1.0
 
 
 def test_pattern_must_fit_in_box():
@@ -351,13 +418,20 @@ def test_coefficient_survives_tiny_masses():
 
 @pytest.mark.parametrize("states", [10**30, 10**300])
 def test_budget_message_for_huge_state_count(states):
-    with pytest.raises(BudgetError, match=r"\^5 cells at radius 2 exceed the enumeration budget of 1000000$") as exc:
-        VolumeScheme(1, (2,), states, 1.0, 1.0)
-    # the state count itself plus a fixed amount of text; no expanded power
+    # coefficients do no work per state, so the scheme itself is within budget
+    scheme = VolumeScheme(1, (2,), states, 1.0, 1.0)
+    with pytest.raises(BudgetError) as exc:
+        scheme.measure(2)
     assert str(exc.value) == (
-        f"scheme: {states}^5 cells at radius 2 exceed the enumeration budget of 1000000"
+        "transfer sweep: columns * q^(2*width) = 10^20 or more entries exceed the enumeration budget of 1000000"
     )
-    assert len(str(exc.value)) < len(str(states)) + 80
+    with pytest.raises(BudgetError) as exc:
+        ev.low_temp_limit_algebras(1, states, [2], [1.0])
+    # a fixed amount of text; neither the state count nor a power of it is expanded
+    assert str(exc.value) == (
+        "low_temp: 1 betas * sum over 1 radii of columns * q^(2*width) = 10^20 or more entries "
+        "exceed the enumeration budget of 1000000"
+    )
 
 
 def test_cell_must_match_box():
