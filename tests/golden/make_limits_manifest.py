@@ -55,6 +55,65 @@ SCENARIOS = {
                   {"phi": [{"tail": 1, "pattern": [[[1, 1], 2]]}, {"tail": 1}],
                    "psi": [{"tail": 1}, {"tail": 1}]}],
     },
+    # a patterned pair at the edge of the box-site budget: 1 + 999999 sites
+    "budget_edge_1d_radii_0_499999": {
+        "dimension": 1, "states": 2, "radii": [0, 499999], "J": 1.0, "beta": 0.7,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[0, 2]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
+    # the pattern fills the radius-0 box, so both cells of phi agree there
+    "pattern_fills_radius_0_box": {
+        "dimension": 1, "states": 2, "radii": [0, 1], "J": 0.9, "beta": 1.3,
+        "pairs": [{"phi": [{"tail": 1, "pattern": [[0, 2]]}, {"tail": 2}],
+                   "psi": [{"tail": 2}, {"tail": 2}]},
+                  {"phi": [{"tail": 1, "pattern": [[0, 2]]}, {"tail": 2}],
+                   "psi": [{"tail": 1, "pattern": [[0, 2]]}, {"tail": 1}]}],
+    },
+    # overlapping phi and psi patterns on a corner and an edge of the radius-1 box;
+    # one psi cell spells a phi cell with a redundant pattern site
+    "overlap_2d_corner_and_edge": {
+        "dimension": 2, "states": 3, "radii": [1, 2], "J": 0.6, "beta": 1.1,
+        "pairs": [{"phi": [{"tail": 1, "pattern": [[[1, 1], 2], [[0, 1], 3]]},
+                           {"tail": 2, "pattern": [[[1, 1], 2], [[-1, 0], 1]]}],
+                   "psi": [{"tail": 2, "pattern": [[[-1, 0], 1], [[1, 1], 2], [[0, 0], 2]]},
+                           {"tail": 1, "pattern": [[[1, 1], 2], [[0, 1], 3]]}]},
+                  {"phi": [{"tail": 1, "pattern": [[[1, 1], 2], [[0, 1], 3]]},
+                           {"tail": 2, "pattern": [[[1, 1], 2], [[-1, 0], 1]]}],
+                   "psi": [{"tail": 1, "pattern": [[[1, 1], 2], [[0, 1], 3]]},
+                           {"tail": 1, "pattern": [[[0, 1], 3], [[1, 1], 2]]}]},
+                  {"phi": [{"tail": 3, "pattern": [[[-1, -1], 1], [[1, -1], 2]]},
+                           {"tail": 3, "pattern": [[[-1, -1], 2]]}],
+                   "psi": [{"tail": 3, "pattern": [[[-1, -1], 2]]},
+                           {"tail": 3, "pattern": [[[-1, -1], 2]]}]}],
+    },
+    # psi cells that are not children of phi
+    "psi_outside_children": {
+        "dimension": 1, "states": 3, "radii": [1, 2], "J": 1.4, "beta": 0.8,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 2, "pattern": [[0, 3]]}],
+                   "psi": [{"tail": 3}, {"tail": 1}]},
+                  {"phi": [{"tail": 1}, {"tail": 2, "pattern": [[0, 3]]}],
+                   "psi": [{"tail": 1, "pattern": [[1, 2]]}, {"tail": 1}]},
+                  {"phi": [{"tail": 1}, {"tail": 1}],
+                   "psi": [{"tail": 1}, {"tail": 1, "pattern": [[-1, 2]]}]}],
+    },
+    # a pattern site outside the smallest box
+    "pattern_outside_smallest_radius": {
+        "dimension": 1, "states": 2, "radii": [0, 2], "J": 1.0, "beta": 1.0,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[1, 2]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
+    # a pattern state above the state count
+    "pattern_state_above_states": {
+        "dimension": 2, "states": 2, "radii": [1], "J": 1.0, "beta": 1.0,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[[0, 0], 3]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
+    # phi's off-box site is reported before psi's bad state
+    "phi_site_before_psi_state": {
+        "dimension": 1, "states": 2, "radii": [1], "J": 1.0, "beta": 1.0,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[5, 2]]}],
+                   "psi": [{"tail": 3}, {"tail": 1}]}],
+    },
 }
 
 
