@@ -2,6 +2,8 @@
 
 import numbers
 
+ENUMERATION_BUDGET = 10**6
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition or schema."""
@@ -9,6 +11,13 @@ class ValidationError(ValueError):
 
 class BudgetError(RuntimeError):
     """Raised when a request exceeds the exact-enumeration budgets."""
+
+
+def check_budget(count, formula: str, unit: str) -> None:
+    """Reject a predicted ``count`` past ``ENUMERATION_BUDGET``; one of 10**20 or more is not printed."""
+    if count > ENUMERATION_BUDGET:
+        predicted = count if count < 10**20 else "10^20 or more"
+        raise BudgetError(f"{formula} = {predicted} {unit} exceed the enumeration budget of {ENUMERATION_BUDGET}")
 
 
 def shown(value) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import ValidationError, is_index, shown
+from .errors import ValidationError, check_budget, is_index, shown
 
 __all__ = [
     "Graph",
@@ -97,7 +97,8 @@ class LatticeBox:
 
     Sites are enumerated lexicographically, so ``site_index`` is arithmetic:
     the box is ``2n+1`` contiguous runs of ``(2n+1)^(d-1)`` sites.  ``sites``
-    and ``graph`` are built on first read; a box costs O(1) until then.
+    and ``graph`` are built on first read, for at most ``ENUMERATION_BUDGET``
+    sites; a box costs O(1) until then.
     Boxes of increasing radius are nested as coordinate sets.
     """
 
@@ -118,10 +119,12 @@ class LatticeBox:
 
     @cached_property
     def sites(self) -> tuple:
+        check_budget(self.site_count, f"lattice box: (2r+1)^{self.dimension}", "sites")
         return tuple(product(range(-self.radius, self.radius + 1), repeat=self.dimension))
 
     @cached_property
     def graph(self) -> Graph:
+        check_budget(self.site_count, f"lattice box: (2r+1)^{self.dimension}", "sites")
         side = 2 * self.radius + 1
         # (i, i+1) inside a run of the last coordinate, (i, i+side) across runs in 2-D
         edges = {(i, i + 1) for i in range(self.site_count) if (i + 1) % side}

@@ -1,13 +1,14 @@
 """Finite-volume coefficients over growing lattice boxes.
 
-A tail cell is a finite pattern over a constant tail state; restricted to a
-box it gives an ordinary cell.  A box is connected, so a restricted pair's
-children are its two cells, and a coefficient is a ratio of their Boltzmann
-weights in which ``Z`` cancels (Georgii 1988, ch. 1-2).  At large inverse
-temperature the Potts mass drifts onto the diagonal constant pairs, one
-candidate limit generator per state.  Everything is exact, with free
-boundary conditions; only the ``low_temp`` report needs the normalised
-masses of a transfer-matrix ``BoxMeasure``.
+A tail cell is a finite pattern over a constant tail state; on a box it
+gives an ordinary cell, read only at its pattern sites.  A box is
+connected, so a restricted pair's children are its two cells, and a
+coefficient is a ratio of their Boltzmann weights in which ``Z`` cancels
+and only the pattern sites and their edges count (Georgii 1988, ch. 1-2).
+At large inverse temperature the Potts mass drifts onto the diagonal
+constant pairs, one candidate limit generator per state.  Everything is
+exact, with free boundary conditions; only the ``low_temp`` report needs
+the normalised masses of a transfer-matrix ``BoxMeasure``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Cell, cell_digits
-from .errors import BudgetError, ValidationError, is_index, shown
+from .cells import cell_digits
+from .errors import ValidationError, check_budget, is_index, shown
 from .graphs import LatticeBox, coordinate
-from .measures import ENUMERATION_BUDGET, POSITIVITY_FLOOR
+from .measures import POSITIVITY_FLOOR
 # these three stay importable here: bench/tracing.py wraps them by these names
 from .cells import children_set  # noqa: F401
 from .graphs import components  # noqa: F401
@@ -65,30 +66,14 @@ class TailCell:
         object.__setattr__(self, "tail", int(self.tail))
         object.__setattr__(self, "pattern", tuple(sorted(pattern.items())))
 
-    def restrict(self, box: LatticeBox, q: int) -> Cell:
-        """The ordinary cell this tail cell induces on a box."""
+    def restrict(self, box: LatticeBox, q: int) -> dict:
+        """The pattern on a box as ``{site index: state}``; every other box site carries ``tail``."""
         for name, state in [("tail", self.tail), *(("pattern", s) for _, s in self.pattern)]:
             if not 1 <= state <= q:
                 # a state of up to 60 digits reads as itself, a longer one as errors.shown cuts it
                 got = state if len(str(state)) <= 60 else shown(state)
                 raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {got}")
-        digits = [self.tail - 1] * box.site_count
-        for coord, state in self.pattern:
-            digits[box.site_index(coord)] = state - 1
-        return Cell(tuple(digits), q)
-
-
-def _equal_edges(cell: Cell, columns: int) -> int:
-    """Equal neighbour pairs of a box cell whose sites form ``columns`` contiguous runs."""
-    d = np.reshape(cell.digits, (columns, -1))
-    return np.count_nonzero(d[:, 1:] == d[:, :-1]) + np.count_nonzero(d[1:] == d[:-1])
-
-
-def _check_budget(count, formula: str, unit: str) -> None:
-    """Reject a predicted ``count`` past ``ENUMERATION_BUDGET``; one of 10**20 or more is not printed."""
-    if count > ENUMERATION_BUDGET:
-        predicted = count if count < 10**20 else "10^20 or more"
-        raise BudgetError(f"{formula} = {predicted} {unit} exceed the enumeration budget of {ENUMERATION_BUDGET}")
+        return {box.site_index(coord): state for coord, state in self.pattern}
 
 
 def _sweep_entries(dimension: int, radius: int, states: int):
@@ -111,17 +96,17 @@ class BoxMeasure:
     The box is read as ``2r+1`` columns, the contiguous runs of ``width``
     site indices (one in 1-D, ``2r+1`` in 2-D); every equal neighbour pair
     adds ``beta*J`` to a log weight, and ``log_partition`` is a log-sum-exp
-    sweep over the ``q^width`` column states.  With ``q >= 2`` the smallest
-    log weight is ``min(0, beta*J*E)`` over the ``E`` box edges (a box is
+    sweep over the ``q^width`` column states.  A constant cell has all ``E``
+    box edges equal: log mass ``constant_log_mass = beta*J*E - log_partition``.
+    With ``q >= 2`` the smallest log weight is ``min(0, beta*J*E)`` (a box is
     bipartite), and a mass below ``POSITIVITY_FLOOR`` is rejected.
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
         self.columns = 2 * box.radius + 1
         self.width = box.site_count // self.columns
-        self.k = states
         self.strength = beta * coupling
-        _check_budget(_sweep_entries(box.dimension, box.radius, states), "transfer sweep: columns * q^(2*width)", "entries")
+        check_budget(_sweep_entries(box.dimension, box.radius, states), "transfer sweep: columns * q^(2*width)", "entries")
         col = cell_digits(self.width, states)
         inner = self.strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
         bond = self.strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
@@ -134,15 +119,7 @@ class BoxMeasure:
         edges = (self.columns - 1) * self.width + self.columns * (self.width - 1)
         if min(0.0, self.strength * edges) - self.log_partition < math.log(POSITIVITY_FLOOR):
             raise ValidationError("gibbs: normalized weights underflow; measure no longer strictly positive")
-
-    def log_mass(self, cell: Cell) -> float:
-        """``-beta*H(cell) - log Z``, with ``H`` summed over the box edges."""
-        if cell.k != self.k or cell.n != self.columns * self.width:
-            raise ValidationError("measure: cell does not match the box")
-        return self.strength * _equal_edges(cell, self.columns) - self.log_partition
-
-    def mass(self, cell: Cell) -> float:
-        return math.exp(self.log_mass(cell))
+        self.constant_log_mass = self.strength * edges - self.log_partition
 
 
 def _scheme_shape(dimension, radii, states) -> tuple:
@@ -176,8 +153,8 @@ class VolumeScheme:
             raise ValidationError(f"scenario.limits.J: must be finite, got {self.coupling!r}")
         for name, value in zip(("dimension", "radii", "states"), shape):
             object.__setattr__(self, name, value)
-        _check_budget(sum((2 * r + 1) ** self.dimension for r in self.radii),
-                      f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
+        check_budget(sum((2 * r + 1) ** self.dimension for r in self.radii),
+                     f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
 
     def box(self, radius: int) -> LatticeBox:
         return LatticeBox(self.dimension, radius)
@@ -193,13 +170,21 @@ def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
     coefficient is zero unless both cells of ``psi`` are among the cells of
     ``phi``, its children set, and one when ``phi`` is diagonal.  Otherwise
     a child's share ``w(c) / (w(phi_1) + w(phi_2))`` is the logistic of
-    ``+-beta*J*(eq(phi_1) - eq(phi_2))``, ``eq`` counting equal neighbours.
+    ``+-beta*J*(eq(phi_1) - eq(phi_2))``, ``eq`` counting equal neighbours
+    on the box edges that meet a marked site, a pattern site of any of the
+    four cells; every other edge joins two tail states in both cells.
     """
+    if not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(isinstance(c, TailCell) for c in p)
+               for p in (phi, psi)):
+        raise ValidationError("finite_volume_coeff: phi and psi must each be two tail cells")
     if radius not in scheme.radii:
         raise ValidationError(f"radius {radius} not part of the scheme")
     box = scheme.box(radius)
-    first, second = (c.restrict(box, scheme.states) for c in phi)
-    children = [c.restrict(box, scheme.states) for c in psi]
+    cells = [(c.tail, c.restrict(box, scheme.states)) for c in (*phi, *psi)]
+    marked = set().union(*(pattern for _, pattern in cells))
+    # two cells agree on the box when they agree on the marked sites and, unless those fill it, in their tails
+    fills = len(marked) == box.site_count
+    first, second, *children = [(tuple(p.get(i, t) for i in marked), None if fills else t) for t, p in cells]
     if any(c != first and c != second for c in children):
         return 0.0
     strength = scheme.beta * scheme.coupling
@@ -207,8 +192,12 @@ def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
         raise ValidationError("measure: weights must be finite")
     if first == second:
         return 1.0
-    columns = 2 * radius + 1
-    gap = strength * (_equal_edges(first, columns) - _equal_edges(second, columns))
+    side = 2 * radius + 1
+    # the edges of LatticeBox.graph that meet a marked site: i±1 inside a run, i±side across runs
+    edges = {(j, j + 1) for i in marked for j in (i - 1, i) if (j + 1) % side}
+    edges |= {(j, j + side) for i in marked for j in (i - side, i) if 0 <= j < box.site_count - side}
+    eq = [sum(p.get(a, t) == p.get(b, t) for a, b in edges) for t, p in cells[:2]]
+    gap = strength * (eq[0] - eq[1])
     return math.prod(math.exp(-np.logaddexp(0.0, gap if c == second else -gap)) for c in children)
 
 
@@ -248,11 +237,11 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     dimension, radii, states = _scheme_shape(dimension, radii, states)
     # the box measures' sweeps; the q*|betas|*|radii| printed masses are fewer
-    _check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
-                  f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
+    check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
+                 f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
     # every box edge of a constant cell is equal, so all states share one mass
     schemes = (VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas)
-    masses = [[s.measure(r).mass(TailCell(1).restrict(s.box(r), states)) ** 2 for r in radii] for s in schemes]
+    masses = [[math.exp(s.measure(r).constant_log_mass) ** 2 for r in radii] for s in schemes]
     return {
         "dimension": dimension,
         "states": states,

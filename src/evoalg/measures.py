@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import Cell, cell_digits
-from .errors import BudgetError, ValidationError, shown
+from .errors import ENUMERATION_BUDGET, BudgetError, ValidationError, shown
 from .graphs import Graph
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "measure_from_json",
 ]
 
-ENUMERATION_BUDGET = 10**6
 POSITIVITY_FLOOR = 1e-300
 NORMALIZATION_TOL = 1e-12
 

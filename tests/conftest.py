@@ -1,12 +1,14 @@
 """Shared fixtures: two-vertex reference algebras and brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import evoalg as ev
 from evoalg.cells import Cell, PairCell
+from evoalg.errors import ValidationError, shown
 
 # masses assigned to the cells (1,1), (1,2), (2,1), (2,2) in that order
 REFERENCE_P = (0.1, 0.2, 0.3, 0.4)
@@ -203,11 +205,52 @@ def dense_box_measure(box, q, coupling, beta):
     return ev.gibbs_measure(ev.potts_hamiltonian(box.graph, q, coupling, beta))
 
 
+def oracle_restrict(tail_cell, box, q):
+    """A tail cell on a box as a full ``Cell``, one digit per box site.
+
+    The restriction ``limits`` made before it read only the pattern sites,
+    with the same checks in the same order.
+    """
+    for name, state in [("tail", tail_cell.tail), *(("pattern", s) for _, s in tail_cell.pattern)]:
+        if not 1 <= state <= q:
+            got = state if len(str(state)) <= 60 else shown(state)
+            raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {got}")
+    digits = [tail_cell.tail - 1] * box.site_count
+    for coord, state in tail_cell.pattern:
+        digits[box.site_index(coord)] = state - 1
+    return Cell(tuple(digits), q)
+
+
+def oracle_equal_edges(cell, columns):
+    """Equal neighbour pairs over every edge of a box cell whose sites form ``columns`` contiguous runs."""
+    d = np.reshape(cell.digits, (columns, -1))
+    return np.count_nonzero(d[:, 1:] == d[:, :-1]) + np.count_nonzero(d[1:] == d[:-1])
+
+
+def oracle_coeff(scheme, radius, phi, psi):
+    """``finite_volume_coeff`` from full-box cells, with the gap counted over every box edge."""
+    if radius not in scheme.radii:
+        raise ValidationError(f"radius {radius} not part of the scheme")
+    box = scheme.box(radius)
+    first, second = (oracle_restrict(c, box, scheme.states) for c in phi)
+    children = [oracle_restrict(c, box, scheme.states) for c in psi]
+    if any(c != first and c != second for c in children):
+        return 0.0
+    strength = scheme.beta * scheme.coupling
+    if not math.isfinite(strength):
+        raise ValidationError("measure: weights must be finite")
+    if first == second:
+        return 1.0
+    columns = 2 * radius + 1
+    gap = strength * (oracle_equal_edges(first, columns) - oracle_equal_edges(second, columns))
+    return math.prod(math.exp(-np.logaddexp(0.0, gap if c == second else -gap)) for c in children)
+
+
 def dense_coeff(box, q, coupling, beta, phi, psi):
     """A box coefficient from the searched children set and the dense measure."""
-    parents = PairCell(phi[0].restrict(box, q), phi[1].restrict(box, q))
+    parents = PairCell(oracle_restrict(phi[0], box, q), oracle_restrict(phi[1], box, q))
     kids = ev.children_set(parents, ev.components(box.graph), ev.StateSpace(q))
-    children = [c.restrict(box, q) for c in psi]
+    children = [oracle_restrict(c, box, q) for c in psi]
     if any(c not in kids for c in children):
         return 0.0
     dense = dense_box_measure(box, q, coupling, beta)

@@ -19,6 +19,7 @@ from evoalg.limits import TailCell, VolumeScheme
 from conftest import (
     REFERENCE_P,
     display_cells,
+    oracle_restrict,
     random_positive_measure,
     reference_measure_for,
 )
@@ -245,7 +246,7 @@ def test_criterion_08_low_temperature_trend():
         assert report["distinct_generators"]
         box = VolumeScheme(1, (2,), 3, 1.0, 5.0).box(2)
         candidates = {
-            PairCell(TailCell(i).restrict(box, 3), TailCell(i).restrict(box, 3)).index
+            PairCell(oracle_restrict(TailCell(i), box, 3), oracle_restrict(TailCell(i), box, 3)).index
             for i in (1, 2, 3)
         }
         assert len(candidates) == 3

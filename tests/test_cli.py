@@ -216,7 +216,7 @@ def test_limits_emits_csv_and_json(tmp_path):
 
 
 def test_limits_budget(tmp_path, capsys, monkeypatch):
-    """Coefficients touch every box site once per cell, so box sites over all radii are budgeted."""
+    """Box sites summed over all radii are budgeted before any box is built."""
     def refuse(*args):
         raise AssertionError("a box was built")
 

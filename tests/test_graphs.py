@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 import evoalg as ev
 from conftest import loop_lattice_box
 from evoalg import graphs
-from evoalg.errors import ValidationError
+from evoalg.errors import BudgetError, ValidationError
 
 
 def test_single_edge_is_one_component():
@@ -110,6 +110,35 @@ def test_lattice_box_is_built_only_when_read(monkeypatch):
     assert box.site_index((10**6, 10**6)) == box.site_count - 1
     assert box.site_index((0, 1)) == 10**6 * (2 * 10**6 + 1) + 10**6 + 1
     assert "graph" not in vars(box) and "sites" not in vars(box)
+
+
+@pytest.mark.parametrize(
+    "d, n, count",
+    [(2, 10**6, "4000004000001"), (1, 500000, "1000001"), (2, 500, "1002001"), (2, 10**30, "10\\^20 or more")],
+    ids=["2d-radius-10^6", "1d-one-site-over", "2d-just-over", "2d-radius-10^30"],
+)
+@pytest.mark.parametrize("read", ["sites", "graph"])
+def test_lattice_box_budget_comes_before_any_site_or_edge(monkeypatch, d, n, count, read):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(graphs, "Graph", refuse)
+    monkeypatch.setattr(graphs, "product", refuse)
+    # range too, so a box read without the check fails at once instead of enumerating its sites
+    monkeypatch.setattr(graphs, "range", refuse, raising=False)
+    with pytest.raises(BudgetError, match=rf"^lattice box: \(2r\+1\)\^{d} = {count} sites "
+                                          r"exceed the enumeration budget of 1000000$"):
+        getattr(ev.LatticeBox(d, n), read)
+
+
+def test_lattice_box_sites_within_budget_pass_the_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(graphs, "product", refuse)
+    # 999,999 sites, the largest box within the budget; the refusal shows the check passed
+    with pytest.raises(AssertionError, match="the box was built"):
+        ev.LatticeBox(1, 499999).sites
 
 
 def test_graph_from_json_roundtrip():

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from conftest import dense_box_measure, dense_coeff, dense_log_partition
+from conftest import (
+    dense_box_measure,
+    dense_coeff,
+    dense_log_partition,
+    oracle_coeff,
+    oracle_equal_edges,
+    oracle_restrict,
+)
 from evoalg import limits
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import BudgetError, ValidationError
@@ -99,7 +107,7 @@ def test_row_sum_over_pair_children_is_one():
     box = scheme.box(1)
     space = ev.StateSpace(2)
     phi = (const(1), const(2))
-    restricted = PairCell(phi[0].restrict(box, 2), phi[1].restrict(box, 2))
+    restricted = PairCell(oracle_restrict(phi[0], box, 2), oracle_restrict(phi[1], box, 2))
     kids = ev.children_set(restricted, ev.components(box.graph), space)
     total = 0.0
     for a in kids:
@@ -137,8 +145,7 @@ def test_ground_state_mass_grows_with_beta():
     masses = []
     for beta in (0.0, 0.5, 1.0, 2.0, 5.0):
         scheme = VolumeScheme(1, (2,), 2, 1.0, beta)
-        mu = scheme.measure(2)
-        masses.append(mu.mass(const(1).restrict(scheme.box(2), 2)))
+        masses.append(math.exp(scheme.measure(2).constant_log_mass))
     assert all(b >= a for a, b in zip(masses, masses[1:]))
 
 
@@ -292,6 +299,19 @@ def all_cells(n, q):
     return [Cell.from_index(i, n, q) for i in range(q**n)]
 
 
+def oracle_log_mass(mu, cell, radius):
+    """A box cell's log mass, ``beta*J`` per equal edge of the whole box, less ``log Z``."""
+    return mu.strength * oracle_equal_edges(cell, 2 * radius + 1) - mu.log_partition
+
+
+def assert_constant_log_mass(mu, dense, n, q):
+    """Every constant cell carries the dense constant-cell mass."""
+    for state in range(q):
+        mass = dense.mass(Cell((state,) * n, q))
+        assert math.isclose(math.exp(mu.constant_log_mass), mass, rel_tol=1e-12)
+        assert math.isclose(mu.constant_log_mass, math.log(mass), rel_tol=1e-12, abs_tol=1e-12)
+
+
 @pytest.mark.parametrize("dimension, q, radius", SMALL_BOXES)
 @settings(max_examples=10, deadline=None)
 @given(beta=BETAS, coupling=COUPLINGS)
@@ -300,8 +320,9 @@ def test_transfer_measure_matches_dense_on_every_cell(dimension, q, radius, beta
     box = scheme.box(radius)
     mu = scheme.measure(radius)
     dense = dense_box_measure(box, q, coupling, beta)
-    got = [mu.mass(c) for c in all_cells(box.site_count, q)]
+    got = [math.exp(oracle_log_mass(mu, c, radius)) for c in all_cells(box.site_count, q)]
     np.testing.assert_allclose(got, dense.weights, rtol=1e-12, atol=0)
+    assert_constant_log_mass(mu, dense, box.site_count, q)
     assert math.isclose(
         mu.log_partition, dense_log_partition(box, q, coupling, beta), rel_tol=1e-12, abs_tol=1e-12
     )
@@ -321,8 +342,10 @@ def test_transfer_measure_matches_dense_on_large_boxes(dimension, q, radius, bet
     indices |= {p % q**n for p in picks}
     for i in sorted(indices):
         cell = Cell.from_index(i, n, q)
-        assert math.isclose(mu.mass(cell), dense.mass(cell), rel_tol=1e-12)
-        assert math.isclose(mu.log_mass(cell), math.log(dense.mass(cell)), rel_tol=1e-12, abs_tol=1e-12)
+        log_mass = oracle_log_mass(mu, cell, radius)
+        assert math.isclose(math.exp(log_mass), dense.mass(cell), rel_tol=1e-12)
+        assert math.isclose(log_mass, math.log(dense.mass(cell)), rel_tol=1e-12, abs_tol=1e-12)
+    assert_constant_log_mass(mu, dense, n, q)
     assert math.isclose(
         mu.log_partition, dense_log_partition(box, q, coupling, beta), rel_tol=1e-12, abs_tol=1e-12
     )
@@ -434,7 +457,75 @@ def test_budget_message_for_huge_state_count(states):
     )
 
 
-def test_cell_must_match_box():
-    scheme = VolumeScheme(1, (1, 2), 2, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="does not match the box"):
-        scheme.measure(2).mass(const(1).restrict(scheme.box(1), 2))
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        ((const(1), flipped(1, 2)), ()),
+        ((const(1), flipped(1, 2)), (const(1),)),
+        ((const(1), flipped(1, 2)), (const(1), const(1), const(1))),
+        ((const(1), flipped(1, 2), const(2)), (const(1), const(1))),
+        ((const(1), 1), (const(1), const(1))),
+        ((const(1), flipped(1, 2)), (const(1), {"tail": 1})),
+        (const(1), (const(1), const(1))),
+        ("ab", (const(1), const(1))),
+    ],
+    ids=["psi-0", "psi-1", "psi-3", "phi-3", "phi-int", "psi-dict", "phi-tail-cell", "phi-string"],
+)
+def test_coefficient_needs_two_tail_cells_each(monkeypatch, phi, psi):
+    scheme = VolumeScheme(1, (1,), 2, 1.0, 1.0)
+    monkeypatch.setattr(limits, "LatticeBox", lambda *args: pytest.fail("a box was built"))
+    for radius in (1, 2):  # before the radius is looked up
+        with pytest.raises(ValidationError, match=r"^finite_volume_coeff: phi and psi must each be two tail cells$"):
+            ev.finite_volume_coeff(scheme, radius, phi, psi)
+
+
+def outcome(coeff, scheme, radius, phi, psi):
+    """A coefficient as ``float.hex``, or the text of its rejection."""
+    try:
+        return float.hex(coeff(scheme, radius, phi, psi))
+    except ValidationError as exc:
+        return f"rejected: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_coefficient_matches_full_box_oracle_bit_for_bit(data):
+    dimension, radius, q = data.draw(st.sampled_from((1, 2))), data.draw(st.integers(0, 3)), data.draw(st.integers(2, 4))
+    # faces and corners often, then the whole box; in one example of four also one step outside it
+    reach = radius + data.draw(st.sampled_from((0, 0, 0, 1)))
+    coord = st.one_of(st.sampled_from((-radius, radius)), st.integers(-reach, reach))
+    site = st.tuples(*[coord] * dimension)
+    state = st.integers(1, q)
+    tails = data.draw(state), data.draw(state)
+    if data.draw(st.booleans()):
+        tails = tails[0], tails[0]
+    phi = tuple(TailCell(t, data.draw(st.dictionaries(site, state, max_size=4))) for t in tails)
+
+    def child():
+        kind = data.draw(st.sampled_from(("phi", "padded", "fresh")))
+        if kind == "fresh":
+            return TailCell(data.draw(state), data.draw(st.dictionaries(site, state, max_size=3)))
+        cell = data.draw(st.sampled_from(phi))
+        if kind == "padded":  # the same cell on the box, with its tail state written at one more site
+            return TailCell(cell.tail, {data.draw(site): cell.tail, **dict(cell.pattern)})
+        return cell
+
+    psi = (child(), child())
+    scheme = VolumeScheme(dimension, (radius,), q, data.draw(COUPLINGS), data.draw(BETAS))
+    expected = outcome(oracle_coeff, scheme, radius, phi, psi)
+    assert outcome(ev.finite_volume_coeff, scheme, radius, phi, psi) == expected
+
+
+def test_budget_edge_coefficient_allocates_nothing_per_site():
+    # 1 + 999,999 box sites, exactly the budget; the full-box cells took tens of MiB
+    scheme = VolumeScheme(1, (0, 499999), 2, 1.0, 0.7)
+    phi = (const(1), flipped(1, 2))
+    tracemalloc.start()
+    try:
+        value = ev.finite_volume_coeff(scheme, 499999, phi, (const(1), const(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # flipping the origin breaks both of its edges
+    assert value == pytest.approx((1 + math.exp(-1.4)) ** -2, rel=1e-12)
+    assert peak < 2**20
