@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import numbers
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -41,6 +42,7 @@ __all__ = [
     "nonzero_count",
     "export_matrix_csv",
     "export_matrix_json",
+    "write_matrix",
     "load_matrix_csv",
     "load_matrix_json",
 ]
@@ -142,11 +144,10 @@ class HeredityMatrix:
         keep = np.flatnonzero(np.abs(sums) >= COEFF_DROP)
         return dict(zip((keep if dense else distinct[keep]).tolist(), sums[keep].tolist()))
 
-    def entry_chunks(self, max_entries: int = 1 << 12):
-        """All nonzero entries as ``(rows, cols, values)`` arrays, sorted.
+    def _walk(self, max_entries: int, block, dtype):
+        """Chunks of consecutive generators, about ``max_entries`` entries each, as ``(rows, cols, values)``.
 
-        Each chunk covers consecutive generators and holds about
-        ``max_entries`` entries, more only when one row alone is wider.
+        ``block(c, pos)`` gives the values of the level-``c`` row classes at ``pos``, ``(len(pos), 4**c)``.
         """
         width = 4 ** self.row_level[self.gen_row]
         ends = np.cumsum(width)
@@ -156,35 +157,47 @@ class HeredityMatrix:
             rid, size = self.gen_row[g0:g1], width[g0:g1]
             level, offset = self.row_level[rid], np.cumsum(size) - size
             cols = np.empty(int(size.sum()), dtype=np.int64)
-            vals = np.empty(len(cols))
+            vals = np.empty(len(cols), dtype=dtype)
             for c in np.unique(level).tolist():
                 sel = level == c
                 pos = rid[sel] - self.level_start[c]
-                kids, w = self._children[c][pos], self._weights[c][pos]
+                kids = self._children[c][pos]
                 at = offset[sel][:, None] + np.arange(4**c)
                 cols[at] = (kids[:, :, None] * self.kn + kids[:, None, :]).reshape(len(pos), -1)
-                vals[at] = (w[:, :, None] * w[:, None, :]).reshape(len(pos), -1)
+                vals[at] = block(c, pos)
             yield np.repeat(np.arange(g0, g1), size), cols, vals
+
+    def entry_chunks(self, max_entries: int = 1 << 12):
+        """All nonzero entries as ``(rows, cols, values)`` arrays, sorted, about ``max_entries`` a chunk."""
+        return self._walk(max_entries, lambda c, pos: _outer(self._weights[c][pos]), float)
 
     @cached_property
     def _text_table(self) -> tuple:
-        """Sorted distinct coefficients, their ``repr`` texts and the ``str`` texts of the indices."""
-        values = np.unique(np.concatenate([(w[:, :, None] * w[:, None, :]).ravel() for w in self._weights]))
-        value_text = np.array(list(map(repr, values.tolist())), dtype=object)
-        return values, value_text, np.array(list(map(str, range(self.dimension))), dtype=object)
+        """Per level, the ``repr`` texts of the row classes' entries, ``(R, 4**c)``; the ``str`` texts of the indices.
 
-    def entry_texts(self):
-        """``entry_chunks`` as flat ``(row, col, value, ...)`` tuples of strings.
-
-        The table holds the per-level products ``entry_chunks`` computes (every
-        chunk value, bit for bit) and is built once per matrix for both exports.
+        Each distinct coefficient is formatted once and found per level by binary search; an inverse from
+        ``np.unique`` over all levels raised the peak memory of edgeless n=4, k=4 from 51 to 71 MiB.
         """
-        values, value_text, index_text = self._text_table
-        for rows, cols, vals in self.entry_chunks():
-            # ascending needles keep the binary searches in cache
-            uniq, at = np.unique(vals, return_inverse=True)
-            cells = (index_text[rows], index_text[cols], value_text[np.searchsorted(values, uniq)][at])
-            yield tuple(np.stack(cells, axis=1).ravel().tolist())
+        values = np.unique(np.concatenate([_outer(w).ravel() for w in self._weights]))
+        texts = np.array(list(map(repr, values.tolist())), dtype=object)
+        value_text = [texts[np.searchsorted(values, _outer(w))] for w in self._weights]
+        return value_text, np.array(list(map(str, range(self.dimension))), dtype=object)
+
+    def entry_texts(self, max_entries: int = 1 << 12):
+        """``entry_chunks`` as flat ``(row, col, value, ...)`` tuples of strings, from the same walk.
+
+        Values are read per row class from ``_text_table``, which only an export builds; no chunk is sorted.
+        """
+        value_text, index_text = self._text_table
+        for rows, cols, vals in self._walk(max_entries, lambda c, pos: value_text[c][pos], object):
+            cells = np.empty((len(vals), 3), dtype=object)
+            cells[:, 0], cells[:, 1], cells[:, 2] = index_text[rows], index_text[cols], vals
+            yield tuple(cells.ravel().tolist())
+
+
+def _outer(w: np.ndarray) -> np.ndarray:
+    """Each row of ``w`` times itself as a flat outer product: the row-class entries, ``(R, 4**c)``."""
+    return (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)
 
 
 class AlgebraElement:
@@ -324,9 +337,7 @@ def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> Evolutio
     """Construct the algebra for a graph, state space and positive measure."""
     n, k = graph.vertex_count, space.k
     if k ** (2 * n) > DIMENSION_BUDGET:
-        raise BudgetError(
-            f"pair space of size k^2n = {k ** (2 * n)} exceeds the budget {DIMENSION_BUDGET}"
-        )
+        raise BudgetError(f"pair space of size k^2n = {k ** (2 * n)} exceeds the budget {DIMENSION_BUDGET}")
     if measure.n != n or measure.k != k:
         raise ValidationError("measure does not match the graph and state space")
     return EvolutionAlgebra(graph, space, measure, HeredityMatrix(graph, space, measure))
@@ -343,63 +354,75 @@ def matrix_entries(algebra: EvolutionAlgebra):
         yield from zip(rows.tolist(), cols.tolist(), vals.tolist())
 
 
-def export_matrix_csv(algebra: EvolutionAlgebra, path):
-    """Write the entries as ``csv.writer`` would, one chunk of rows at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,value\r\n")
+def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
+    """Write the CSV export, the JSON export or both, chunk by chunk in one walk over ``entry_texts``:
+    what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write."""
+    # the labels go first: made while the text table is held, their lists would raise the peak memory
+    labels = ",\n  ".join(map(encode_basestring_ascii, algebra.pair_labels())) if json_path else ""
+    heads = ("row,col,value\r\n", f'{{\n "dimension": {algebra.dimension},\n "entries": [\n')
+    with ExitStack() as files:
+        csv_fh = csv_path and files.enter_context(open(csv_path, "w", newline=""))
+        json_fh = json_path and files.enter_context(open(json_path, "w"))
         for cells in algebra.matrix.entry_texts():
-            fh.write("%s,%s,%s\r\n" * (len(cells) // 3) % cells)
+            count = len(cells) // 3
+            if csv_fh:
+                csv_fh.write(heads[0] + "%s,%s,%s\r\n" * count % cells)
+            if json_fh:
+                json_fh.write(heads[1] + ",\n".join(["  [\n   %s,\n   %s,\n   %s\n  ]"] * count) % cells)
+            heads = ("", ",\n")  # past the first chunk: no header, and a comma after the previous JSON entry
+        if json_fh:
+            json_fh.write(f'\n ],\n "labels": [\n  {labels}\n ],\n "schema_version": 1,\n "states": {algebra.space.k},\n'
+                          f' "vertices": {algebra.graph.vertex_count}\n}}\n')
+
+
+def export_matrix_csv(algebra: EvolutionAlgebra, path):
+    """Write the entries as ``csv.writer`` would: ``write_matrix`` for the CSV alone."""
+    write_matrix(algebra, csv_path=path)
 
 
 def export_matrix_json(algebra: EvolutionAlgebra, path):
-    """Write what ``json.dump(payload, fh, sort_keys=True, indent=1)`` would, a chunk at a time."""
-    labels = ",\n  ".join(map(encode_basestring_ascii, algebra.pair_labels()))
-    with open(path, "w") as fh:
-        fh.write(f'{{\n "dimension": {algebra.dimension},\n "entries": [')
-        sep = "\n"
-        for cells in algebra.matrix.entry_texts():
-            fh.write(sep + ",\n".join(["  [\n   %s,\n   %s,\n   %s\n  ]"] * (len(cells) // 3)) % cells)
-            sep = ",\n"
-        fh.write(
-            f'\n ],\n "labels": [\n  {labels}\n ],\n "schema_version": 1,\n'
-            f' "states": {algebra.space.k},\n "vertices": {algebra.graph.vertex_count}\n}}\n'
-        )
+    """Write what ``json.dump(payload, fh, sort_keys=True, indent=1)`` would: ``write_matrix`` for the JSON alone."""
+    write_matrix(algebra, json_path=path)
 
 
-def load_matrix_csv(path) -> dict:
-    """Read an exported CSV back into ``{(row, col): value}``."""
+def _checked_entries(rows, fields) -> dict:
+    """``{(row, col): value}`` from ``(where, raw)`` rows: ``fields(raw)`` must give non-negative integer
+    row and col and a finite int or float value, and no ``(row, col)`` may repeat."""
     entries = {}
-    # bytes that are not UTF-8 reach the header and field checks below as lone surrogates, which no number parses
-    with open(path, newline="", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row", "col", "value"]:
-            raise ValidationError(f"matrix csv {path}: unexpected header")
-        for line in reader:
-            try:
-                r, c, v = line
-                entries[(int(r), int(c))] = float(v)
-            except ValueError:
-                raise ValidationError(
-                    f"matrix csv {path} line {reader.line_num}: integer row and col and a value required, "
-                    f"got {shown(line)}"
-                ) from None
+    for where, raw in rows:
+        try:
+            r, c, v = fields(raw)
+            if not (type(r) is int and type(c) is int and min(r, c) >= 0 and type(v) in (int, float) and math.isfinite(v)):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):  # not three fields, or an integer too large for a float
+            raise ValidationError(
+                f"{where}: non-negative integer row and col and a finite value required, got {shown(raw)}"
+            ) from None
+        if (r, c) in entries:
+            raise ValidationError(f"{where}: repeated entry ({r}, {c})")
+        entries[(r, c)] = float(v)
     return entries
 
 
+def load_matrix_csv(path) -> dict:
+    """Read an exported CSV back into ``{(row, col): value}``, checked by ``_checked_entries``."""
+    # bytes that are not UTF-8 reach the header and field checks below as lone surrogates, which no number parses
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["row", "col", "value"]:
+            raise ValidationError(f"matrix csv {path}: unexpected header")
+        # row and col must be plain digits: int() would also take signs, spaces and underscores
+        return _checked_entries(((f"matrix csv {path} line {reader.line_num}", line) for line in reader), lambda line: (
+            *(int(x) if x.isascii() and x.isdigit() else x for x in line[:2]), *map(float, line[2:])))
+
+
 def load_matrix_json(path) -> dict:
-    """Read an exported JSON back into ``{(row, col): value}``."""
+    """Read an exported JSON back into ``{(row, col): value}``, checked by ``_checked_entries``."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ValidationError(f"matrix json {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("schema_version") != 1:
-        raise ValidationError(f"matrix json {path}: object with schema_version 1 required")
-    try:
-        entries = {(r, c): float(v) for r, c, v in payload["entries"]}
-        if all(type(r) is int and type(c) is int for r, c in entries):
-            return entries
-    except (KeyError, TypeError, ValueError):
-        pass
-    raise ValidationError(f"matrix json {path}: entries of [row, col, value], integer row and col, required")
+    if not (isinstance(payload, dict) and payload.get("schema_version") == 1 and isinstance(payload.get("entries"), list)):
+        raise ValidationError(f"matrix json {path}: object with schema_version 1 and a list of entries required")
+    return _checked_entries(((f"matrix json {path}", item) for item in payload["entries"]), tuple)

@@ -18,11 +18,9 @@ from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .algebra import (
-    NONZERO_BUDGET, build_algebra, export_matrix_csv, export_matrix_json, nonzero_count,
-)
-# matrix_entries stays importable here: bench/tracing.py wraps it by this name
-from .algebra import matrix_entries  # noqa: F401
+from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_matrix
+# matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
+from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
 from .errors import BudgetError, ValidationError, shown
 from .graphs import graph_from_json
@@ -129,8 +127,7 @@ def cmd_build(args) -> int:
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_matrix_csv(algebra, out / "matrix.csv")
-    export_matrix_json(algebra, out / "matrix.json")
+    write_matrix(algebra, out / "matrix.csv", out / "matrix.json")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "vertices": scenario.graph.vertex_count,

@@ -270,18 +270,36 @@ def test_matrix_export_import_roundtrip(tmp_path, edge_algebra):
     assert ev.load_matrix_json(json_path) == entries
 
 
+MALFORMED_MATRIX_FILES = [
+    ("list.json", "[[0, 0, 1.0]]", ": "),
+    ("bare.json", '{"schema_version": 1, "dimension": 16}', ": "),
+    ("flag.json", '{"schema_version": 1, "entries": [[true, 0, 1.0]]}', ": "),
+    ("short.csv", "row,col,value\r\n0,0,1.0\r\n1,1\r\n", " line 3: "),
+    ("fraction.csv", "row,col,value\r\n0,0.5,1.0\r\n", " line 2: "),
+    ("latin.csv", b"row,col,value\r\n0,0,1.0\r\n\xff\xfe,0,1.0\r\n", " line 3: "),
+    ("latin-header.csv", b"row,col,val\xffue\r\n0,0,1.0\r\n", ": unexpected header"),
+    ("string-value.json", '{"schema_version": 1, "entries": [[0, 0, "0.5"]]}', ": "),
+    ("true-value.json", '{"schema_version": 1, "entries": [[0, 0, true]]}', ": "),
+    ("nan-string.json", '{"schema_version": 1, "entries": [[0, 0, "nan"]]}', ": "),
+    ("negative-row.json", '{"schema_version": 1, "entries": [[-1, 0, 0.5]]}', ": "),
+    ("negative-col.json", '{"schema_version": 1, "entries": [[0, -1, 0.5]]}', ": "),
+    ("nan.json", '{"schema_version": 1, "entries": [[0, 0, NaN]]}', ": "),
+    ("inf.json", '{"schema_version": 1, "entries": [[0, 0, 0.5], [0, 1, Infinity]]}', ": "),
+    ("huge.json", '{"schema_version": 1, "entries": [[0, 0, 1' + "0" * 400 + ']]}', ": "),
+    ("repeated.json", '{"schema_version": 1, "entries": [[0, 0, 0.5], [0, 1, 0.25], [0, 0, 0.5]]}', ": "),
+    ("negative-row.csv", "row,col,value\r\n-1,0,0.5\r\n", " line 2: "),
+    ("negative-col.csv", "row,col,value\r\n0,0,0.5\r\n0,-1,0.5\r\n", " line 3: "),
+    ("nan.csv", "row,col,value\r\n0,0,nan\r\n", " line 2: "),
+    ("inf.csv", "row,col,value\r\n0,0,0.5\r\n0,1,inf\r\n", " line 3: "),
+    ("repeated.csv", "row,col,value\r\n0,0,0.5\r\n0,1,0.25\r\n0,0,0.5\r\n", " line 4: "),
+    ("underscore.csv", "row,col,value\r\n1_0,0,0.5\r\n", " line 2: "),
+    ("spaces.csv", "row,col,value\r\n 1 ,0,0.5\r\n", " line 2: "),
+    ("plus.csv", "row,col,value\r\n0,+1,0.5\r\n", " line 2: "),
+]
+
+
 @pytest.mark.parametrize(
-    "name, text, where",
-    [
-        ("list.json", "[[0, 0, 1.0]]", ": "),
-        ("bare.json", '{"schema_version": 1, "dimension": 16}', ": "),
-        ("flag.json", '{"schema_version": 1, "entries": [[true, 0, 1.0]]}', ": "),
-        ("short.csv", "row,col,value\r\n0,0,1.0\r\n1,1\r\n", " line 3: "),
-        ("fraction.csv", "row,col,value\r\n0,0.5,1.0\r\n", " line 2: "),
-        ("latin.csv", b"row,col,value\r\n0,0,1.0\r\n\xff\xfe,0,1.0\r\n", " line 3: "),
-        ("latin-header.csv", b"row,col,val\xffue\r\n0,0,1.0\r\n", ": unexpected header"),
-    ],
-    ids=["list.json", "bare.json", "flag.json", "short.csv", "fraction.csv", "latin.csv", "latin-header.csv"],
+    "name, text, where", MALFORMED_MATRIX_FILES, ids=[name for name, _, _ in MALFORMED_MATRIX_FILES]
 )
 def test_matrix_loaders_name_the_malformed_file(tmp_path, name, text, where):
     path = tmp_path / name

@@ -8,6 +8,7 @@ of the row classes exactly.
 """
 
 import builtins
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -221,34 +222,6 @@ def test_edgeless_six_vertices_match_oracles():
     check_arithmetic(algebra, 6)
 
 
-@settings(max_examples=25, deadline=None)
-@given(algebras(max_n=3, labels=True))
-def test_exports_match_csv_and_json_writers(algebra):
-    entries = oracle_entries(algebra)
-    payload = {
-        "schema_version": 1,
-        "vertices": algebra.graph.vertex_count,
-        "states": algebra.space.k,
-        "dimension": algebra.dimension,
-        "labels": [algebra.pair_label(i) for i in range(algebra.dimension)],
-        "entries": [[i, j, v] for i, j, v in entries],
-    }
-    assert algebra.pair_labels() == payload["labels"]
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        with open(out / "expected.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "value"])
-            writer.writerows([i, j, repr(v)] for i, j, v in entries)
-        with open(out / "expected.json", "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        ev.export_matrix_csv(algebra, out / "matrix.csv")
-        ev.export_matrix_json(algebra, out / "matrix.json")
-        for name in ("csv", "json"):
-            assert (out / f"matrix.{name}").read_bytes() == (out / f"expected.{name}").read_bytes()
-
-
 def write_like_writers(algebra, out: Path, entries):
     """``expected.csv`` and ``expected.json`` from ``csv.writer`` and ``json.dump``."""
     payload = {
@@ -266,6 +239,61 @@ def write_like_writers(algebra, out: Path, entries):
     with open(out / "expected.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras(max_n=3, labels=True))
+def test_exports_match_csv_and_json_writers(algebra):
+    assert algebra.pair_labels() == [algebra.pair_label(i) for i in range(algebra.dimension)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_like_writers(algebra, out, oracle_entries(algebra))
+        ev.export_matrix_csv(algebra, out / "matrix.csv")
+        ev.export_matrix_json(algebra, out / "matrix.json")
+        for name in ("csv", "json"):
+            assert (out / f"matrix.{name}").read_bytes() == (out / f"expected.{name}").read_bytes()
+
+
+@st.composite
+def build_scenarios(draw, max_n=3):
+    """Scenarios for ``build``: random edges, states from ``LABEL_POOL``, random couplings and fields."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.sampled_from([2, 3]))
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [[vertices[a], vertices[b]] for a, b in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    couplings = [rng.uniform(-1.0, 1.0, size=(k, k)) for _ in edges]
+    return {
+        "schema_version": 1,
+        "graph": {"vertices": vertices, "edges": edges},
+        "states": {"states": list(draw(st.permutations(LABEL_POOL))[:k])},
+        "measure": {"hamiltonian": {
+            "beta": 1.0,
+            "pair_coupling": [{"edge": e, "matrix": (m + m.T).tolist()} for e, m in zip(edges, couplings)],
+            "site_field": [{"vertex": v, "values": rng.uniform(-1.0, 1.0, size=k).tolist()} for v in vertices],
+        }},
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(build_scenarios())
+def test_build_writes_what_the_writers_would(scenario):
+    """``build`` writes both files in one pass; each export alone writes the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        path = out / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["build", "--scenario", str(path), "--out", str(out / "build")]) == 0
+        loaded = cli.load_scenario(path)
+        algebra = ev.build_algebra(loaded.graph, loaded.space, loaded.measure)
+        write_like_writers(algebra, out, oracle_entries(algebra))
+        ev.export_matrix_csv(algebra, out / "alone.csv")
+        ev.export_matrix_json(algebra, out / "alone.json")
+        for name in ("csv", "json"):
+            expected = (out / f"expected.{name}").read_bytes()
+            assert (out / "build" / f"matrix.{name}").read_bytes() == expected
+            assert (out / f"alone.{name}").read_bytes() == expected
 
 
 @pytest.mark.parametrize(
@@ -287,6 +315,51 @@ def test_exports_match_writers_across_chunks(tmp_path, n, edges, names):
     ev.export_matrix_json(algebra, tmp_path / "matrix.json")
     for name in ("csv", "json"):
         assert filecmp.cmp(tmp_path / f"matrix.{name}", tmp_path / f"expected.{name}", shallow=False)
+
+
+def test_entry_chunks_and_texts_share_one_walk():
+    """Chunks of 1, 7 and 4,096 entries, with rows of 256 and 1,024 entries wider than the small ones.
+
+    Arrays and texts cut at the same rows, keep rows ascending and match
+    the pair-loop entries; the rows after a chunk's first hold fewer
+    entries than the chunk size, so a chunk of size 1 holds one row.
+    """
+    rng = np.random.default_rng(5)
+    algebras = [
+        ev.build_algebra(ev.Graph(5), ev.StateSpace(2), ev.from_weights(rng.uniform(0.1, 1.0, size=32), 5, 2)),
+        ev.build_algebra(
+            ev.Graph(3, frozenset({(0, 1)})), ev.StateSpace(3), ev.from_weights(rng.uniform(0.1, 1.0, size=27), 3, 3)
+        ),
+    ]
+    for algebra in algebras:
+        expected = oracle_entries(algebra)
+        texts = [text for r, c, v in expected for text in (str(r), str(c), repr(v))]
+        for chunk in (1, 7, 4096):
+            arrays = list(algebra.matrix.entry_chunks(chunk))
+            cells = list(algebra.matrix.entry_texts(chunk))
+            assert [len(t) for t in cells] == [3 * len(rows) for rows, _, _ in arrays]
+            assert all(np.count_nonzero(rows != rows[0]) < chunk for rows, _, _ in arrays)
+            assert all(a[0][-1] < b[0][0] for a, b in zip(arrays, arrays[1:]))
+            got = [e for rows, cols, vals in arrays for e in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+            assert got == expected
+            assert [text for t in cells for text in t] == texts
+        assert len(arrays) > 1
+
+
+def test_only_an_export_builds_the_text_table(tmp_path, monkeypatch):
+    """``build_algebra``, ``hierarchy`` and ``isocheck`` leave the text table unbuilt; ``build`` builds it."""
+    built = []
+    monkeypatch.setattr(cli, "build_algebra", lambda *args: built.append(ev.build_algebra(*args)) or built[-1])
+    edges = [[a, b] for a, b in zip(SIX, SIX[1:])]
+    first = scenario_file(tmp_path / "a.json", SIX, edges, ["a", "b"])
+    second = scenario_file(tmp_path / "b.json", SIX, edges, ["a", "b"], {"hamiltonian": {"model": "potts", "beta": 2.0}})
+    for argv in (["hierarchy", "--scenario", first], ["isocheck", "--scenario", first, "--scenario-b", second]):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(built) == 3
+    assert not any("_text_table" in algebra.matrix.__dict__ for algebra in built)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["build", "--scenario", first, "--out", str(tmp_path)]) == 0
+    assert "_text_table" in built[-1].matrix.__dict__
 
 
 def dumped(payload) -> str:
