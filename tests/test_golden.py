@@ -1,13 +1,14 @@
-"""Golden digests: ``evoalg limits`` and ``evoalg build`` reports match the committed manifests byte for byte."""
+"""Golden digests: ``evoalg limits``, ``build`` and ``hierarchy`` reports match the committed manifests byte for byte."""
 
 import json
 
 import pytest
 
-from golden import make_build_manifest, make_limits_manifest
+from golden import make_build_manifest, make_hierarchy_manifest, make_limits_manifest
 
 LIMITS = json.loads(make_limits_manifest.MANIFEST.read_text())
 BUILD = json.loads(make_build_manifest.MANIFEST.read_text())
+HIERARCHY = json.loads(make_hierarchy_manifest.MANIFEST.read_text())
 
 
 @pytest.mark.parametrize("name", sorted(LIMITS))
@@ -20,3 +21,10 @@ def test_limits_report_matches_golden_manifest(name, tmp_path):
 def test_build_exports_match_golden_manifest(name, tmp_path):
     entry = BUILD[name]
     assert {"scenario": entry["scenario"], **make_build_manifest.run(entry["scenario"], tmp_path)} == entry
+
+
+@pytest.mark.parametrize("name", sorted(HIERARCHY))
+def test_hierarchy_report_matches_golden_manifest(name, tmp_path):
+    entry = HIERARCHY[name]
+    got = make_hierarchy_manifest.run(entry["scenario"], entry["stdout"], tmp_path)
+    assert {"scenario": entry["scenario"], "stdout": entry["stdout"], **got} == entry
