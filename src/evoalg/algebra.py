@@ -184,15 +184,24 @@ class HeredityMatrix:
         return value_text, np.array(list(map(str, range(self.dimension))), dtype=object)
 
     def entry_texts(self, max_entries: int = 1 << 12):
-        """``entry_chunks`` as flat ``(row, col, value, ...)`` tuples of strings, from the same walk.
-
-        Values are read per row class from ``_text_table``, which only an export builds; no chunk is sorted.
-        """
+        """``entry_chunks`` as ``(row, col, value)`` object arrays of texts, from the same walk: values are read per
+        row class from ``_text_table``, which only an export builds, so no chunk is sorted."""
         value_text, index_text = self._text_table
         for rows, cols, vals in self._walk(max_entries, lambda c, pos: value_text[c][pos], object):
-            cells = np.empty((len(vals), 3), dtype=object)
-            cells[:, 0], cells[:, 1], cells[:, 2] = index_text[rows], index_text[cols], vals
-            yield tuple(cells.ravel().tolist())
+            yield index_text[rows], index_text[cols], vals
+
+
+def write_joined(fh, columns, first: str = None):
+    """Write the ``columns``, each an array of texts or one text for every row, interleaved row by row: one
+    ``"".join`` per 4,096 rows.  ``first`` replaces the first text."""
+    count = max(len(column) for column in columns if not isinstance(column, str))
+    for start in range(0, count, 4096):
+        cells = np.empty((min(count - start, 4096), len(columns)), dtype=object)
+        for j, column in enumerate(columns):
+            cells[:, j] = column[start : start + 4096] if np.ndim(column) else column
+        if first is not None and not start:
+            cells[0, 0] = first
+        fh.write("".join(cells.ravel().tolist()))
 
 
 def _outer(w: np.ndarray) -> np.ndarray:
@@ -359,19 +368,21 @@ def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
     what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write."""
     # the labels go first: made while the text table is held, their lists would raise the peak memory
     labels = ",\n  ".join(map(encode_basestring_ascii, algebra.pair_labels())) if json_path else ""
-    heads = ("row,col,value\r\n", f'{{\n "dimension": {algebra.dimension},\n "entries": [\n')
+    # each entry opens with the text that closes the one before; the first opens with the head instead
+    firsts = ("row,col,value\r\n", f'{{\n "dimension": {algebra.dimension},\n "entries": [\n  [\n   ')
     with ExitStack() as files:
         csv_fh = csv_path and files.enter_context(open(csv_path, "w", newline=""))
         json_fh = json_path and files.enter_context(open(json_path, "w"))
-        for cells in algebra.matrix.entry_texts():
-            count = len(cells) // 3
+        for rows, cols, vals in algebra.matrix.entry_texts():
             if csv_fh:
-                csv_fh.write(heads[0] + "%s,%s,%s\r\n" * count % cells)
+                write_joined(csv_fh, ("\r\n", rows, ",", cols, ",", vals), firsts[0])
             if json_fh:
-                json_fh.write(heads[1] + ",\n".join(["  [\n   %s,\n   %s,\n   %s\n  ]"] * count) % cells)
-            heads = ("", ",\n")  # past the first chunk: no header, and a comma after the previous JSON entry
+                write_joined(json_fh, ("\n  ],\n  [\n   ", rows, ",\n   ", cols, ",\n   ", vals), firsts[1])
+            firsts = (None, None)
+        if csv_fh:
+            csv_fh.write("\r\n")
         if json_fh:
-            json_fh.write(f'\n ],\n "labels": [\n  {labels}\n ],\n "schema_version": 1,\n "states": {algebra.space.k},\n'
+            json_fh.write(f'\n  ]\n ],\n "labels": [\n  {labels}\n ],\n "schema_version": 1,\n "states": {algebra.space.k},\n'
                           f' "vertices": {algebra.graph.vertex_count}\n}}\n')
 
 

@@ -14,11 +14,13 @@ import json
 import sys
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass
-from itertools import chain, product
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_matrix
+import numpy as np
+
+from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined, write_matrix
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
@@ -92,31 +94,39 @@ def _dump_json(payload, path, to_stdout: bool):
         fh.write("\n")
 
 
-def _write_list(fh, seq, indent: str, text):
-    """Write ``seq`` as an indented JSON list, ``text(part)`` laying out 1,024 items at a time."""
-    for i in range(0, len(seq), 1024):
-        fh.write(("," if i else "[") + "\n" + text(seq[i : i + 1024]))
-    fh.write(f"\n{indent}]" if seq else "[]")
+def _write_labels(fh, hierarchy, labels, leads: dict, block: str, other: str):
+    """Write the labels of the generators, given in index order, in class order, level by level in the order of
+    ``leads``: ``leads[c]`` opens level ``c``, ``block`` each further block and ``other`` every further label."""
+    order, bounds = hierarchy.members
+    labels = np.array(labels, dtype=object)[order]
+    seps = np.full(len(labels), other, dtype=object)
+    seps[bounds[:-1]] = block
+    starts = bounds[hierarchy.level_start].tolist()
+    for c, lead in leads.items():
+        write_joined(fh, (seps[starts[c] : starts[c + 1]], labels[starts[c] : starts[c + 1]]), lead)
 
 
-def _write_hierarchy(payload, fh):
-    """Write ``json.dump(payload, fh, sort_keys=True, indent=1)`` and a newline, in batches.
+def _write_hierarchy_text(fh, hierarchy, labels):
+    """Write ``hierarchy.txt``: the level count, then each level from the top, one line per block."""
+    top, blocks = hierarchy.level_count - 1, np.diff(hierarchy.level_start).tolist()
+    leads = {c: f"{top + 1} levels" * (c == top) + f"\nlevel {c}: {blocks[c]} block(s)\n  " for c in range(top, -1, -1)}
+    _write_labels(fh, hierarchy, labels, leads, "\n  ", " ")
+    fh.write("\n")
 
-    A batch of flows fills one ``%d`` template, and each label passes once
-    through the encoder ``json.dump`` uses.  There is always a level 0.
-    """
-    counts = payload["counts"]
-    counts = "null" if counts is None else "{\n" + ",\n".join(f'  "{k}": {counts[k]}' for k in sorted(counts)) + "\n }"
-    fh.write(f'{{\n "counts": {counts},\n "flows": ')
-    flow = "  [\n   [\n    %d,\n    %d\n   ],\n   [\n    %d,\n    %d\n   ]\n  ]"
-    flat = chain.from_iterable
-    _write_list(fh, payload["flows"], " ", lambda part: ",\n".join([flow] * len(part)) % tuple(flat(flat(part))))
-    fh.write(f',\n "level_count": {payload["level_count"]},\n "levels": [')
-    for i, blocks in enumerate(payload["levels"]):
-        fh.write(",\n  " if i else "\n  ")
-        _write_list(fh, blocks, "  ", lambda part: ",\n".join(
-            "   [\n    " + ",\n    ".join(map(encode_basestring_ascii, b)) + "\n   ]" for b in part))
-    fh.write(f'\n ],\n "schema_version": {payload["schema_version"]}\n}}\n')
+
+def _write_hierarchy(fh, hierarchy, labels, counts):
+    """Write ``hierarchy.json`` as ``json.dump(payload, fh, sort_keys=True, indent=1)`` and a newline would: ``counts``,
+    the flows, the level count and the levels' generators by their ``labels``.  Each flow and each level opens with the
+    text that closes the one before; each class's coordinates are put together once and each label encoded once."""
+    fh.write(json.dumps({"counts": counts}, sort_keys=True, indent=1)[:-2] + ',\n "flows": ')  # all but the closing "\n}"
+    coord = np.array([f"{c},\n    " for c in range(hierarchy.level_count)], dtype=object)[hierarchy.row_level]
+    coord += np.array(list(map(str, range(len(coord)))), dtype=object)[hierarchy.positions]
+    flows = ("\n   ]\n  ],\n  [\n   [\n    ", coord[hierarchy.flow_source], "\n   ],\n   [\n    ", coord[hierarchy.flow_target])
+    write_joined(fh, flows, "[\n  [\n   [\n    ")
+    fh.write(("\n   ]\n  ]\n ]" if len(flows[1]) else "[]") + f',\n "level_count": {hierarchy.level_count},\n "levels": ')
+    leads = {c: "\n   ]\n  ],\n  [\n   [\n    " if c else "[\n  [\n   [\n    " for c in range(hierarchy.level_count)}
+    _write_labels(fh, hierarchy, list(map(encode_basestring_ascii, labels)), leads, "\n   ],\n   [\n    ", ",\n    ")
+    fh.write(f'\n   ]\n  ]\n ],\n "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def cmd_build(args) -> int:
@@ -140,46 +150,22 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _hierarchy_payload(scenario) -> dict:
-    algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
-    hierarchy = build_hierarchy(algebra)
-    labels = algebra.pair_labels()
-    levels = [
-        [[labels[g] for g in block] for block in blocks]
-        for blocks in hierarchy.levels
-    ]
-    try:
-        counts_payload = asdict(structure_counts(algebra))
-    except ValidationError:
-        counts_payload = None
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "level_count": hierarchy.level_count,
-        "levels": levels,
-        "counts": counts_payload,
-        "flows": hierarchy.flows,
-    }
-
-
-def _hierarchy_text(payload) -> str:
-    lines = [f"{payload['level_count']} levels"]
-    for lvl in range(len(payload["levels"]) - 1, -1, -1):
-        blocks = payload["levels"][lvl]
-        lines.append(f"level {lvl}: {len(blocks)} block(s)")
-        for block in blocks:
-            lines.append("  " + " ".join(block))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_hierarchy(args) -> int:
     scenario = load_scenario(args.scenario)
-    payload = _hierarchy_payload(scenario)
+    algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
+    hierarchy = build_hierarchy(algebra)
+    try:
+        counts = asdict(structure_counts(algebra))
+    except ValidationError:
+        counts = None
+    labels = algebra.pair_labels()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not args.stdout:
-        (out / "hierarchy.txt").write_text(_hierarchy_text(payload))
+        with open(out / "hierarchy.txt", "w") as fh:
+            _write_hierarchy_text(fh, hierarchy, labels)
     with nullcontext(sys.stdout) if args.stdout else open(out / "hierarchy.json", "w") as fh:
-        _write_hierarchy(payload, fh)
+        _write_hierarchy(fh, hierarchy, labels, counts)
     return 0
 
 
@@ -350,8 +336,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError) as exc:  # a scenario is read with a message of its own: an OSError is from --out
+        print(f"error: {'out: ' if isinstance(exc, OSError) else ''}{exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

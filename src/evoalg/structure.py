@@ -8,13 +8,14 @@ Diagonal pairs sit alone at level 0, every other block strictly above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import pairwise, product
 
 import numpy as np
 
 from .algebra import EvolutionAlgebra
-from .errors import ValidationError
+from .errors import ValidationError, is_index, shown
 from .graphs import components
 
 __all__ = [
@@ -109,56 +110,67 @@ def descent_chain(algebra: EvolutionAlgebra, sigma) -> DescentChain:
     return DescentChain(tuple(algebra.pair_from_index(i) for i in chain))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hierarchy:
-    """Leveled block decomposition of the generator set.
+    """Leveled block decomposition of the generator set, held as the matrix's arrays.
 
-    ``levels[r]`` lists the blocks of level ``r`` as sorted generator
-    tuples; ``flows`` holds ``((level, pos), (level, pos))`` edges, always
-    pointing to a strictly lower level.
+    Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from classes
+    ``flow_source`` to classes ``flow_target`` on lower levels.  ``levels`` (each level's blocks as sorted generator
+    tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built on first read.
     """
 
-    levels: tuple
-    flows: tuple
-    _block_index: dict = field(repr=False, compare=False)
+    gen_row: np.ndarray
+    row_level: np.ndarray
+    level_start: np.ndarray
+    flow_source: np.ndarray
+    flow_target: np.ndarray
 
     @property
     def level_count(self) -> int:
-        return len(self.levels)
+        return len(self.level_start) - 1
 
-    def block_of(self, index: int):
+    @property
+    def positions(self) -> np.ndarray:
+        return np.arange(len(self.row_level)) - self.level_start[self.row_level]
+
+    @cached_property
+    def members(self) -> tuple:
+        """The generators in class order, and where each class begins among them (one more bound at the end)."""
+        order = np.argsort(self.gen_row, kind="stable")
+        return order, np.searchsorted(self.gen_row[order], np.arange(len(self.row_level) + 1))
+
+    @cached_property
+    def levels(self) -> tuple:
+        order, bounds = (a.tolist() for a in self.members)
+        blocks = [tuple(order[a:b]) for a, b in pairwise(bounds)]
+        return tuple(tuple(blocks[a:b]) for a, b in pairwise(self.level_start.tolist()))
+
+    @cached_property
+    def flows(self) -> tuple:
+        coords = list(zip(self.row_level.tolist(), self.positions.tolist()))
+        return tuple((coords[a], coords[b]) for a, b in zip(self.flow_source.tolist(), self.flow_target.tolist()))
+
+    def block_of(self, index) -> tuple:
         """The ``(level, position)`` coordinates of a generator's block."""
-        try:
-            return self._block_index[index]
-        except KeyError:
-            raise ValidationError(f"generator {index} not present in the hierarchy") from None
+        if not is_index(index):
+            raise ValidationError(f"generator must be an integer, got {shown(index)}")
+        if not 0 <= index < len(self.gen_row):
+            raise ValidationError(f"generator {index} not present in the hierarchy")
+        level = self.row_level[self.gen_row[index]]
+        return int(level), int(self.gen_row[index] - self.level_start[level])
 
 
 def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
-    """Group generators into row classes and rank them by level.
+    """Rank the row classes by level and list the flows between them.
 
-    A class whose parents differ on ``c`` components sits at level ``c``.
-    It flows to its ``3**c - 1`` proper sub-classes: on every disagreeing
-    component keep ``lo``, ``hi`` or both, short of both everywhere.
-    Blocks of a level are ordered by their smallest generator.
+    A class whose parents differ on ``c`` components sits at level ``c`` and flows to its ``3**c - 1`` proper
+    sub-classes: on every disagreeing component keep ``lo``, ``hi`` or both, short of both everywhere.  A class's
+    smallest generator is ``(lo, hi)``, so classes in key order are each level's blocks by smallest generator.
     """
     m = algebra.matrix
-    level, level_start = m.row_level, m.level_start
-    # the smallest generator of a class is (lo, hi) itself, so classes in
-    # key order are blocks in order of their smallest generator
-    pos = np.arange(len(level)) - level_start[level]
-    order = np.argsort(m.gen_row, kind="stable")
-    bounds = np.searchsorted(m.gen_row[order], np.arange(len(level) + 1)).tolist()
-    gens = order.tolist()
-    blocks = [tuple(gens[bounds[r] : bounds[r + 1]]) for r in range(len(level))]
-    levels = tuple(
-        tuple(blocks[level_start[c] : level_start[c + 1]]) for c in range(len(level_start) - 1)
-    )
-    coords = list(zip(level.tolist(), pos.tolist()))
-    coord = dict(zip(range(algebra.dimension), map(coords.__getitem__, m.gen_row.tolist())))
     sources, targets = [], []
-    for c in range(len(levels)):
-        rows = np.arange(level_start[c], level_start[c + 1])
+    for c in range(len(m.level_start) - 1):
+        rows = np.arange(m.level_start[c], m.level_start[c + 1])
         lo, hi = m.contrib[m.row_lo[rows]], m.contrib[m.row_hi[rows]]
         steps = (hi - lo)[hi != lo].reshape(len(rows), c)
         keep = np.array(list(product(range(3), repeat=c))[:-1]).reshape(3**c - 1, c)
@@ -169,9 +181,7 @@ def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
         # classes run in (level, position) order: sorting each row sorts the flows
         sources.append(np.repeat(rows, len(keep)))
         targets.append(np.sort(np.searchsorted(m.classes, sub_class), axis=1).ravel())
-    src, dst = np.concatenate(sources).tolist(), np.concatenate(targets).tolist()
-    flows = tuple(zip(map(coords.__getitem__, src), map(coords.__getitem__, dst)))
-    return Hierarchy(levels, flows, coord)
+    return Hierarchy(m.gen_row, m.row_level, m.level_start, np.concatenate(sources), np.concatenate(targets))
 
 
 @dataclass(frozen=True)
@@ -251,22 +261,14 @@ def collapse_by_symmetry(algebra: EvolutionAlgebra, classes) -> CollapsedTable:
     not a valid collapse.  Each class contributes its first member's
     aggregated row to the reduced table.
     """
-    normalized = []
-    seen = set()
-    for cls in classes:
-        members = [algebra.pair_index(p) for p in cls]
-        if not members:
-            raise ValidationError("collapse: empty class")
-        if seen & set(members):
-            raise ValidationError("collapse: classes must be disjoint")
-        seen.update(members)
-        normalized.append(tuple(members))
-    if seen != set(range(algebra.dimension)):
+    normalized = [tuple(algebra.pair_index(p) for p in cls) for cls in classes]
+    if not all(normalized):
+        raise ValidationError("collapse: empty class")
+    class_of = {g: cid for cid, members in enumerate(normalized) for g in members}
+    if len(class_of) != sum(map(len, normalized)):
+        raise ValidationError("collapse: classes must be disjoint and list each generator once")
+    if len(class_of) != algebra.dimension:
         raise ValidationError("collapse: classes must partition all generators")
-    class_of = {}
-    for cid, members in enumerate(normalized):
-        for g in members:
-            class_of[g] = cid
 
     def aggregated(g: int) -> dict:
         out: dict = {}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -317,11 +318,15 @@ def oracle_entries(algebra):
     return out
 
 
+OracleHierarchy = namedtuple("OracleHierarchy", "levels flows coord")
+
+
 def oracle_hierarchy(algebra):
     """Blocks, levels and flows by searching children sets for strict subsets.
 
     A block's level is its longest flow distance to a diagonal singleton,
     found from the children sets of the pairs drawn from its own children.
+    ``coord`` maps each generator to its block's ``(level, position)``.
     """
     children, _ = pair_loop_rows(algebra.graph, algebra.space, algebra.measure)
     kn = algebra.kn
@@ -354,7 +359,7 @@ def oracle_hierarchy(algebra):
         src = coord[groups[key][0]]
         for other in subsets_of[key]:
             flows.add((src, coord[groups[other][0]]))
-    return ev.Hierarchy(levels, tuple(sorted(flows)), coord)
+    return OracleHierarchy(levels, tuple(sorted(flows)), coord)
 
 
 def oracle_levels(matrix):

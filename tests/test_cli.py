@@ -696,3 +696,29 @@ def test_mutated_scenarios_exit_0_2_or_3(command, data):
             argv += ["--domain", "1"]
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3)
+
+
+def command_argv(command, scenario, out):
+    """``command`` on ``scenario`` with the extra arguments it needs, writing to ``out``."""
+    extra = {"isocheck": ["--scenario-b", scenario], "dlr": ["--domain", "1"]}.get(command, [])
+    return [command, "--scenario", scenario, *extra, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@pytest.mark.parametrize("where", ["existing file", "below a file"])
+def test_unusable_out_path_exits_2_without_traceback(tmp_path, capsys, command, where):
+    scenario = write(tmp_path / "s.json", FUZZ_BASES[command])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if where == "existing file" else blocker / "sub"
+    assert main(command_argv(command, scenario, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and str(out) in err and "Traceback" not in err
+
+
+def test_report_path_taken_by_a_directory_exits_2(tmp_path, capsys):
+    scenario = write(tmp_path / "s.json", edge_scenario())
+    (tmp_path / "out" / "matrix.csv").mkdir(parents=True)
+    assert main(command_argv("build", scenario, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and "matrix.csv" in err and "Traceback" not in err

@@ -151,7 +151,7 @@ def check_hierarchy(algebra):
     got, expected = ev.build_hierarchy(algebra), oracle_hierarchy(algebra)
     assert got.levels == expected.levels
     assert got.flows == expected.flows
-    assert all(got.block_of(g) == expected.block_of(g) for g in range(algebra.dimension))
+    assert all(got.block_of(g) == expected.coord[g] for g in range(algebra.dimension))
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,16 +333,16 @@ def test_entry_chunks_and_texts_share_one_walk():
     ]
     for algebra in algebras:
         expected = oracle_entries(algebra)
-        texts = [text for r, c, v in expected for text in (str(r), str(c), repr(v))]
+        texts = [(str(r), str(c), repr(v)) for r, c, v in expected]
         for chunk in (1, 7, 4096):
             arrays = list(algebra.matrix.entry_chunks(chunk))
-            cells = list(algebra.matrix.entry_texts(chunk))
-            assert [len(t) for t in cells] == [3 * len(rows) for rows, _, _ in arrays]
+            columns = list(algebra.matrix.entry_texts(chunk))
+            assert [tuple(map(len, texts)) for texts in columns] == [(len(rows),) * 3 for rows, _, _ in arrays]
             assert all(np.count_nonzero(rows != rows[0]) < chunk for rows, _, _ in arrays)
             assert all(a[0][-1] < b[0][0] for a, b in zip(arrays, arrays[1:]))
             got = [e for rows, cols, vals in arrays for e in zip(rows.tolist(), cols.tolist(), vals.tolist())]
             assert got == expected
-            assert [text for t in cells for text in t] == texts
+            assert [entry for rows, cols, vals in columns for entry in zip(rows, cols, vals)] == texts
         assert len(arrays) > 1
 
 
@@ -369,10 +369,15 @@ def dumped(payload) -> str:
     return fh.getvalue()
 
 
-def written(payload) -> str:
-    fh = io.StringIO()
-    cli._write_hierarchy(payload, fh)
-    return fh.getvalue()
+def hierarchy_text(payload) -> str:
+    """``hierarchy.txt`` from a report payload: the level count, then each level from the top, one line per block."""
+    lines = [f"{payload['level_count']} levels"]
+    for lvl in range(len(payload["levels"]) - 1, -1, -1):
+        blocks = payload["levels"][lvl]
+        lines.append(f"level {lvl}: {len(blocks)} block(s)")
+        for block in blocks:
+            lines.append("  " + " ".join(block))
+    return "\n".join(lines) + "\n"
 
 
 def oracle_hierarchy_payload(algebra) -> dict:
@@ -395,7 +400,12 @@ def oracle_hierarchy_payload(algebra) -> dict:
 @given(algebras(labels=True))
 def test_hierarchy_report_matches_json_dump(algebra):
     payload = oracle_hierarchy_payload(algebra)
-    assert written(payload) == dumped(payload)
+    hierarchy, labels = ev.build_hierarchy(algebra), algebra.pair_labels()
+    json_fh, text_fh = io.StringIO(), io.StringIO()
+    cli._write_hierarchy(json_fh, hierarchy, labels, payload["counts"])
+    cli._write_hierarchy_text(text_fh, hierarchy, labels)
+    assert json_fh.getvalue() == dumped(payload)
+    assert text_fh.getvalue() == hierarchy_text(payload)
 
 
 def scenario_file(path, vertices, edges, names, measure=None):
@@ -410,8 +420,8 @@ def scenario_file(path, vertices, edges, names, measure=None):
 
 SIX = [f"v{i}" for i in range(6)]
 HIERARCHY_SCENARIOS = {
-    # 4,032 flows and 2,016 level-1 blocks, so both span several batches
     "connected path": (SIX, [[a, b] for a, b in zip(SIX, SIX[1:])], ['q"', "\\"], dict),
+    # 7,168 flows: two batches of at most 4,096
     "two paths": (SIX, [["v0", "v1"], ["v1", "v2"], ["v3", "v4"], ["v4", "v5"]], ["é", "\t"], type(None)),
     "one vertex, one state": (["only"], [], ["∑"], dict),
 }
@@ -420,15 +430,28 @@ HIERARCHY_SCENARIOS = {
 @pytest.mark.parametrize("vertices, edges, names, counts", HIERARCHY_SCENARIOS.values(), ids=list(HIERARCHY_SCENARIOS))
 def test_hierarchy_json_is_json_dump_of_its_payload(tmp_path, capsys, vertices, edges, names, counts):
     scenario = scenario_file(tmp_path / "s.json", vertices, edges, names)
-    payload = cli._hierarchy_payload(cli.load_scenario(scenario))
+    loaded = cli.load_scenario(scenario)
+    payload = oracle_hierarchy_payload(ev.build_algebra(loaded.graph, loaded.space, loaded.measure))
     assert isinstance(payload["counts"], counts)
-    assert (payload["flows"] == ()) == (len(vertices) == 1)
+    assert (payload["flows"] == []) == (len(vertices) == 1)
+    assert (len(payload["flows"]) > 4096) == (counts is type(None))
     expected = dumped(payload).encode("ascii")
     assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "hierarchy.json").read_bytes() == expected
+    assert (tmp_path / "hierarchy.txt").read_text() == hierarchy_text(payload)
     capsys.readouterr()
     assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path), "--stdout"]) == 0
     assert capsys.readouterr().out.encode("ascii") == expected
+
+
+def test_hierarchy_report_leaves_levels_and_flows_unbuilt(tmp_path, monkeypatch):
+    """``hierarchy`` writes from the arrays: the tuples of ``levels`` and ``flows`` are never built."""
+    built = []
+    monkeypatch.setattr(cli, "build_hierarchy", lambda algebra: built.append(ev.build_hierarchy(algebra)) or built[-1])
+    scenario = scenario_file(tmp_path / "s.json", SIX, [[a, b] for a, b in zip(SIX, SIX[1:])], ["a", "b"])
+    assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    assert not {"levels", "flows"} & set(built[0].__dict__)
 
 
 def tampered(algebra, how, rng):

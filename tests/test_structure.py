@@ -120,6 +120,14 @@ def test_block_of_rejects_generator_out_of_range(edge_algebra, index):
         hierarchy.block_of(index)
 
 
+@pytest.mark.parametrize("index", [1.0, True, np.float64(1.0), "1", None])
+def test_block_of_rejects_non_integer_generators(edge_algebra, index):
+    hierarchy = ev.build_hierarchy(edge_algebra)
+    assert hierarchy.block_of(np.int64(1)) == hierarchy.block_of(1)
+    with pytest.raises(ValidationError, match="generator must be an integer"):
+        hierarchy.block_of(index)
+
+
 def test_every_generator_in_exactly_one_block(free_algebra):
     hierarchy = ev.build_hierarchy(free_algebra)
     seen = [g for blocks in hierarchy.levels for block in blocks for g in block]
@@ -250,6 +258,12 @@ def test_collapse_requires_partition(edge_algebra):
     with pytest.raises(ValidationError):
         classes = [[index] for index in range(edge_algebra.dimension)]
         ev.collapse_by_symmetry(edge_algebra, classes + [[0]])
+
+
+def test_collapse_rejects_a_class_listing_a_generator_twice(edge_algebra):
+    classes = [[0, 0]] + [[index] for index in range(1, edge_algebra.dimension)]
+    with pytest.raises(ValidationError, match="list each generator once"):
+        ev.collapse_by_symmetry(edge_algebra, classes)
 
 
 def test_closure_equals_children_exhaustively():
