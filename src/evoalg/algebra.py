@@ -198,7 +198,7 @@ def write_joined(fh, columns, first: str = None):
     for start in range(0, count, 4096):
         cells = np.empty((min(count - start, 4096), len(columns)), dtype=object)
         for j, column in enumerate(columns):
-            cells[:, j] = column[start : start + 4096] if np.ndim(column) else column
+            cells[:, j] = column if isinstance(column, str) else column[start : start + 4096]
         if first is not None and not start:
             cells[0, 0] = first
         fh.write("".join(cells.ravel().tolist()))
