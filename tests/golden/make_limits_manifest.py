@@ -96,6 +96,18 @@ SCENARIOS = {
                   {"phi": [{"tail": 1}, {"tail": 1}],
                    "psi": [{"tail": 1}, {"tail": 1, "pattern": [[-1, 2]]}]}],
     },
+    # an antiferromagnetic 1-D chain over gapped radii, three states
+    "low_temp_1d_q3_gapped_radii_negative_J": {
+        "dimension": 1, "states": 3, "radii": [0, 3, 10, 31], "J": -0.7, "beta": 1.3,
+        "pairs": [{"phi": [{"tail": 3}, {"tail": 1, "pattern": [[0, 2]]}],
+                   "psi": [{"tail": 1, "pattern": [[0, 2]]}, {"tail": 3}]}],
+        "low_temp": {"betas": [0.5, 3.0, 9.5]},
+    },
+    # the largest radius underflows at the largest beta, after every smaller box has passed: exit 2
+    "low_temp_1d_q2_largest_radius_underflows": {
+        "dimension": 1, "states": 2, "radii": [0, 5, 80], "J": 1.0, "beta": 1.0,
+        "low_temp": {"betas": [0.41, 4.7]},
+    },
     # a pattern site outside the smallest box
     "pattern_outside_smallest_radius": {
         "dimension": 1, "states": 2, "radii": [0, 2], "J": 1.0, "beta": 1.0,

@@ -372,6 +372,69 @@ def test_underflow_rejection_agrees_with_dense(dimension, q, radius, strength):
         assert scheme.measure(radius).log_partition > 0
 
 
+def fresh_outcome(radius, q, coupling, beta):
+    """What a fresh ``BoxMeasure`` of the 1-D box gives: its values in hex, or its error's type and text."""
+    try:
+        mu = limits.BoxMeasure(ev.LatticeBox(1, radius), q, coupling, beta)
+    except (BudgetError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return mu.columns, mu.width, mu.strength.hex(), mu.log_partition.hex(), mu.constant_log_mass.hex()
+
+
+def chain_outcome(scheme, radius):
+    try:
+        mu = scheme.measure(radius)
+    except (BudgetError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return mu.columns, mu.width, mu.strength.hex(), mu.log_partition.hex(), mu.constant_log_mass.hex()
+
+
+CHAIN_RADII = (0, 1, 2, 5, 9, 17)
+CHAIN_ORDERS = {
+    "ascending": CHAIN_RADII,
+    "descending": CHAIN_RADII[::-1],
+    "mixed": (5, 0, 17, 2, 5, 9, 1, 17, 0),
+}
+
+
+@pytest.mark.parametrize("order", sorted(CHAIN_ORDERS))
+@pytest.mark.parametrize("coupling", [0.83, -1.27])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_chain_measures_match_fresh_box_measures_bit_for_bit(q, coupling, order):
+    """In 1-D every radius of a scheme reads the same values, to the bit, as a fresh box measure, in any order."""
+    scheme = VolumeScheme(1, CHAIN_RADII, q, coupling, 1.9)
+    for radius in CHAIN_ORDERS[order]:
+        assert chain_outcome(scheme, radius) == fresh_outcome(radius, q, coupling, 1.9)
+
+
+@pytest.mark.parametrize("order", sorted(CHAIN_ORDERS))
+def test_chain_underflow_of_the_largest_radius_spares_the_smaller(order):
+    # 2r * beta*J past -log(POSITIVITY_FLOOR) ~ 690.8 only at r = 80: 160 * 4.7 = 752
+    radii, q, coupling, beta = (0, 5, 80), 2, 1.0, 4.7
+    scheme = VolumeScheme(1, radii, q, coupling, beta)
+    requests = {"ascending": radii, "descending": radii[::-1], "mixed": (80, 0, 80, 5, 80)}[order]
+    for radius in requests:
+        got = chain_outcome(scheme, radius)
+        assert got == fresh_outcome(radius, q, coupling, beta)
+        assert (got[0] is ValidationError) == (radius == 80)
+    assert chain_outcome(scheme, 80)[1] == "gibbs: normalized weights underflow; measure no longer strictly positive"
+
+
+@pytest.mark.parametrize("coupling", [1.0, -1.0])
+def test_chain_budget_of_the_largest_radius_spares_the_smaller(coupling):
+    # columns * q^2 = 250001 * 4 entries, one column past the budget at r = 125000
+    radii, q, beta = (0, 3, 124999, 125000), 2, 1e-3
+    scheme = VolumeScheme(1, radii, q, coupling, beta)
+    for radius in (125000, 3, 125000, 0):
+        got = chain_outcome(scheme, radius)
+        assert got == fresh_outcome(radius, q, coupling, beta)
+        assert (got[0] is BudgetError) == (radius == 125000)
+    assert chain_outcome(scheme, 125000)[1] == (
+        "transfer sweep: columns * q^(2*width) = 1000004 entries exceed the enumeration budget of 1000000"
+    )
+
+
+# sites off the centre of the box, one state each, per dimension
 # sites off the centre of the box, one state each, per dimension
 OFF_CENTRE = {
     1: [(1, 2), (-1, 2), (2, 1)],

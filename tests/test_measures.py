@@ -368,3 +368,33 @@ def test_measure_from_json_general(edge_graph, two_states):
 def test_measure_from_json_rejects_partial_weights(edge_graph, two_states):
     with pytest.raises(ValidationError):
         ev.measure_from_json({"weights": {"(a,a)": 1}}, edge_graph, two_states)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"(a,a,a)": 1}, "measure.weights: key '(a,a,a)' must list 2 states"),
+        ({"a": 1}, "measure.weights: key 'a' must list 2 states"),
+        ({"(a,a)": 1, "(a,b)": 2}, "states: unknown state label 'b'"),
+        ({"(a,a)": 1, " ( a , a ) ": 2}, "measure.weights: duplicate cell ' ( a , a ) '"),
+        ({"(A,a)": 1, "A,a": 2}, "measure.weights: duplicate cell 'A,a'"),
+    ],
+    ids=["too-many-states", "too-few-states", "unknown-label", "duplicate-spaced", "duplicate-unbracketed"],
+)
+def test_measure_from_json_weights_key_messages(edge_graph, two_states, table, message):
+    with pytest.raises(ValidationError) as exc:
+        ev.measure_from_json({"weights": table}, edge_graph, two_states)
+    assert str(exc.value) == message
+
+
+def test_measure_from_json_weights_keys_follow_the_cell_index():
+    """Key ``(s_0,...,s_{n-1})`` weighs the cell whose index has ``s_0`` as its least significant digit."""
+    labels = ['q"', "\\", "∑"]
+    graph = ev.Graph(3, frozenset())
+    space = ev.StateSpace(3, tuple(labels))
+    table = {
+        "(" + ",".join(labels[s - 1] for s in states) + ")": cell(states, 3).index + 1
+        for states in itertools.product((3, 1, 2), repeat=3)
+    }
+    mu, _ = ev.measure_from_json({"weights": table}, graph, space)
+    assert mu.weights.tolist() == (np.arange(1, 28) / np.arange(1, 28).sum()).tolist()
