@@ -89,9 +89,9 @@ def load_scenario(path) -> Scenario:
 
 
 def _dump_json(payload, path, to_stdout: bool):
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"  # one write, not json.dump's one per token
     with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_labels(fh, hierarchy, labels, leads: dict, block: str, other: str):

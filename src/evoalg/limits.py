@@ -90,6 +90,25 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(x - top).sum(axis=0))
 
 
+def _column_sweep(width: int, states: int, strength: float, stops):
+    """Yield ``log Z`` of the first ``c`` columns for each column count ``c`` of the ascending ``stops``.
+
+    A column's log weight is ``strength`` per equal neighbour pair inside it
+    plus, for every column after the first, per equal pair across to the one
+    before; ``log Z`` is a log-sum-exp over the ``q^width`` column states.
+    Resuming the sweep takes the same steps as starting it afresh.
+    """
+    col = cell_digits(width, states)
+    inner = strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
+    bond = strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
+    log_z, done = inner, 1
+    for stop in stops:
+        for _ in range(stop - done):
+            log_z = inner + _logsumexp(log_z[:, None] + bond)
+        done = stop
+        yield float(_logsumexp(log_z))
+
+
 class BoxMeasure:
     """The exact free-boundary Potts measure on a box (Baxter 1982, ch. 2, 7).
 
@@ -103,17 +122,25 @@ class BoxMeasure:
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
+        self._build(box, states, coupling, beta, None)
+
+    @classmethod
+    def _from_sweep(cls, box: LatticeBox, states: int, coupling: float, beta: float, log_partition) -> "BoxMeasure":
+        """The measure of a box whose ``log Z`` a sweep shared between boxes gives as ``log_partition(columns)``."""
+        mu = cls.__new__(cls)
+        mu._build(box, states, coupling, beta, log_partition)
+        return mu
+
+    def _build(self, box, states, coupling, beta, log_partition):
+        """Check the sweep budget, take ``log Z`` from ``log_partition``, or a sweep of its own, and finish."""
         self.columns = 2 * box.radius + 1
         self.width = box.site_count // self.columns
         self.strength = beta * coupling
         check_budget(_sweep_entries(box.dimension, box.radius, states), "transfer sweep: columns * q^(2*width)", "entries")
-        col = cell_digits(self.width, states)
-        inner = self.strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
-        bond = self.strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
-        log_z = inner
-        for _ in range(self.columns - 1):
-            log_z = inner + _logsumexp(log_z[:, None] + bond)
-        self.log_partition = float(_logsumexp(log_z))
+        if log_partition is None:
+            self.log_partition = next(_column_sweep(self.width, states, self.strength, [self.columns]))
+        else:
+            self.log_partition = log_partition(self.columns)
         if not math.isfinite(self.log_partition):
             raise ValidationError("measure: weights must be finite")
         edges = (self.columns - 1) * self.width + self.columns * (self.width - 1)
@@ -155,12 +182,33 @@ class VolumeScheme:
             object.__setattr__(self, name, value)
         check_budget(sum((2 * r + 1) ** self.dimension for r in self.radii),
                      f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
+        # in 1-D a box of radius r+1 extends that of radius r, so one sweep, run on only as far as asked, serves all
+        object.__setattr__(self, "_log_z", {})  # log Z by column count, for every radius the sweep has passed
+        self._start_sweep()
 
     def box(self, radius: int) -> LatticeBox:
         return LatticeBox(self.dimension, radius)
 
     def measure(self, radius: int) -> BoxMeasure:
-        return BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
+        """The box measure of one radius; in 1-D, read off the scheme's one sweep, as far as it need go."""
+        box = self.box(radius)
+        if self.dimension != 1 or box.radius not in self.radii:
+            return BoxMeasure(box, self.states, self.coupling, self.beta)
+        return BoxMeasure._from_sweep(box, self.states, self.coupling, self.beta, self._log_partition)
+
+    def _start_sweep(self):
+        stops = [2 * r + 1 for r in self.radii]
+        object.__setattr__(self, "_sweep", zip(stops, _column_sweep(1, self.states, self.beta * self.coupling, stops)))
+
+    def _log_partition(self, columns: int) -> float:
+        while columns not in self._log_z:
+            try:
+                done, log_z = next(self._sweep)
+            except BaseException:  # a sweep that raised is spent; the next request sweeps afresh and meets the same
+                self._start_sweep()
+                raise
+            self._log_z[done] = log_z
+        return self._log_z[columns]
 
 
 def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
@@ -236,10 +284,10 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     dimension, radii, states = _scheme_shape(dimension, radii, states)
-    # the box measures' sweeps; the q*|betas|*|radii| printed masses are fewer
+    # the box measures' sweeps, a bound once 1-D radii share one; the q*|betas|*|radii| printed masses are fewer
     check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
                  f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
-    # every box edge of a constant cell is equal, so all states share one mass
+    # every box edge of a constant cell is equal, so all states share one mass; one scheme, one sweep, per beta
     schemes = (VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas)
     masses = [[math.exp(s.measure(r).constant_log_mass) ** 2 for r in radii] for s in schemes]
     return {

@@ -322,16 +322,6 @@ def _objects(spec: dict, name: str) -> list:
     return entries
 
 
-def _parse_cell_label(label: str, space, n: int) -> Cell:
-    text = str(label).strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise ValidationError(f"measure.weights: key {label!r} must list {n} states")
-    return Cell.from_states(tuple(space.state_of(p) for p in parts), space.k)
-
-
 def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None) -> tuple:
     """Build ``(measure, hamiltonian_or_none)`` from a JSON descriptor.
 
@@ -358,12 +348,23 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             raise ValidationError("measure.weights: nonempty object required")
         raw = np.zeros(k**n)
         seen = set()
+        digit = {label: d for d, label in enumerate(space.labels)}
         for label, value in table.items():
-            cell = _parse_cell_label(label, space, n)
-            if cell.index in seen:
+            # "(s_0, ..., s_{n-1})", brackets optional: the cell whose index has s_0 as its least significant digit
+            text = str(label).strip()
+            if text.startswith("(") and text.endswith(")"):
+                text = text[1:-1]
+            parts = [p.strip() for p in text.split(",")]
+            if len(parts) != n:
+                raise ValidationError(f"measure.weights: key {label!r} must list {n} states")
+            unknown = [p for p in parts if p not in digit]
+            if unknown:
+                raise ValidationError(f"states: unknown state label {unknown[0]!r}")
+            index = _code((digit[p] for p in reversed(parts)), k)
+            if index in seen:
                 raise ValidationError(f"measure.weights: duplicate cell {label!r}")
-            seen.add(cell.index)
-            raw[cell.index] = _floats(value, f"measure.weights[{label!r}]")
+            seen.add(index)
+            raw[index] = _floats(value, f"measure.weights[{label!r}]")
         if len(seen) != k**n:
             raise ValidationError("measure.weights: every cell needs a weight")
         if np.any(raw <= 0):

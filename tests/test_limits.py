@@ -434,6 +434,33 @@ def test_chain_budget_of_the_largest_radius_spares_the_smaller(coupling):
     )
 
 
+def test_chain_that_raised_mid_sweep_raises_the_same_again():
+    # beta*J overflows, and with warnings as errors numpy's first invalid product raises inside the sweep
+    scheme = VolumeScheme(1, (0, 1), 2, 1e200, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radius in (1, 1, 0, 0):
+            with pytest.raises(RuntimeWarning) as fresh:
+                limits.BoxMeasure(ev.LatticeBox(1, radius), 2, 1e200, 1e200)
+            with pytest.raises(RuntimeWarning) as got:
+                scheme.measure(radius)
+            assert str(got.value) == str(fresh.value)
+
+
+def test_one_chain_sweep_serves_every_radius(monkeypatch):
+    """Radii 0..7, asked in both directions, take 14 transfer steps and 8 closing sums: no restart, no repeat."""
+    calls = []
+    logsumexp = limits._logsumexp
+    monkeypatch.setattr(limits, "_logsumexp", lambda x: calls.append(x.ndim) or logsumexp(x))
+    scheme = VolumeScheme(1, tuple(range(8)), 3, -0.6, 2.2)
+    for radius in (*range(8), *range(7, -1, -1)):
+        scheme.measure(radius)
+    assert (calls.count(2), calls.count(1)) == (14, 8)
+    calls.clear()
+    limits.BoxMeasure(ev.LatticeBox(1, 7), 3, -0.6, 2.2)
+    assert (calls.count(2), calls.count(1)) == (14, 1)
+
+
 # sites off the centre of the box, one state each, per dimension
 # sites off the centre of the box, one state each, per dimension
 OFF_CENTRE = {

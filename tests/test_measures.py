@@ -376,10 +376,11 @@ def test_measure_from_json_rejects_partial_weights(edge_graph, two_states):
         ({"(a,a,a)": 1}, "measure.weights: key '(a,a,a)' must list 2 states"),
         ({"a": 1}, "measure.weights: key 'a' must list 2 states"),
         ({"(a,a)": 1, "(a,b)": 2}, "states: unknown state label 'b'"),
+        ({"(x,y)": 1}, "states: unknown state label 'x'"),
         ({"(a,a)": 1, " ( a , a ) ": 2}, "measure.weights: duplicate cell ' ( a , a ) '"),
         ({"(A,a)": 1, "A,a": 2}, "measure.weights: duplicate cell 'A,a'"),
     ],
-    ids=["too-many-states", "too-few-states", "unknown-label", "duplicate-spaced", "duplicate-unbracketed"],
+    ids=["too-many-states", "too-few-states", "unknown-label", "first-unknown-label", "duplicate-spaced", "duplicate-unbracketed"],
 )
 def test_measure_from_json_weights_key_messages(edge_graph, two_states, table, message):
     with pytest.raises(ValidationError) as exc:
