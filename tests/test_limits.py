@@ -372,21 +372,21 @@ def test_underflow_rejection_agrees_with_dense(dimension, q, radius, strength):
         assert scheme.measure(radius).log_partition > 0
 
 
-def fresh_outcome(radius, q, coupling, beta):
-    """What a fresh ``BoxMeasure`` of the 1-D box gives: its values in hex, or its error's type and text."""
+def measure_outcome(build):
+    """What ``build()`` gives: the box measure's values in hex, or its error's type and text."""
     try:
-        mu = limits.BoxMeasure(ev.LatticeBox(1, radius), q, coupling, beta)
+        mu = build()
     except (BudgetError, ValidationError) as exc:
         return type(exc), str(exc)
     return mu.columns, mu.width, mu.strength.hex(), mu.log_partition.hex(), mu.constant_log_mass.hex()
+
+
+def fresh_outcome(radius, q, coupling, beta):
+    return measure_outcome(lambda: limits.BoxMeasure(ev.LatticeBox(1, radius), q, coupling, beta))
 
 
 def chain_outcome(scheme, radius):
-    try:
-        mu = scheme.measure(radius)
-    except (BudgetError, ValidationError) as exc:
-        return type(exc), str(exc)
-    return mu.columns, mu.width, mu.strength.hex(), mu.log_partition.hex(), mu.constant_log_mass.hex()
+    return measure_outcome(lambda: scheme.measure(radius))
 
 
 CHAIN_RADII = (0, 1, 2, 5, 9, 17)
