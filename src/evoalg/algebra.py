@@ -204,6 +204,23 @@ def write_joined(fh, columns, first: str = None):
         fh.write("".join(cells.ravel().tolist()))
 
 
+def write_labels(fh, algebra: EvolutionAlgebra, runs, quoted: bool):
+    """Write generator labels run by run: a run ``(lead, gens, seps)`` writes the labels of the generators ``gens``,
+    each after its text in ``seps`` (one text or one per generator), with ``lead`` in place of the first text.  A label
+    is ``pair_label``'s text, ``(`` + cell label + ``,`` + cell label + ``)``, read off the cell-label table by two index
+    columns; ``quoted`` writes it as the JSON string ``encode_basestring_ascii`` gives, which escapes character by
+    character, so each cell label is escaped once."""
+    cells = algebra.cell_labels()
+    if quoted:
+        cells = [encode_basestring_ascii(cell)[1:-1] for cell in cells]
+    quote = '"' * quoted
+    left = np.array([f"{quote}({cell}," for cell in cells], dtype=object)
+    right = np.array([f"{cell}){quote}" for cell in cells], dtype=object)
+    for lead, gens, seps in runs:
+        first, second = np.divmod(gens, algebra.kn)
+        write_joined(fh, (seps, left[first], right[second]), lead)
+
+
 def _outer(w: np.ndarray) -> np.ndarray:
     """Each row of ``w`` times itself as a flat outer product: the row-class entries, ``(R, 4**c)``."""
     return (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)
@@ -263,10 +280,7 @@ class AlgebraElement:
 
     def distance(self, other: "AlgebraElement") -> float:
         keys = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (abs(self.coeffs.get(i, 0.0) - other.coeffs.get(i, 0.0)) for i in keys),
-            default=0.0,
-        )
+        return max((abs(self.coeffs.get(i, 0.0) - other.coeffs.get(i, 0.0)) for i in keys), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -305,14 +319,11 @@ class EvolutionAlgebra:
     def pair_label(self, index: int) -> str:
         return self.pair_from_index(index).label(self.space)
 
-    def pair_labels(self) -> list:
-        """Labels of all generators in index order, from a table of the cell labels."""
+    def cell_labels(self) -> list:
+        """Labels of the k**n cells in index order; generator ``g`` pairs cells ``g // k**n`` and ``g % k**n``."""
         # product varies its last place fastest, and vertex 0 is the least significant digit
-        cells = [
-            "(" + ",".join(reversed(states)) + ")"
-            for states in product(self.space.labels, repeat=self.graph.vertex_count)
-        ]
-        return [f"({a},{b})" for a in cells for b in cells]
+        cells = product(self.space.labels, repeat=self.graph.vertex_count)
+        return ["(" + ",".join(reversed(states)) + ")" for states in cells]
 
     def generator(self, pair) -> AlgebraElement:
         return AlgebraElement({self.pair_index(pair): 1.0})
@@ -366,8 +377,6 @@ def matrix_entries(algebra: EvolutionAlgebra):
 def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
     """Write the CSV export, the JSON export or both, chunk by chunk in one walk over ``entry_texts``:
     what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write."""
-    # the labels go first: made while the text table is held, their lists would raise the peak memory
-    labels = ",\n  ".join(map(encode_basestring_ascii, algebra.pair_labels())) if json_path else ""
     # each entry opens with the text that closes the one before; the first opens with the head instead
     firsts = ("row,col,value\r\n", f'{{\n "dimension": {algebra.dimension},\n "entries": [\n  [\n   ')
     with ExitStack() as files:
@@ -382,7 +391,8 @@ def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
         if csv_fh:
             csv_fh.write("\r\n")
         if json_fh:
-            json_fh.write(f'\n  ]\n ],\n "labels": [\n  {labels}\n ],\n "schema_version": 1,\n "states": {algebra.space.k},\n'
+            write_labels(json_fh, algebra, [('\n  ]\n ],\n "labels": [\n  ', np.arange(algebra.dimension), ",\n  ")], True)
+            json_fh.write(f'\n ],\n "schema_version": 1,\n "states": {algebra.space.k},\n'
                           f' "vertices": {algebra.graph.vertex_count}\n}}\n')
 
 

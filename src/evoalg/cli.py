@@ -15,23 +15,17 @@ import sys
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined, write_matrix
+from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined, write_labels, write_matrix
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
 from .errors import BudgetError, ValidationError, shown
 from .graphs import graph_from_json
-from .limits import (
-    TailCell,
-    VolumeScheme,
-    coefficient_sequence,
-    low_temp_limit_algebras,
-)
+from .limits import TailCell, VolumeScheme, coefficient_sequence, low_temp_limit_algebras
 # dlr_check stays importable here: bench/tracing.py wraps it by this name
 from .measures import dlr_check, dlr_table, measure_from_json  # noqa: F401
 from .structure import build_hierarchy, iso_check, structure_counts
@@ -94,30 +88,28 @@ def _dump_json(payload, path, to_stdout: bool):
         fh.write(text)
 
 
-def _write_labels(fh, hierarchy, labels, leads: dict, block: str, other: str):
-    """Write the labels of the generators, given in index order, in class order, level by level in the order of
-    ``leads``: ``leads[c]`` opens level ``c``, ``block`` each further block and ``other`` every further label."""
+def _level_runs(hierarchy, leads: dict, block: str, other: str) -> list:
+    """``write_labels`` runs of the generators in class order, level by level in the order of ``leads``: ``leads[c]``
+    opens level ``c``, ``block`` each further block and ``other`` every further label."""
     order, bounds = hierarchy.members
-    labels = np.array(labels, dtype=object)[order]
-    seps = np.full(len(labels), other, dtype=object)
+    seps = np.full(len(order), other, dtype=object)
     seps[bounds[:-1]] = block
     starts = bounds[hierarchy.level_start].tolist()
-    for c, lead in leads.items():
-        write_joined(fh, (seps[starts[c] : starts[c + 1]], labels[starts[c] : starts[c + 1]]), lead)
+    return [(lead, order[starts[c] : starts[c + 1]], seps[starts[c] : starts[c + 1]]) for c, lead in leads.items()]
 
 
-def _write_hierarchy_text(fh, hierarchy, labels):
+def _write_hierarchy_text(fh, hierarchy, algebra):
     """Write ``hierarchy.txt``: the level count, then each level from the top, one line per block."""
     top, blocks = hierarchy.level_count - 1, np.diff(hierarchy.level_start).tolist()
     leads = {c: f"{top + 1} levels" * (c == top) + f"\nlevel {c}: {blocks[c]} block(s)\n  " for c in range(top, -1, -1)}
-    _write_labels(fh, hierarchy, labels, leads, "\n  ", " ")
+    write_labels(fh, algebra, _level_runs(hierarchy, leads, "\n  ", " "), False)
     fh.write("\n")
 
 
-def _write_hierarchy(fh, hierarchy, labels, counts):
+def _write_hierarchy(fh, hierarchy, algebra, counts):
     """Write ``hierarchy.json`` as ``json.dump(payload, fh, sort_keys=True, indent=1)`` and a newline would: ``counts``,
-    the flows, the level count and the levels' generators by their ``labels``.  Each flow and each level opens with the
-    text that closes the one before; each class's coordinates are put together once and each label encoded once."""
+    the flows, the level count and the levels' generators by their labels.  Each flow and each level opens with the
+    text that closes the one before; each class's coordinates are put together once and each cell label encoded once."""
     fh.write(json.dumps({"counts": counts}, sort_keys=True, indent=1)[:-2] + ',\n "flows": ')  # all but the closing "\n}"
     coord = np.array([f"{c},\n    " for c in range(hierarchy.level_count)], dtype=object)[hierarchy.row_level]
     coord += np.array(list(map(str, range(len(coord)))), dtype=object)[hierarchy.positions]
@@ -125,7 +117,7 @@ def _write_hierarchy(fh, hierarchy, labels, counts):
     write_joined(fh, flows, "[\n  [\n   [\n    ")
     fh.write(("\n   ]\n  ]\n ]" if len(flows[1]) else "[]") + f',\n "level_count": {hierarchy.level_count},\n "levels": ')
     leads = {c: "\n   ]\n  ],\n  [\n   [\n    " if c else "[\n  [\n   [\n    " for c in range(hierarchy.level_count)}
-    _write_labels(fh, hierarchy, list(map(encode_basestring_ascii, labels)), leads, "\n   ],\n   [\n    ", ",\n    ")
+    write_labels(fh, algebra, _level_runs(hierarchy, leads, "\n   ],\n   [\n    ", ",\n    "), True)
     fh.write(f'\n   ]\n  ]\n ],\n "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
@@ -158,14 +150,13 @@ def cmd_hierarchy(args) -> int:
         counts = asdict(structure_counts(algebra))
     except ValidationError:
         counts = None
-    labels = algebra.pair_labels()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not args.stdout:
         with open(out / "hierarchy.txt", "w") as fh:
-            _write_hierarchy_text(fh, hierarchy, labels)
+            _write_hierarchy_text(fh, hierarchy, algebra)
     with nullcontext(sys.stdout) if args.stdout else open(out / "hierarchy.json", "w") as fh:
-        _write_hierarchy(fh, hierarchy, labels, counts)
+        _write_hierarchy(fh, hierarchy, algebra, counts)
     return 0
 
 
@@ -194,9 +185,7 @@ def _tail_cell_from_json(node) -> TailCell:
 def _tail_label(cell: TailCell) -> str:
     if not cell.pattern:
         return f"~{cell.tail}"
-    inner = ",".join(
-        (f"{c[0]}:{s}" if len(c) == 1 else f"{c}:{s}") for c, s in cell.pattern
-    )
+    inner = ",".join((f"{c[0]}:{s}" if len(c) == 1 else f"{c}:{s}") for c, s in cell.pattern)
     return f"~{cell.tail}{{{inner}}}"
 
 
@@ -251,9 +240,7 @@ def cmd_limits(args) -> int:
         if not isinstance(betas, list) or not betas:
             raise ValidationError("scenario.limits.low_temp.betas: nonempty list required")
         betas = [_number(b, "low_temp.betas") for b in betas]
-        payload["low_temp"] = low_temp_limit_algebras(
-            scheme.dimension, scheme.states, scheme.radii, betas, scheme.coupling
-        )
+        payload["low_temp"] = low_temp_limit_algebras(scheme.dimension, scheme.states, scheme.radii, betas, scheme.coupling)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["d,q,beta,radius,phi,psi,coefficient"]
@@ -288,9 +275,7 @@ def cmd_dlr(args) -> int:
     for states, result in zip(product(range(1, k + 1), repeat=len(domain)), table):
         max_gap = max(max_gap, result.gap)
         label = "(" + ",".join(scenario.space.label_of(s) for s in states) + ")"
-        rows.append(
-            {"assignment": label, "lhs": result.lhs, "rhs": result.rhs, "gap": result.gap}
-        )
+        rows.append({"assignment": label, "lhs": result.lhs, "rhs": result.rhs, "gap": result.gap})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "domain": [scenario.labels[v] for v in domain],

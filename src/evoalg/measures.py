@@ -64,6 +64,8 @@ class Measure:
         object.__setattr__(self, "weights", w)
 
     def mass(self, cell: Cell) -> float:
+        if cell.n != self.n or cell.k != self.k:
+            raise ValidationError("mass: cell does not match the measure")
         return float(self.weights[cell.index])
 
 

@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evoalg as ev
 from evoalg import algebra as algebra_module, cli, structure
@@ -45,16 +45,24 @@ LABEL_POOL = ("a", "A", 'q"', "é", "\\", "ü,", "∑", "x y", "\t")
 
 
 @st.composite
-def algebras(draw, max_n=4, labels=False):
-    """Graphs on up to ``max_n`` vertices with random edges, k in {2, 3}, random weights."""
+def algebras(draw, max_n=4, labels=False, max_dimension=None):
+    """Graphs on up to ``max_n`` vertices with random edges, k in {2, 3}, random weights; k=3 only where
+    ``3**(2n)`` generators stay within ``max_dimension``."""
     n = draw(st.integers(1, max_n))
-    k = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from([2, 3] if max_dimension is None or 3 ** (2 * n) <= max_dimension else [2]))
     pairs = list(itertools.combinations(range(n), 2))
     edges = frozenset(p for p in pairs if draw(st.booleans()))
     names = tuple(draw(st.permutations(LABEL_POOL))[:k]) if labels else None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     measure = ev.from_weights(rng.uniform(0.1, 1.0, size=k**n), n, k)
     return ev.build_algebra(ev.Graph(n, edges), ev.StateSpace(k, names), measure)
+
+
+def labelled(n, edges, names):
+    """The algebra of ``n`` vertices, ``edges`` and the states ``names``, with random weights seeded by ``n``."""
+    k = len(names)
+    measure = ev.from_weights(np.random.default_rng(n).uniform(0.1, 1.0, size=k**n), n, k)
+    return ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k, names), measure)
 
 
 def edgeless_six():
@@ -244,7 +252,8 @@ def write_like_writers(algebra, out: Path, entries):
 @settings(max_examples=25, deadline=None)
 @given(algebras(max_n=3, labels=True))
 def test_exports_match_csv_and_json_writers(algebra):
-    assert algebra.pair_labels() == [algebra.pair_label(i) for i in range(algebra.dimension)]
+    n, k = algebra.graph.vertex_count, algebra.space.k
+    assert algebra.cell_labels() == [ev.Cell.from_index(i, n, k).label(algebra.space) for i in range(k**n)]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_like_writers(algebra, out, oracle_entries(algebra))
@@ -301,13 +310,13 @@ def test_build_writes_what_the_writers_would(scenario):
     [
         pytest.param(3, {(0, 1)}, ('q"', "\\", "∑"), id="edge plus vertex, k=3"),
         pytest.param(6, set(), ("é", "\t"), id="edgeless n=6, k=2"),
+        # 6,561 labels that need escaping, past one 4,096-row batch
+        pytest.param(4, {(0, 1), (2, 3)}, ('q"', "\\", "∑"), id="two edges, k=3"),
     ],
 )
 def test_exports_match_writers_across_chunks(tmp_path, n, edges, names):
     """Entries that span several 4,096-entry chunks are formatted from one value table."""
-    k = len(names)
-    measure = ev.from_weights(np.random.default_rng(n).uniform(0.1, 1.0, size=k**n), n, k)
-    algebra = ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k, names), measure)
+    algebra = labelled(n, edges, names)
     entries = oracle_entries(algebra)
     assert len(entries) > 4096
     write_like_writers(algebra, tmp_path, entries)
@@ -396,14 +405,18 @@ def oracle_hierarchy_payload(algebra) -> dict:
     }
 
 
+# draws stop at 729 generators, so a failing draw shrinks in seconds; n=4, k=3 (6,561 generators, flows
+# past one 4,096-row batch) comes as explicit examples, which run first and are not shrunk
 @settings(max_examples=40, deadline=None)
-@given(algebras(labels=True))
+@given(algebras(labels=True, max_dimension=729))
+@example(labelled(4, set(), ('q"', "\\", "∑")))
+@example(labelled(4, {(0, 1), (1, 2), (2, 3)}, ("é", "\t", "x y")))
 def test_hierarchy_report_matches_json_dump(algebra):
     payload = oracle_hierarchy_payload(algebra)
-    hierarchy, labels = ev.build_hierarchy(algebra), algebra.pair_labels()
+    hierarchy = ev.build_hierarchy(algebra)
     json_fh, text_fh = io.StringIO(), io.StringIO()
-    cli._write_hierarchy(json_fh, hierarchy, labels, payload["counts"])
-    cli._write_hierarchy_text(text_fh, hierarchy, labels)
+    cli._write_hierarchy(json_fh, hierarchy, algebra, payload["counts"])
+    cli._write_hierarchy_text(text_fh, hierarchy, algebra)
     assert json_fh.getvalue() == dumped(payload)
     assert text_fh.getvalue() == hierarchy_text(payload)
 

@@ -56,6 +56,16 @@ def test_zero_hamiltonian_energy(edge_graph):
         assert ev.hamiltonian_energy(h, Cell.from_index(idx, 2, 2)) == 0.0
 
 
+@pytest.mark.parametrize("digits, k", [((1, 1), 2), ((0, 1, 2), 3)], ids=["two states", "three vertices"])
+def test_mass_rejects_a_cell_of_another_space(digits, k):
+    """On 3 states over 2 vertices, the 2-state cell (1, 1) has the index of the 3-state cell (0, 1), and the
+    index of a 3-vertex cell lies past the weights."""
+    mu = ev.from_weights(np.arange(1.0, 10.0), 2, 3)
+    assert mu.mass(ev.Cell((0, 1), 3)) == pytest.approx(4 / 45)
+    with pytest.raises(ValidationError, match="mass: cell does not match the measure"):
+        mu.mass(ev.Cell(digits, k))
+
+
 def test_gibbs_single_vertex_uniform():
     g = ev.Graph(1)
     h = ev.Hamiltonian(g, 2, 1.0)
