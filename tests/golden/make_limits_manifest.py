@@ -108,6 +108,27 @@ SCENARIOS = {
         "dimension": 1, "states": 2, "radii": [0, 5, 80], "J": 1.0, "beta": 1.0,
         "low_temp": {"betas": [0.41, 4.7]},
     },
+    # a 2-D pair whose patterns reach radius 2: the smallest box holds them on its rim, the later ones hold a ring more
+    "support_2_2d_q2_radii_2_3_4_6": {
+        "dimension": 2, "states": 2, "radii": [2, 3, 4, 6], "J": 0.75, "beta": 1.4,
+        "pairs": [{"phi": [{"tail": 1, "pattern": [[[2, -1], 2], [[0, 1], 2]]}, {"tail": 1}],
+                   "psi": [{"tail": 1}, {"tail": 1, "pattern": [[[2, -1], 2], [[0, 1], 2]]}]},
+                  {"phi": [{"tail": 2, "pattern": [[[-1, 2], 1]]}, {"tail": 1, "pattern": [[[1, 1], 2]]}],
+                   "psi": [{"tail": 1, "pattern": [[[1, 1], 2]]}, {"tail": 1, "pattern": [[[1, 1], 2]]}]}],
+    },
+    # a 1-D antiferromagnetic pair whose pattern reaches radius 3, on radii from that support to far past it
+    "support_3_1d_q3_negative_J_radii_3_4_9_20": {
+        "dimension": 1, "states": 3, "radii": [3, 4, 9, 20], "J": -0.85, "beta": 1.2,
+        "pairs": [{"phi": [{"tail": 2, "pattern": [[-3, 1], [1, 3]]}, {"tail": 3}],
+                   "psi": [{"tail": 3}, {"tail": 2, "pattern": [[-3, 1], [1, 3]]}]},
+                  {"phi": [{"tail": 1, "pattern": [[3, 2]]}, {"tail": 1}],
+                   "psi": [{"tail": 1, "pattern": [[3, 2]]}, {"tail": 1, "pattern": [[3, 2]]}]}],
+    },
+    # 2-D low_temp masses over three temperatures, infinite temperature among them
+    "low_temp_2d_q2_betas_0_to_3_1": {
+        "dimension": 2, "states": 2, "radii": [0, 1, 2], "J": 0.9, "beta": 1.0,
+        "low_temp": {"betas": [0.0, 0.8, 3.1]},
+    },
     # a pattern site outside the smallest box
     "pattern_outside_smallest_radius": {
         "dimension": 1, "states": 2, "radii": [0, 2], "J": 1.0, "beta": 1.0,
