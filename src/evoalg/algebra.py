@@ -104,6 +104,8 @@ class HeredityMatrix:
         Both are rows of per-level arrays shared by the generator's whole
         row class; the generator's heredity row is their outer product.
         """
+        if not (is_index(index) and 0 <= index < self.dimension):
+            raise ValidationError(f"row: pair index {index} out of range")
         rid = self.gen_row[index]
         c = self.row_level[rid]
         pos = rid - self.level_start[c]
@@ -111,8 +113,6 @@ class HeredityMatrix:
 
     def row(self, index: int) -> dict:
         """The full sparse row as ``{pair_index: coefficient}``."""
-        if not 0 <= index < self.dimension:
-            raise ValidationError(f"row: pair index {index} out of range")
         kids, w = self.children(index)
         cols = np.add.outer(kids * self.kn, kids).ravel()
         return dict(zip(cols.tolist(), np.outer(w, w).ravel().tolist()))

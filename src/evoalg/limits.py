@@ -90,23 +90,25 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(x - top).sum(axis=0))
 
 
-def _column_sweep(width: int, states: int, strength: float, stops):
+def _column_sweep(width: int, states: int, strengths, stops):
     """Yield ``log Z`` of the first ``c`` columns for each column count ``c`` of the ascending ``stops``.
 
     A column's log weight is ``strength`` per equal neighbour pair inside it
     plus, for every column after the first, per equal pair across to the one
     before; ``log Z`` is a log-sum-exp over the ``q^width`` column states.
-    Resuming the sweep takes the same steps as starting it afresh.
+    A vector of ``strengths`` yields lists, one value per strength, with the
+    bits of its own sweep: the strength axis leads in memory, so every sum
+    runs in the same order.  Resuming takes the same steps as starting afresh.
     """
     col = cell_digits(width, states)
-    inner = strength * (col[:, 1:] == col[:, :-1]).sum(axis=1)
-    bond = strength * (col[:, None, :] == col[None, :, :]).sum(axis=2)
+    inner = np.multiply.outer(strengths, (col[:, 1:] == col[:, :-1]).sum(axis=1))
+    bond = np.multiply.outer(strengths, (col[:, None, :] == col[None, :, :]).sum(axis=2))
     log_z, done = inner, 1
     for stop in stops:
         for _ in range(stop - done):
-            log_z = inner + _logsumexp(log_z[:, None] + bond)
+            log_z = inner + _logsumexp((log_z[..., None] + bond).swapaxes(0, -2))
         done = stop
-        yield float(_logsumexp(log_z))
+        yield _logsumexp(log_z.swapaxes(0, -1)).tolist()
 
 
 class BoxMeasure:
@@ -262,11 +264,18 @@ class CoefficientSequence:
 def coefficient_sequence(scheme: VolumeScheme, phi, psi) -> CoefficientSequence:
     """Evaluate the coefficient on every volume and flag apparent settling.
 
+    The value at ``r*``, the first scheme radius past the largest ``|coordinate|``
+    of a pattern site (0 with none), is final: its box holds every marked
+    site and its neighbours, so larger radii count the same edges and repeat it.
     The sequence counts as converged when its last two values differ by
     less than ``1e-6``; the estimate is always the last value, with no
     extrapolation.
     """
-    values = tuple(finite_volume_coeff(scheme, r, phi, psi) for r in scheme.radii)
+    values = [finite_volume_coeff(scheme, scheme.radii[0], phi, psi)]  # checks phi and psi
+    support = max((max(map(abs, site)) for cell in (*phi, *psi) for site, _ in cell.pattern), default=0)
+    for previous, radius in zip(scheme.radii, scheme.radii[1:]):
+        values.append(values[-1] if previous > support else finite_volume_coeff(scheme, radius, phi, psi))
+    values = tuple(values)
     converged = len(values) >= 2 and abs(values[-1] - values[-2]) < CONVERGENCE_TOL
     return CoefficientSequence(scheme.radii, values, values[-1], converged)
 
@@ -284,11 +293,16 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     dimension, radii, states = _scheme_shape(dimension, radii, states)
-    # the box measures' sweeps, a bound once 1-D radii share one; the q*|betas|*|radii| printed masses are fewer
+    # the box measures' sweeps, a bound once 1-D radii and betas share one sweep; the q*|betas|*|radii| masses are fewer
     check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
                  f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
-    # every box edge of a constant cell is equal, so all states share one mass; one scheme, one sweep, per beta
-    schemes = (VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas)
+    # every box edge of a constant cell is equal, so all states share one mass; one scheme per beta
+    schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]
+    if dimension == 1:  # one sweep serves every beta and radius, with the bits of each scheme's own sweep
+        stops = [2 * r + 1 for r in radii]
+        sweep = _column_sweep(1, states, np.array([s.beta * s.coupling for s in schemes]), stops)
+        for scheme, log_z in zip(schemes, zip(*sweep)):
+            scheme._log_z.update(zip(stops, log_z))
     masses = [[math.exp(s.measure(r).constant_log_mass) ** 2 for r in radii] for s in schemes]
     return {
         "dimension": dimension,

@@ -119,6 +119,15 @@ def test_arithmetic_rejects_out_of_range_generators(edge_algebra, index):
             call(bad)
 
 
+@pytest.mark.parametrize("index", [-1, 16, 1.5, True], ids=["minus-1", "dimension", "float", "bool"])
+def test_heredity_children_reject_bad_generators(edge_algebra, index):
+    matrix = edge_algebra.matrix
+    assert matrix.dimension == 16
+    for call in (matrix.children, matrix.row):
+        with pytest.raises(ValidationError, match=rf"^row: pair index {index} out of range$"):
+            call(index)
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [{1.5: 1.0}, {True: 1.0}, {"3": 1.0}, {np.bool_(True): 1.0}, {None: 1.0},

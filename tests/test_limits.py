@@ -461,7 +461,16 @@ def test_one_chain_sweep_serves_every_radius(monkeypatch):
     assert (calls.count(2), calls.count(1)) == (14, 1)
 
 
-# sites off the centre of the box, one state each, per dimension
+@pytest.mark.parametrize("width, q", [(1, 3), (2, 3), (3, 2), (4, 3), (5, 2)])
+def test_sweep_of_many_strengths_matches_each_strength_alone(width, q):
+    """A vector of strengths yields, at every stop, each strength's own ``log Z`` to the bit."""
+    strengths = [0.0, 0.37, -1.3, 2.9, -0.05]
+    stops = [1, 2, 5, 9]
+    alone = [list(limits._column_sweep(width, q, s, stops)) for s in strengths]
+    together = list(limits._column_sweep(width, q, np.array(strengths), stops))
+    assert [[v.hex() for v in row] for row in zip(*together)] == [[v.hex() for v in row] for row in alone]
+
+
 # sites off the centre of the box, one state each, per dimension
 OFF_CENTRE = {
     1: [(1, 2), (-1, 2), (2, 1)],
@@ -619,3 +628,89 @@ def test_budget_edge_coefficient_allocates_nothing_per_site():
     # flipping the origin breaks both of its edges
     assert value == pytest.approx((1 + math.exp(-1.4)) ** -2, rel=1e-12)
     assert peak < 2**20
+
+
+def per_radius_outcome(scheme, phi, psi):
+    """``finite_volume_coeff`` on every radius in ascending order, as ``float.hex``, up to its first rejection."""
+    values = []
+    for radius in scheme.radii:
+        values.append(outcome(ev.finite_volume_coeff, scheme, radius, phi, psi))
+        if values[-1].startswith("rejected"):
+            return values[-1]
+    return values
+
+
+def sequence_outcome(scheme, phi, psi):
+    """``coefficient_sequence`` values as ``float.hex``, or the text of its rejection."""
+    try:
+        return [float.hex(v) for v in ev.coefficient_sequence(scheme, phi, psi).values]
+    except ValidationError as exc:
+        return f"rejected: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sequence_matches_every_radius_bit_for_bit(data):
+    """Radii past ``r*`` repeat its value; the sequence matches the per-radius oracle, or its first rejection."""
+    dimension, q = data.draw(st.sampled_from((1, 2))), data.draw(st.sampled_from((2, 3, 5)))
+    support = data.draw(st.integers(0, 3))
+    # now and then a state past q, so that a restriction rejects it
+    state = st.integers(1, q + data.draw(st.sampled_from((0,) * 7 + (1,))))
+    coord = st.one_of(st.sampled_from((-support, support)), st.integers(-support, support))
+    site = st.tuples(*[coord] * dimension)
+    if data.draw(st.booleans()):  # a pattern over every site within the support: it fills the box of that radius
+        square = [tuple(c) for c in np.ndindex(*[2 * support + 1] * dimension)]
+        fill = tuple((tuple(x - support for x in c), data.draw(state)) for c in square)
+        other = TailCell(data.draw(state), data.draw(st.dictionaries(site, state, max_size=2)))
+        phi = (TailCell(data.draw(state), fill), other)
+    else:
+        phi = tuple(TailCell(data.draw(state), data.draw(st.dictionaries(site, state, max_size=4))) for _ in range(2))
+
+    def child():
+        kind = data.draw(st.sampled_from(("phi", "phi", "phi", "fresh")))
+        if kind == "fresh":
+            return TailCell(data.draw(state), data.draw(st.dictionaries(site, state, max_size=3)))
+        return data.draw(st.sampled_from(phi))
+
+    psi = (child(), child())
+    # the first radius at, below or just past the support, the rest anywhere above it
+    first = max(0, support + data.draw(st.sampled_from((-1, 0, 0, 0, 1, 2))))
+    rest = data.draw(st.lists(st.integers(first + 1, first + 8), max_size=5, unique=True))
+    scheme = VolumeScheme(dimension, (first, *sorted(rest)), q, data.draw(COUPLINGS), data.draw(BETAS))
+    assert sequence_outcome(scheme, phi, psi) == per_radius_outcome(scheme, phi, psi)
+
+
+def low_temp_outcome(build):
+    """``build()``'s masses as nested ``float.hex`` lists, or the text of its rejection."""
+    try:
+        return [[float.hex(m) for m in row] for row in build()]
+    except ValidationError as exc:
+        return f"rejected: {exc}"
+
+
+def scheme_masses(dimension, q, radii, betas, coupling):
+    """The constant-cell mass squared, read off a fresh scheme of every beta on its own."""
+    for beta in betas:
+        scheme = VolumeScheme(dimension, radii, q, coupling, beta)
+        yield [math.exp(scheme.measure(r).constant_log_mass) ** 2 for r in radii]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_low_temp_masses_match_a_scheme_per_beta_bit_for_bit(data):
+    """The shared sweep gives every beta the masses, or the first rejection, of that beta's own scheme."""
+    dimension, q = data.draw(st.sampled_from((1, 2))), data.draw(st.sampled_from((2, 3, 5)))
+    # 2-D boxes within the transfer budget; in 1-D, long enough chains underflow at large beta*J
+    pool = range(40) if dimension == 1 else (0, 1, 2) if q == 2 else (0, 1)
+    radii = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True)))
+    betas = data.draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5, unique=True))
+    betas = sorted({*betas, 0.0} if data.draw(st.booleans()) else betas)
+    coupling = data.draw(COUPLINGS)
+
+    def report():
+        candidates = ev.low_temp_limit_algebras(dimension, q, radii, betas, coupling)["candidates"]
+        assert all(c["masses"] == candidates[0]["masses"] for c in candidates)
+        return candidates[0]["masses"]
+
+    expected = low_temp_outcome(lambda: list(scheme_masses(dimension, q, radii, betas, coupling)))
+    assert low_temp_outcome(report) == expected
