@@ -23,7 +23,7 @@ from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined,
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
-from .errors import BudgetError, ValidationError, shown
+from .errors import BudgetError, ValidationError, is_index, is_number, shown
 from .graphs import graph_from_json
 from .limits import TailCell, VolumeScheme, coefficient_sequence, low_temp_limit_algebras
 # dlr_check stays importable here: bench/tracing.py wraps it by this name
@@ -59,7 +59,7 @@ def _read_scenario(path) -> dict:
 
 def _number(value, name: str, kind=float):
     # no strings or booleans, and no fractions where an integer is due
-    if isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool):
+    if is_index(value) if kind is int else is_number(value):
         with suppress(OverflowError):
             return kind(value)
     raise ValidationError(f"scenario.limits.{name}: expected {'an integer' if kind is int else 'a number'}, got {shown(value)}")

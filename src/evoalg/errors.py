@@ -26,7 +26,18 @@ def shown(value) -> str:
     return f"{type(value).__name__} {text[:60]}{'…' * (len(text) > 60)}"
 
 
+def written(value) -> str:
+    """A rejected integer for an error message: as written up to 60 characters, longer ones as ``shown`` cuts them."""
+    text = str(value)
+    return text if len(text) <= 60 else shown(value)
+
+
 def is_index(key) -> bool:
     """Whether ``key`` is an integer, numpy integers included; bools are not."""
     # the exact type test spares plain ints the slow abstract-class check
     return type(key) is int or (isinstance(key, numbers.Integral) and not isinstance(key, bool))
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number, numpy numbers included; bools are not."""
+    return type(value) in (int, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))

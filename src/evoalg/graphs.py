@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import ValidationError, check_budget, is_index, shown
+from .errors import ValidationError, check_budget, is_index, shown, written
 
 __all__ = [
     "Graph",
@@ -134,10 +134,15 @@ class LatticeBox:
     def site_index(self, coord) -> int:
         key = coordinate(coord, "coordinate")
         if len(key) != self.dimension:
-            raise ValidationError(f"coordinate {key} does not match dimension {self.dimension}")
+            raise ValidationError(f"coordinate {site_text(key)} does not match dimension {self.dimension}")
         if any(abs(x) > self.radius for x in key):
-            raise ValidationError(f"coordinate {key} outside box of radius {self.radius}")
+            raise ValidationError(f"coordinate {site_text(key)} outside box of radius {self.radius}")
         return sum((x + self.radius) * (2 * self.radius + 1) ** place for place, x in enumerate(reversed(key)))
+
+
+def site_text(key: tuple) -> str:
+    """A site as its tuple prints, every coordinate cut as ``errors.written`` cuts it."""
+    return f"({', '.join(map(written, key))}{',' * (len(key) == 1)})"
 
 
 def coordinate(coord, name: str) -> tuple:

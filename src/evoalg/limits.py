@@ -8,7 +8,7 @@ and only the pattern sites and their edges count (Georgii 1988, ch. 1-2).
 At large inverse temperature the Potts mass drifts onto the diagonal
 constant pairs, one candidate limit generator per state.  Everything is
 exact, with free boundary conditions; only the ``low_temp`` report needs
-the normalised masses of a transfer-matrix ``BoxMeasure``.
+normalised masses, read off transfer-matrix sweeps.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import cell_digits
-from .errors import ValidationError, check_budget, is_index, shown
-from .graphs import LatticeBox, coordinate
+from .errors import ValidationError, check_budget, is_index, shown, written
+from .graphs import LatticeBox, coordinate, site_text
 from .measures import POSITIVITY_FLOOR
 # these three stay importable here: bench/tracing.py wraps them by these names
 from .cells import children_set  # noqa: F401
@@ -59,7 +59,7 @@ class TailCell:
             if not is_index(state):
                 raise ValidationError(f"scenario.limits.pairs.pattern: expected an integer, got {shown(state)}")
             if key in pattern:
-                raise ValidationError(f"tail cell: duplicate pattern site {key}")
+                raise ValidationError(f"tail cell: duplicate pattern site {site_text(key)}")
             pattern[key] = int(state)
         if not is_index(self.tail):
             raise ValidationError(f"scenario.limits.pairs.tail: expected an integer, got {shown(self.tail)}")
@@ -70,9 +70,7 @@ class TailCell:
         """The pattern on a box as ``{site index: state}``; every other box site carries ``tail``."""
         for name, state in [("tail", self.tail), *(("pattern", s) for _, s in self.pattern)]:
             if not 1 <= state <= q:
-                # a state of up to 60 digits reads as itself, a longer one as errors.shown cuts it
-                got = state if len(str(state)) <= 60 else shown(state)
-                raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {got}")
+                raise ValidationError(f"scenario.limits.pairs.{name}: state must be in 1..{q}, got {written(state)}")
         return {box.site_index(coord): state for coord, state in self.pattern}
 
 
@@ -111,6 +109,23 @@ def _column_sweep(width: int, states: int, strengths, stops):
         yield _logsumexp(log_z.swapaxes(0, -1)).tolist()
 
 
+def _constant_log_mass(strength, columns, width, log_partition):
+    """``strength*E - log_partition`` of boxes of ``columns`` runs of ``width`` sites and ``E`` edges.
+
+    Takes numbers or arrays.  Rejects the first box, in row-major order, whose ``log Z`` is not finite
+    or whose lightest cell, of log weight ``min(0, strength*E)`` (a box is bipartite), is below ``POSITIVITY_FLOOR``.
+    """
+    with np.errstate(all="ignore"):  # as with Python floats, an overflow gives inf and a nan no warning
+        energy = np.multiply(strength, (columns - 1) * width + columns * (width - 1))
+        infinite = ~np.isfinite(log_partition)
+        failed = infinite | (np.minimum(0.0, energy) - log_partition < math.log(POSITIVITY_FLOOR))
+        if failed.any():
+            if infinite.flat[failed.argmax()]:
+                raise ValidationError("measure: weights must be finite")
+            raise ValidationError("gibbs: normalized weights underflow; measure no longer strictly positive")
+        return energy - log_partition
+
+
 class BoxMeasure:
     """The exact free-boundary Potts measure on a box (Baxter 1982, ch. 2, 7).
 
@@ -119,36 +134,15 @@ class BoxMeasure:
     adds ``beta*J`` to a log weight, and ``log_partition`` is a log-sum-exp
     sweep over the ``q^width`` column states.  A constant cell has all ``E``
     box edges equal: log mass ``constant_log_mass = beta*J*E - log_partition``.
-    With ``q >= 2`` the smallest log weight is ``min(0, beta*J*E)`` (a box is
-    bipartite), and a mass below ``POSITIVITY_FLOOR`` is rejected.
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
-        self._build(box, states, coupling, beta, None)
-
-    @classmethod
-    def _from_sweep(cls, box: LatticeBox, states: int, coupling: float, beta: float, log_partition) -> "BoxMeasure":
-        """The measure of a box whose ``log Z`` a sweep shared between boxes gives as ``log_partition(columns)``."""
-        mu = cls.__new__(cls)
-        mu._build(box, states, coupling, beta, log_partition)
-        return mu
-
-    def _build(self, box, states, coupling, beta, log_partition):
-        """Check the sweep budget, take ``log Z`` from ``log_partition``, or a sweep of its own, and finish."""
         self.columns = 2 * box.radius + 1
         self.width = box.site_count // self.columns
         self.strength = beta * coupling
         check_budget(_sweep_entries(box.dimension, box.radius, states), "transfer sweep: columns * q^(2*width)", "entries")
-        if log_partition is None:
-            self.log_partition = next(_column_sweep(self.width, states, self.strength, [self.columns]))
-        else:
-            self.log_partition = log_partition(self.columns)
-        if not math.isfinite(self.log_partition):
-            raise ValidationError("measure: weights must be finite")
-        edges = (self.columns - 1) * self.width + self.columns * (self.width - 1)
-        if min(0.0, self.strength * edges) - self.log_partition < math.log(POSITIVITY_FLOOR):
-            raise ValidationError("gibbs: normalized weights underflow; measure no longer strictly positive")
-        self.constant_log_mass = self.strength * edges - self.log_partition
+        self.log_partition = next(_column_sweep(self.width, states, self.strength, [self.columns]))
+        self.constant_log_mass = float(_constant_log_mass(self.strength, self.columns, self.width, self.log_partition))
 
 
 def _scheme_shape(dimension, radii, states) -> tuple:
@@ -162,6 +156,11 @@ def _scheme_shape(dimension, radii, states) -> tuple:
     if not is_index(states) or states < 2:
         raise ValidationError(f"scheme: states must be an integer of at least 2, got {shown(states)}")
     return int(dimension), tuple(int(r) for r in radii), int(states)
+
+
+def _check_coupling(coupling):
+    if not math.isfinite(coupling):
+        raise ValidationError(f"scenario.limits.J: must be finite, got {coupling!r}")
 
 
 @dataclass(frozen=True)
@@ -178,39 +177,18 @@ class VolumeScheme:
         shape = _scheme_shape(self.dimension, self.radii, self.states)
         if not 0 <= self.beta < math.inf:
             raise ValidationError(f"scenario.limits.beta: must be finite and nonnegative, got {self.beta!r}")
-        if not math.isfinite(self.coupling):
-            raise ValidationError(f"scenario.limits.J: must be finite, got {self.coupling!r}")
+        _check_coupling(self.coupling)
         for name, value in zip(("dimension", "radii", "states"), shape):
             object.__setattr__(self, name, value)
         check_budget(sum((2 * r + 1) ** self.dimension for r in self.radii),
                      f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
-        # in 1-D a box of radius r+1 extends that of radius r, so one sweep, run on only as far as asked, serves all
-        object.__setattr__(self, "_log_z", {})  # log Z by column count, for every radius the sweep has passed
-        self._start_sweep()
 
     def box(self, radius: int) -> LatticeBox:
         return LatticeBox(self.dimension, radius)
 
     def measure(self, radius: int) -> BoxMeasure:
-        """The box measure of one radius; in 1-D, read off the scheme's one sweep, as far as it need go."""
-        box = self.box(radius)
-        if self.dimension != 1 or box.radius not in self.radii:
-            return BoxMeasure(box, self.states, self.coupling, self.beta)
-        return BoxMeasure._from_sweep(box, self.states, self.coupling, self.beta, self._log_partition)
-
-    def _start_sweep(self):
-        stops = [2 * r + 1 for r in self.radii]
-        object.__setattr__(self, "_sweep", zip(stops, _column_sweep(1, self.states, self.beta * self.coupling, stops)))
-
-    def _log_partition(self, columns: int) -> float:
-        while columns not in self._log_z:
-            try:
-                done, log_z = next(self._sweep)
-            except BaseException:  # a sweep that raised is spent; the next request sweeps afresh and meets the same
-                self._start_sweep()
-                raise
-            self._log_z[done] = log_z
-        return self._log_z[columns]
+        """The box measure of one radius."""
+        return BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
 
 
 def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
@@ -293,17 +271,19 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     dimension, radii, states = _scheme_shape(dimension, radii, states)
-    # the box measures' sweeps, a bound once 1-D radii and betas share one sweep; the q*|betas|*|radii| masses are fewer
+    # the entries of a sweep per beta and radius, a bound where one sweep serves them all; the masses are fewer
     check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
                  f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
-    # every box edge of a constant cell is equal, so all states share one mass; one scheme per beta
-    schemes = [VolumeScheme(dimension, radii, states, coupling, beta) for beta in betas]
-    if dimension == 1:  # one sweep serves every beta and radius, with the bits of each scheme's own sweep
-        stops = [2 * r + 1 for r in radii]
-        sweep = _column_sweep(1, states, np.array([s.beta * s.coupling for s in schemes]), stops)
-        for scheme, log_z in zip(schemes, zip(*sweep)):
-            scheme._log_z.update(zip(stops, log_z))
-    masses = [[math.exp(s.measure(r).constant_log_mass) ** 2 for r in radii] for s in schemes]
+    _check_coupling(coupling)
+    # all states share one mass; a 1-D box of radius r+1 extends that of radius r, so one sweep serves every radius
+    strengths = np.array([beta * coupling for beta in betas])
+    columns = np.array([2 * r + 1 for r in radii])
+    if dimension == 1:
+        log_z = list(_column_sweep(1, states, strengths, columns))
+    else:
+        log_z = [next(_column_sweep(c, states, strengths, [c])) for c in columns]
+    log_mass = _constant_log_mass(strengths[:, None], columns, columns ** (dimension - 1), np.array(log_z).T)
+    masses = [[math.exp(m) ** 2 for m in row] for row in log_mass.tolist()]
     return {
         "dimension": dimension,
         "states": states,

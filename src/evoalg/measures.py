@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import Cell, cell_digits
-from .errors import ENUMERATION_BUDGET, BudgetError, ValidationError, shown
+from .errors import ENUMERATION_BUDGET, BudgetError, ValidationError, is_number, shown
 from .graphs import Graph
 
 __all__ = [
@@ -306,14 +306,14 @@ def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
 
 
 def _floats(raw, name: str, shape=()):
-    """``raw`` as floats of the given shape, or an error naming the field."""
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    if arr.shape != shape:
+    """``raw`` as floats of the given shape, or an error naming the field; booleans and strings are no numbers."""
+    arr = np.array(raw, dtype=object)  # every leaf as given, ragged lists as list leaves, so each can be type-checked
+    if arr.shape != shape or not all(map(is_number, arr.flat)):
         raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {shown(raw)}")
-    return arr if shape else float(arr)
+    try:
+        return arr.astype(float) if shape else float(raw)
+    except OverflowError:
+        raise ValidationError(f"{name}: number too large for a float, got {shown(raw)}") from None
 
 
 def _objects(spec: dict, name: str) -> list:

@@ -53,6 +53,11 @@ def _scenario(n: int, edges, states, measure) -> dict:
     }
 
 
+def _edge_measure(hamiltonian: dict) -> dict:
+    """One edge, two states and the given Hamiltonian."""
+    return _scenario(2, [["v0", "v1"]], ["a", "b"], {"hamiltonian": hamiltonian})
+
+
 POTTS = {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 0.7}}
 EDGE_VERTEX_WEIGHTS = _weights(['q"', "\\", "∑"], 3, 10)
 
@@ -75,6 +80,13 @@ SCENARIOS = {
     "weights_missing_a_cell": _scenario(
         3, [["v0", "v1"]], ['q"', "\\", "∑"],
         {"weights": {c: w for c, w in EDGE_VERTEX_WEIGHTS.items() if c != '(∑,∑,∑)'}},
+    ),
+    # measure numbers that are not floats: exit 2, the field named
+    "potts_beta_past_float_range": _edge_measure({**POTTS["hamiltonian"], "beta": 10**400}),
+    "potts_beta_boolean": _edge_measure({**POTTS["hamiltonian"], "beta": True}),
+    "potts_J_string": _edge_measure({**POTTS["hamiltonian"], "J": "2"}),
+    "coupling_matrix_entry_past_float_range": _edge_measure(
+        {"beta": 0.7, "pair_coupling": [{"edge": ["v0", "v1"], "matrix": [[0, 10**400], [1, 0]]}]}
     ),
 }
 

@@ -147,6 +147,17 @@ SCENARIOS = {
         "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[5, 2]]}],
                    "psi": [{"tail": 3}, {"tail": 1}]}],
     },
+    # a 4,000-digit pattern site outside the box: echoed cut to 60 characters, in 1-D and 2-D
+    "pattern_site_4000_digits_1d": {
+        "dimension": 1, "states": 2, "radii": [0, 1], "J": 1.0, "beta": 1.0,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[10**3999, 2]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
+    "pattern_site_4000_digits_2d": {
+        "dimension": 2, "states": 2, "radii": [0, 1], "J": 1.0, "beta": 1.0,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[[0, -10**3999], 2]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
 }
 
 

@@ -598,6 +598,62 @@ def test_rejected_values_are_echoed_cut_short(tmp_path, capsys, command, payload
     assert len(err) < len(field) + 160
 
 
+def potts_with(**fields):
+    payload = potts_scenario(["1", "2"], [["1", "2"]])
+    payload["measure"]["hamiltonian"].update(fields)
+    return payload
+
+
+# a scenario carrying one value in one numeric measure field, by the field's name in messages
+MEASURE_NUMBERS = {
+    "measure.hamiltonian.beta": lambda value: potts_with(beta=value),
+    "measure.hamiltonian.J": lambda value: potts_with(J=value),
+    "measure.weights['(a,a)']": lambda value: edge_scenario({"(a,a)": value, "(a,A)": 1, "(A,a)": 1, "(A,A)": 1}),
+    "measure.hamiltonian.site_field": lambda value: general_scenario([value, 0.5]),
+    "measure.hamiltonian.pair_coupling.matrix": lambda value: coupling_with([[0, value], [1, 0]]),
+}
+NOT_FLOATS = {
+    "too large": (10**400, "number too large for a float"),
+    "boolean": (True, "expected"),
+    "string": ("2", "expected"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_FLOATS))
+@pytest.mark.parametrize("field", sorted(MEASURE_NUMBERS))
+def test_measure_numbers_must_be_floats(tmp_path, capsys, field, kind):
+    value, message = NOT_FLOATS[kind]
+    scenario = write(tmp_path / "bad.json", MEASURE_NUMBERS[field](value))
+    for command in ("build", "isocheck"):
+        assert main(command_argv(command, scenario, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: {message}") and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize(
+    "fault, message",
+    [("outside", "coordinate {} outside box of radius 0"), ("twice", "tail cell: duplicate pattern site {}")],
+    ids=["outside", "twice"],
+)
+def test_rejected_sites_are_echoed_cut_short(tmp_path, capsys, dimension, fault, message):
+    def rejection(site):
+        site = site if dimension == 1 else [0, site]
+        pattern = [[site, 2]] * (1 + (fault == "twice"))
+        scenario = write(tmp_path / "s.json", limits_with(dimension=dimension, radii=[0, 1],
+                                                           pairs=[{"phi": [{"tail": 1, "pattern": pattern}, TAILS[0]],
+                                                                   "psi": TAILS}]))
+        assert main(["limits", "--scenario", scenario, "--out", str(tmp_path / "out")]) == 2
+        return capsys.readouterr().err
+
+    form = "({},)" if dimension == 1 else "(0, {})"
+    for site in (5, -10**58, 10**59):  # up to 60 characters, as written
+        assert rejection(site) == f"error: {message.format(form.format(site))}\n"
+    err = rejection(10**3999)
+    assert err == f"error: {message.format(form.format('int 1' + '0' * 59 + '…'))}\n"
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize(
     "text",
     [

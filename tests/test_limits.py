@@ -203,21 +203,20 @@ def test_transfer_sweep_budget(monkeypatch):
 
 def test_low_temp_budget_comes_before_any_scheme(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a scheme or a box measure was built")
+        raise AssertionError("a transfer sweep was started")
 
-    monkeypatch.setattr(limits, "VolumeScheme", refuse)
-    monkeypatch.setattr(limits, "BoxMeasure", refuse)
+    monkeypatch.setattr(limits, "_column_sweep", refuse)
     betas = [i / 100 for i in range(1001)]
     with pytest.raises(BudgetError, match=r"^low_temp: 1001 betas \* sum over 1 radii of columns \* q\^\(2\*width\) "
                                           r"= 1001000000 entries "):
         ev.low_temp_limit_algebras(1, 1000, [0], betas)
-    # 4 * (1 + 3 + 249997) = 1000004 entries, one column past the budget
+    # 4 * (1 + 3 + 249997) = 1000004 entries, the fewest past the budget: every count is a multiple of q^2
     with pytest.raises(BudgetError, match=r"= 1000004 entries exceed the enumeration budget of 1000000$"):
         ev.low_temp_limit_algebras(1, 2, [0, 1, 124998], [1.0])
-    with pytest.raises(AssertionError, match="a scheme"):  # 4 * (1 + 249999), exactly the budget
-        ev.low_temp_limit_algebras(1, 2, [0, 124999], [1.0])
-    with pytest.raises(AssertionError, match="a scheme"):
-        ev.low_temp_limit_algebras(1, 1000, [0], [1.0])
+    # 4 * (1 + 249999) and 1000^2 entries, exactly the budget, then a 2-D report within it
+    for args in [(1, 2, [0, 124999], [1.0]), (1, 1000, [0], [1.0]), (2, 2, [0, 2], [0.5, 1.0])]:
+        with pytest.raises(AssertionError, match="a transfer sweep"):
+            ev.low_temp_limit_algebras(*args)
 
 
 @pytest.mark.parametrize(
@@ -448,14 +447,12 @@ def test_chain_that_raised_mid_sweep_raises_the_same_again():
 
 
 def test_one_chain_sweep_serves_every_radius(monkeypatch):
-    """Radii 0..7, asked in both directions, take 14 transfer steps and 8 closing sums: no restart, no repeat."""
+    """1-D low_temp over radii 0..7 and three betas takes 14 transfer steps and 8 closing sums in all."""
     calls = []
     logsumexp = limits._logsumexp
     monkeypatch.setattr(limits, "_logsumexp", lambda x: calls.append(x.ndim) or logsumexp(x))
-    scheme = VolumeScheme(1, tuple(range(8)), 3, -0.6, 2.2)
-    for radius in (*range(8), *range(7, -1, -1)):
-        scheme.measure(radius)
-    assert (calls.count(2), calls.count(1)) == (14, 8)
+    ev.low_temp_limit_algebras(1, 3, range(8), [0.4, 1.1, 2.2], -0.6)
+    assert (calls.count(3), calls.count(2), len(calls)) == (14, 8, 22)
     calls.clear()
     limits.BoxMeasure(ev.LatticeBox(1, 7), 3, -0.6, 2.2)
     assert (calls.count(2), calls.count(1)) == (14, 1)
@@ -714,3 +711,32 @@ def test_low_temp_masses_match_a_scheme_per_beta_bit_for_bit(data):
 
     expected = low_temp_outcome(lambda: list(scheme_masses(dimension, q, radii, betas, coupling)))
     assert low_temp_outcome(report) == expected
+
+
+def test_low_temp_builds_no_scheme_box_or_measure(monkeypatch):
+    cases = [(1, 2, (0, 3, 7), (0.0, 0.41, 4.7), 1.07), (2, 3, (0, 1), (0.5, 20.0, 57.0), -1.0)]
+    expected = [list(scheme_masses(d, q, radii, betas, j)) for d, q, radii, betas, j in cases]
+
+    def refuse(*args):
+        raise AssertionError("low_temp needs no scheme, box or box measure")
+
+    for name in ("VolumeScheme", "LatticeBox", "BoxMeasure"):
+        monkeypatch.setattr(limits, name, refuse)
+    for (dimension, q, radii, betas, coupling), masses in zip(cases, expected):
+        report = ev.low_temp_limit_algebras(dimension, q, radii, betas, coupling)
+        assert [c["masses"] for c in report["candidates"]] == [masses] * q
+
+
+@pytest.mark.parametrize("betas, error", [
+    ((0.5, 1e200), "gibbs: normalized weights underflow; measure no longer strictly positive"),
+    ((1e200,), "measure: weights must be finite"),
+])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_low_temp_rejects_the_first_failing_beta_then_radius(dimension, betas, error):
+    """With J = 1e200, beta 0.5 underflows at radius 1; beta 1e200 overflows beta*J, so log Z is nan from radius 0."""
+    args = dimension, 2, (0, 1), betas, 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the sweep of an infinite strength meets inf * 0
+        expected = low_temp_outcome(lambda: list(scheme_masses(*args)))
+        got = low_temp_outcome(lambda: ev.low_temp_limit_algebras(*args)["candidates"][0]["masses"])
+    assert got == expected == f"rejected: {error}"
