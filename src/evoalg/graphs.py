@@ -141,7 +141,10 @@ class LatticeBox:
 
 
 def site_text(key: tuple) -> str:
-    """A site as its tuple prints, every coordinate cut as ``errors.written`` cuts it."""
+    """A site as its tuple prints, every coordinate cut as ``errors.written`` cuts it; a site of more than
+    eight coordinates shows its first three, then ``…`` and its coordinate count."""
+    if len(key) > 8:
+        return f"({', '.join(map(written, key[:3]))}, … {len(key)} coordinates)"
     return f"({', '.join(map(written, key))}{',' * (len(key) == 1)})"
 
 

@@ -158,6 +158,12 @@ SCENARIOS = {
         "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[[0, -10**3999], 2]]}],
                    "psi": [{"tail": 1}, {"tail": 1}]}],
     },
+    # a 1-D pattern site of 2,000 coordinates: echoed as its first three and its coordinate count
+    "pattern_site_2000_coordinates_1d": {
+        "dimension": 1, "states": 2, "radii": [0, 1], "J": 1.0, "beta": 1.0,
+        "pairs": [{"phi": [{"tail": 1}, {"tail": 1, "pattern": [[[0] * 2000, 2]]}],
+                   "psi": [{"tail": 1}, {"tail": 1}]}],
+    },
 }
 
 

@@ -75,6 +75,17 @@ def test_lattice_box_rejects_other_dimensions():
         ev.LatticeBox(1, -1)
 
 
+def test_wrong_length_site_is_echoed_cut_short():
+    """Up to eight coordinates print as the tuple does; a longer site shows three and its coordinate count."""
+    box = ev.LatticeBox(1, 1)
+    for site, text in [((), "()"), ((0, 0), "(0, 0)"), (tuple(range(8)), str(tuple(range(8)))),
+                       ((7, -(10**4000), 0, 0, 0, 0, 0, 0, 0), "(7, int -1" + "0" * 58 + "…, 0, … 9 coordinates)"),
+                       ((0,) * 2000, "(0, 0, 0, … 2000 coordinates)")]:
+        with pytest.raises(ValidationError) as info:
+            box.site_index(site)
+        assert str(info.value) == f"coordinate {text} does not match dimension 1"
+
+
 def test_boxes_nest():
     small = set(ev.LatticeBox(2, 1).sites)
     big = set(ev.LatticeBox(2, 2).sites)

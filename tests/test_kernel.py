@@ -305,20 +305,30 @@ def test_build_writes_what_the_writers_would(scenario):
             assert (out / f"alone.{name}").read_bytes() == expected
 
 
+def potts_labelled(n, edges, names):
+    """The algebra of ``n`` vertices, ``edges`` and the states ``names`` under the Potts measure J=1, beta=0.7."""
+    graph, k = ev.Graph(n, frozenset(edges)), len(names)
+    return ev.build_algebra(graph, ev.StateSpace(k, names), ev.gibbs_measure(ev.potts_hamiltonian(graph, k, 1.0, 0.7)))
+
+
 @pytest.mark.parametrize(
-    "n, edges, names",
+    "build, n, edges, names, chunks",
     [
-        pytest.param(3, {(0, 1)}, ('q"', "\\", "∑"), id="edge plus vertex, k=3"),
-        pytest.param(6, set(), ("é", "\t"), id="edgeless n=6, k=2"),
+        pytest.param(labelled, 3, {(0, 1)}, ('q"', "\\", "∑"), 2, id="edge plus vertex, k=3"),
+        pytest.param(labelled, 6, set(), ("é", "\t"), 245, id="edgeless n=6, k=2"),
         # 6,561 labels that need escaping, past one 4,096-row batch
-        pytest.param(4, {(0, 1), (2, 3)}, ('q"', "\\", "∑"), id="two edges, k=3"),
+        pytest.param(labelled, 4, {(0, 1), (2, 3)}, ('q"', "\\", "∑"), 22, id="two edges, k=3"),
+        # a Potts measure ties most of its 16,192 coefficients
+        pytest.param(potts_labelled, 6, set(zip(range(5), range(1, 6))), ('q"', "é"), 4, id="Potts path n=6, k=2"),
+        pytest.param(labelled, 1, set(), ("∑",), 1, id="one vertex, one state"),
     ],
 )
-def test_exports_match_writers_across_chunks(tmp_path, n, edges, names):
-    """Entries that span several 4,096-entry chunks are formatted from one value table."""
-    algebra = labelled(n, edges, names)
+def test_exports_match_writers_across_chunks(tmp_path, build, n, edges, names, chunks):
+    """Entries that span several 4,096-entry chunks are formatted from one value table; one entry makes one chunk."""
+    algebra = build(n, edges, names)
     entries = oracle_entries(algebra)
-    assert len(entries) > 4096
+    assert len(list(algebra.matrix.entry_texts())) == chunks
+    assert (len(entries) > 4096) == (chunks > 1)
     write_like_writers(algebra, tmp_path, entries)
     ev.export_matrix_csv(algebra, tmp_path / "matrix.csv")
     ev.export_matrix_json(algebra, tmp_path / "matrix.json")
@@ -543,16 +553,22 @@ def test_iso_check_builds_no_hierarchy(tmp_path, monkeypatch):
 
 
 def test_build_formats_each_distinct_coefficient_once(tmp_path, monkeypatch):
-    """Both exports of one ``build`` read one ``repr`` table."""
+    """Both exports of one ``build`` read one ``repr`` table, under random weights and under a Potts measure,
+    which ties most coefficients across row classes and levels."""
     names = ["x", "y", "z"]
     rng = np.random.default_rng(3)
     cells = itertools.product(names, repeat=3)
     weights = {f"({','.join(c)})": w for c, w in zip(cells, rng.uniform(0.1, 1.0, 27).tolist())}
-    scenario = scenario_file(tmp_path / "s.json", SIX[:3], [["v0", "v1"]], names, {"weights": weights})
-    calls = []
-    monkeypatch.setattr(algebra_module, "repr", lambda v: calls.append(v) or builtins.repr(v), raising=False)
-    assert cli.main(["build", "--scenario", scenario, "--out", str(tmp_path)]) == 0
-    loaded = cli.load_scenario(scenario)
-    distinct = {v for _, _, v in ev.matrix_entries(ev.build_algebra(loaded.graph, loaded.space, loaded.measure))}
-    assert len(distinct) > 100
-    assert sorted(calls) == sorted(distinct)
+    for measure in ({"weights": weights}, None):
+        scenario = scenario_file(tmp_path / "s.json", SIX[:3], [["v0", "v1"]], names, measure)
+        calls = []
+        monkeypatch.setattr(algebra_module, "repr", lambda v: calls.append(v) or builtins.repr(v), raising=False)
+        assert cli.main(["build", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        loaded = cli.load_scenario(scenario)
+        entries = list(ev.matrix_entries(ev.build_algebra(loaded.graph, loaded.space, loaded.measure)))
+        distinct = {v for _, _, v in entries}
+        if measure:
+            assert len(distinct) > 100
+        else:
+            assert len(distinct) < len(entries) / 100
+        assert sorted(calls) == sorted(distinct)

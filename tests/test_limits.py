@@ -18,7 +18,7 @@ from conftest import (
 )
 from evoalg import limits
 from evoalg.cells import Cell, PairCell
-from evoalg.errors import BudgetError, ValidationError
+from evoalg.errors import BudgetError, ValidationError, digit_count, shown, written
 from evoalg.limits import TailCell, VolumeScheme
 
 
@@ -250,6 +250,26 @@ def test_low_temp_budget_comes_before_any_scheme(monkeypatch):
 def test_lattice_inputs_must_be_integers(build, field):
     with pytest.raises(ValidationError, match=field):
         build()
+
+
+def test_error_helpers_describe_integers_past_4300_digits_by_digit_count():
+    """``str`` and ``repr`` reject an int of more than 4,300 digits; up to that the helpers print as before."""
+    for value, sign in ((10**5000, ""), (-(10**5000), ", negative")):
+        assert shown(value) == f"int of 5001 digits{sign}"
+        assert written(value) == shown(value)
+    assert shown(10**4299) == written(10**4299) == "int 1" + "0" * 59 + "…"
+    assert written(-(10**58)) == "-1" + "0" * 58
+    assert written(10**60) == "int 1" + "0" * 59 + "…"
+    values = [0, 9, 10, 99, 2**64, -(2**64), 10**4300 - 1, *(2**b - d for b in range(1, 400) for d in (0, 1))]
+    assert [digit_count(v) for v in values] == [len(str(abs(v))) for v in values]
+    assert [digit_count(v) for v in (10**4300, 10**5000 - 1, 2**20000)] == [4301, 5000, 6021]
+
+
+@pytest.mark.parametrize("cell, field", [(TailCell(1, {0: 10**5000}), "pattern"), (TailCell(10**5000), "tail")])
+def test_restrict_rejects_a_state_past_4300_digits(cell, field):
+    with pytest.raises(ValidationError) as info:
+        cell.restrict(ev.LatticeBox(1, 1), 2)
+    assert str(info.value) == f"scenario.limits.pairs.{field}: state must be in 1..2, got int of 5001 digits"
 
 
 def test_lattice_inputs_accept_numpy_integers():
