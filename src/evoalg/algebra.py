@@ -175,21 +175,13 @@ class HeredityMatrix:
     def _text_table(self) -> tuple:
         """Per level, the ``repr`` texts of the row classes' entries, ``(R, 4**c)``; the ``str`` texts of the indices.
 
-        A row is ``w ⊗ w``, and ``w_i * w_j`` has the bits of ``w_j * w_i``, so only the ``i <= j`` triangle of
-        each level is multiplied.  Each distinct coefficient of all levels is formatted once and found per level by
-        binary search, and a fixed ``(i, j) -> triangle`` index spreads the texts to both halves.  The triangles
-        are multiplied again for the search, not held.  The peak memory of ``build`` on edgeless n=4, k=4 is then
-        79.8 MiB under 256 random weights and 47.8 MiB under a Potts measure; an inverse from ``np.unique`` took
-        81.9 and 52.9 MiB.
+        Each distinct coefficient is formatted once and found per level by binary search.  The peak memory of
+        ``build`` on edgeless n=4, k=4 is then 79.8 MiB under 256 random weights and 46.6 MiB under a Potts measure;
+        an inverse from ``np.unique`` over all levels took 83.8 and 63.8 MiB.
         """
-        pairs = [np.triu_indices(w.shape[1]) for w in self._weights]
-        values = np.unique(np.concatenate([(w[:, i] * w[:, j]).ravel() for w, (i, j) in zip(self._weights, pairs)]))
+        values = np.unique(np.concatenate([_outer(w).ravel() for w in self._weights]))
         texts = np.fromiter(map(repr, values.tolist()), dtype=object, count=len(values))
-        value_text = []
-        for w, (i, j) in zip(self._weights, pairs):
-            at = np.empty((w.shape[1],) * 2, dtype=np.int64)
-            at[i, j] = at[j, i] = np.arange(len(i))
-            value_text.append(texts[np.searchsorted(values, w[:, i] * w[:, j])][:, at.ravel()])
+        value_text = [texts[np.searchsorted(values, _outer(w))] for w in self._weights]
         return value_text, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
 
     def entry_texts(self, max_entries: int = 1 << 12):
@@ -200,17 +192,28 @@ class HeredityMatrix:
             yield index_text[rows], index_text[cols], vals
 
 
-def write_joined(fh, columns, first: str = None):
-    """Write the ``columns``, each an array of texts or one text for every row, interleaved row by row: one
-    ``"".join`` per 4,096 rows.  ``first`` replaces the first text."""
-    count = max(len(column) for column in columns if not isinstance(column, str))
-    for start in range(0, count, 4096):
-        cells = np.empty((min(count - start, 4096), len(columns)), dtype=object)
+def write_joined(files, columns, first=None):
+    """Write the ``columns`` to each of ``files``, interleaved row by row; ``first`` replaces the first text.  A column
+    is an array of texts, one text for every row or a tuple of such texts, one per file; ``first`` is one text or a
+    tuple of them.  Per 1,024 rows the arrays fill their slots of one list of pieces once for all files, and each file
+    fills its texts into the other slots and writes the list with one ``"".join``.  A batch's list and text then
+    stay under the 128 KiB from which glibc's ``malloc`` maps a block's pages afresh: with 4,096 rows, ``build`` of
+    a path n=6 took about 550 minor page faults, and with 1,024 none."""
+    width = len(columns)
+    count = max(len(column) for column in columns if not isinstance(column, (str, tuple)))
+    for start in range(0, count, 1024):
+        size = min(count - start, 1024)
+        pieces = [None] * (size * width)
         for j, column in enumerate(columns):
-            cells[:, j] = column if isinstance(column, str) else column[start : start + 4096]
-        if first is not None and not start:
-            cells[0, 0] = first
-        fh.write("".join(cells.ravel().tolist()))
+            if not isinstance(column, (str, tuple)):
+                pieces[j::width] = column[start : start + size].tolist()
+        for i, fh in enumerate(files):
+            for j, column in enumerate(columns):
+                if isinstance(column, (str, tuple)):
+                    pieces[j::width] = [column if isinstance(column, str) else column[i]] * size
+            if first is not None and not start:
+                pieces[0] = first if isinstance(first, str) else first[i]
+            fh.write("".join(pieces))
 
 
 def write_labels(fh, algebra: EvolutionAlgebra, runs, quoted: bool):
@@ -227,7 +230,7 @@ def write_labels(fh, algebra: EvolutionAlgebra, runs, quoted: bool):
     right = np.array([f"{cell}){quote}" for cell in cells], dtype=object)
     for lead, gens, seps in runs:
         first, second = np.divmod(gens, algebra.kn)
-        write_joined(fh, (seps, left[first], right[second]), lead)
+        write_joined((fh,), (seps, left[first], right[second]), lead)
 
 
 def _outer(w: np.ndarray) -> np.ndarray:
@@ -385,29 +388,18 @@ def matrix_entries(algebra: EvolutionAlgebra):
 
 def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
     """Write the CSV export, the JSON export or both, chunk by chunk in one walk over ``entry_texts``:
-    what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write.
-
-    A chunk's texts go once into one list of six pieces per entry, separator then text; each file fills the
-    separators of its format and writes the list with one ``"".join``."""
+    what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write."""
     with ExitStack() as files:
         csv_fh = csv_path and files.enter_context(open(csv_path, "w", newline=""))
         json_fh = json_path and files.enter_context(open(json_path, "w"))
-        # each entry opens with the text that closes the one before; the first opens with the head instead
-        formats = [(fh, first, seps) for fh, first, seps in (
-            (csv_fh, "row,col,value\r\n", ("\r\n", ",", ",")),
-            (json_fh, f'{{\n "dimension": {algebra.dimension},\n "entries": [\n  [\n   ',
-             ("\n  ],\n  [\n   ", ",\n   ", ",\n   ")),
-        ) if fh]
-        for chunk, (rows, cols, vals) in enumerate(algebra.matrix.entry_texts()):
-            count = len(rows)
-            pieces = [None] * (6 * count)
-            pieces[1::6], pieces[3::6], pieces[5::6] = rows.tolist(), cols.tolist(), vals.tolist()
-            for fh, first, seps in formats:
-                for slot, sep in enumerate(seps):
-                    pieces[2 * slot :: 6] = [sep] * count
-                if not chunk:
-                    pieces[0] = first
-                fh.write("".join(pieces))
+        # per file: its head, then the texts that open an entry's row, column and value; each entry opens with the
+        # text that closes the one before, and the first with the head instead
+        head = f'{{\n "dimension": {algebra.dimension},\n "entries": [\n  [\n   '
+        formats = (csv_fh, "row,col,value\r\n", "\r\n", ",", ","), (json_fh, head, "\n  ],\n  [\n   ", ",\n   ", ",\n   ")
+        fhs, firsts, *seps = zip(*(texts for texts in formats if texts[0]))
+        for rows, cols, vals in algebra.matrix.entry_texts():
+            write_joined(fhs, (seps[0], rows, seps[1], cols, seps[2], vals), firsts)
+            firsts = None
         if csv_fh:
             csv_fh.write("\r\n")
         if json_fh:

@@ -114,7 +114,7 @@ def _write_hierarchy(fh, hierarchy, algebra, counts):
     coord = np.array([f"{c},\n    " for c in range(hierarchy.level_count)], dtype=object)[hierarchy.row_level]
     coord += np.array(list(map(str, range(len(coord)))), dtype=object)[hierarchy.positions]
     flows = ("\n   ]\n  ],\n  [\n   [\n    ", coord[hierarchy.flow_source], "\n   ],\n   [\n    ", coord[hierarchy.flow_target])
-    write_joined(fh, flows, "[\n  [\n   [\n    ")
+    write_joined((fh,), flows, "[\n  [\n   [\n    ")
     fh.write(("\n   ]\n  ]\n ]" if len(flows[1]) else "[]") + f',\n "level_count": {hierarchy.level_count},\n "levels": ')
     leads = {c: "\n   ]\n  ],\n  [\n   [\n    " if c else "[\n  [\n   [\n    " for c in range(hierarchy.level_count)}
     write_labels(fh, algebra, _level_runs(hierarchy, leads, "\n   ],\n   [\n    ", ",\n    "), True)

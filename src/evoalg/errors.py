@@ -2,10 +2,9 @@
 
 import math
 import numbers
+import sys
 
 ENUMERATION_BUDGET = 10**6
-# CPython's default cap on the digits of an int converted to text; a longer one raises ValueError in str and repr
-LONGEST_PRINTED_INT = 4300
 
 
 class ValidationError(ValueError):
@@ -24,9 +23,10 @@ def check_budget(count, formula: str, unit: str) -> None:
 
 
 def shown(value) -> str:
-    """A rejected value for an error message: its type, then its repr cut to 60 characters; an integer of more than
-    ``LONGEST_PRINTED_INT`` digits, which ``repr`` would reject, by its digit count."""
-    if isinstance(value, int) and (digits := digit_count(value)) > LONGEST_PRINTED_INT:
+    """A rejected value for an error message: its type, then its repr cut to 60 characters; an integer of more digits
+    than the interpreter turns into text (``sys.get_int_max_str_digits``, 0 for no limit), by its digit count."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if isinstance(value, int) and limit and (digits := digit_count(value)) > limit:
         return f"{type(value).__name__} of {digits} digits{', negative' * (value < 0)}"
     text = repr(value)
     return f"{type(value).__name__} {text[:60]}{'…' * (len(text) > 60)}"
@@ -38,8 +38,8 @@ def written(value: int) -> str:
 
 
 def digit_count(value: int) -> int:
-    """The decimal digits of ``abs(value)``, from its bit length: ``str`` is never called."""
-    size = abs(value)
+    """The decimal digits of ``abs(value)``, a Python or numpy integer, from its bit length: ``str`` is never called."""
+    size = abs(int(value))
     # 2**(bits-1) <= size < 2**bits gives floor((bits - 1) * log10(2)) + 1 digits or one more, so this start is
     # below the count, or at it where the float product rounds up to the next integer; count up from there
     digits = max(1, int((size.bit_length() - 1) * math.log10(2)))

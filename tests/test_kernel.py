@@ -316,7 +316,7 @@ def potts_labelled(n, edges, names):
     [
         pytest.param(labelled, 3, {(0, 1)}, ('q"', "\\", "∑"), 2, id="edge plus vertex, k=3"),
         pytest.param(labelled, 6, set(), ("é", "\t"), 245, id="edgeless n=6, k=2"),
-        # 6,561 labels that need escaping, past one 4,096-row batch
+        # 6,561 labels that need escaping, past several 1,024-row batches
         pytest.param(labelled, 4, {(0, 1), (2, 3)}, ('q"', "\\", "∑"), 22, id="two edges, k=3"),
         # a Potts measure ties most of its 16,192 coefficients
         pytest.param(potts_labelled, 6, set(zip(range(5), range(1, 6))), ('q"', "é"), 4, id="Potts path n=6, k=2"),
@@ -334,6 +334,21 @@ def test_exports_match_writers_across_chunks(tmp_path, build, n, edges, names, c
     ev.export_matrix_json(algebra, tmp_path / "matrix.json")
     for name in ("csv", "json"):
         assert filecmp.cmp(tmp_path / f"matrix.{name}", tmp_path / f"expected.{name}", shallow=False)
+
+
+def test_write_joined_shares_text_columns_across_files():
+    """Every file gets the array columns, its own text of each tuple column and, on its first batch only, its own
+    ``first``; 5,000 rows span five 1,024-row batches."""
+    rows = np.array([str(i) for i in range(5000)], dtype=object)
+    for first in (None, ("<", "[")):
+        files = io.StringIO(), io.StringIO()
+        algebra_module.write_joined(files, ((";", "|"), rows, "=", rows), first)
+        for i, fh in enumerate(files):
+            expected = "".join(f"{(';', '|')[i]}{row}={row}" for row in rows.tolist())
+            assert fh.getvalue() == (expected if first is None else first[i] + expected[1:])
+    fh = io.StringIO()
+    algebra_module.write_joined((fh,), (rows, "-"), "x")
+    assert fh.getvalue() == "x-" + "".join(f"{row}-" for row in rows[1:].tolist())
 
 
 def test_entry_chunks_and_texts_share_one_walk():
@@ -425,7 +440,7 @@ def oracle_hierarchy_payload(algebra) -> dict:
 
 
 # draws stop at 729 generators, so a failing draw shrinks in seconds; n=4, k=3 (6,561 generators, flows
-# past one 4,096-row batch) comes as explicit examples, which run first and are not shrunk
+# past several 1,024-row batches) comes as explicit examples, which run first and are not shrunk
 @settings(max_examples=40, deadline=None)
 @given(algebras(labels=True, max_dimension=729))
 @example(labelled(4, set(), ('q"', "\\", "∑")))
@@ -453,7 +468,7 @@ def scenario_file(path, vertices, edges, names, measure=None):
 SIX = [f"v{i}" for i in range(6)]
 HIERARCHY_SCENARIOS = {
     "connected path": (SIX, [[a, b] for a, b in zip(SIX, SIX[1:])], ['q"', "\\"], dict),
-    # 7,168 flows: two batches of at most 4,096
+    # 7,168 flows: seven batches of at most 1,024
     "two paths": (SIX, [["v0", "v1"], ["v1", "v2"], ["v3", "v4"], ["v4", "v5"]], ["é", "\t"], type(None)),
     "one vertex, one state": (["only"], [], ["∑"], dict),
 }

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -252,8 +253,19 @@ def test_lattice_inputs_must_be_integers(build, field):
         build()
 
 
-def test_error_helpers_describe_integers_past_4300_digits_by_digit_count():
+@pytest.fixture
+def int_digit_limit():
+    """Set the interpreter's limit on the digits of an int turned into text, and restore it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no limit on int <-> str conversion in this interpreter")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_error_helpers_describe_integers_past_4300_digits_by_digit_count(int_digit_limit):
     """``str`` and ``repr`` reject an int of more than 4,300 digits; up to that the helpers print as before."""
+    int_digit_limit(4300)
     for value, sign in ((10**5000, ""), (-(10**5000), ", negative")):
         assert shown(value) == f"int of 5001 digits{sign}"
         assert written(value) == shown(value)
@@ -265,11 +277,32 @@ def test_error_helpers_describe_integers_past_4300_digits_by_digit_count():
     assert [digit_count(v) for v in (10**4300, 10**5000 - 1, 2**20000)] == [4301, 5000, 6021]
 
 
+def test_error_helpers_follow_the_interpreters_digit_limit(int_digit_limit):
+    """A lower limit cuts over sooner, and without a limit a long integer prints its digits cut to 60 characters."""
+    int_digit_limit(1000)
+    assert shown(10**1000) == "int of 1001 digits"
+    assert written(-(10**2000)) == "int of 2001 digits, negative"
+    assert shown(10**999) == "int 1" + "0" * 59 + "…"
+    with pytest.raises(ValidationError, match="got int of 2001 digits$"):
+        TailCell(1, {0: 10**2000}).restrict(ev.LatticeBox(1, 1), 2)
+    int_digit_limit(0)
+    assert shown(10**5000) == written(10**5000) == "int 1" + "0" * 59 + "…"
+
+
 @pytest.mark.parametrize("cell, field", [(TailCell(1, {0: 10**5000}), "pattern"), (TailCell(10**5000), "tail")])
-def test_restrict_rejects_a_state_past_4300_digits(cell, field):
+def test_restrict_rejects_a_state_past_4300_digits(int_digit_limit, cell, field):
+    int_digit_limit(4300)
     with pytest.raises(ValidationError) as info:
         cell.restrict(ev.LatticeBox(1, 1), 2)
     assert str(info.value) == f"scenario.limits.pairs.{field}: state must be in 1..2, got int of 5001 digits"
+
+
+def test_rejected_numpy_integers_print_as_written():
+    assert [written(v) for v in (np.int64(-7), np.uint64(2**64 - 1))] == ["-7", "18446744073709551615"]
+    with pytest.raises(ValidationError, match=r"coordinate \(5000,\) outside box of radius 1$"):
+        ev.LatticeBox(1, 1).site_index((np.int64(5000),))
+    with pytest.raises(ValidationError, match="state must be in 1..2, got 9$"):
+        TailCell(np.int64(2), {np.int16(1): np.int64(9)}).restrict(ev.LatticeBox(1, 1), 2)
 
 
 def test_lattice_inputs_accept_numpy_integers():
