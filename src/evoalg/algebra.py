@@ -20,7 +20,7 @@ import numbers
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import pairwise, product
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -58,15 +58,13 @@ _DENSE_SHARE = 8
 class HeredityMatrix:
     """Sparse row-stochastic coefficient matrix over the pair cells.
 
-    ``contrib[cell, b]`` is a cell's index contribution on component ``b``.
-    A generator's parents give the signature cells ``lo`` and ``hi``, with
-    the smaller and the larger contribution on every component, and its
-    level, the number of components where they differ; these fix its
-    children set.  ``classes`` lists the row classes as ascending
-    ``level * k**2n + lo * k**n + hi``, ``gen_row`` maps each generator to
-    its class, ``row_level``, ``row_lo`` and ``row_hi`` unpack each class and
-    ``level_start`` marks where each level begins.  A row is the outer
-    product of the normalized cell weights of its class's children set.
+    ``contrib[cell, b]`` is a cell's index contribution on component ``b``.  A generator's parents give the signature
+    cells ``lo`` and ``hi``, with the smaller and the larger contribution on every component, and its level, the number
+    of components where they differ; these fix its children set.  ``classes`` lists the row classes by ascending
+    ``class_key``, ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each
+    class's level and its smallest generator ``(lo, hi)``, and ``level_start`` marks where each level begins.  A row is
+    the outer product of the normalized cell weights of its class's children set, formed by ``_outer`` alone and laid
+    out class after class by ``_expand`` for ``combine`` and the exports.
     """
 
     def __init__(self, graph: Graph, space: StateSpace, measure: Measure):
@@ -83,20 +81,26 @@ class HeredityMatrix:
             level += np.not_equal.outer(part, part)
         # min + max = a + b on every component, so hi = a + b - lo
         hi = np.add.outer(cells, cells) - lo
-        self.classes, self.gen_row = np.unique(
-            ((level * kn + lo) * kn + hi).ravel(), return_inverse=True
+        # a class's first generator is its smallest, (lo, hi)
+        self.classes, first, self.gen_row = np.unique(
+            self.class_key(level, lo, hi).ravel(), return_index=True, return_inverse=True
         )
-        self.row_level, row_key = np.divmod(self.classes, self.dimension)
-        self.row_lo, self.row_hi = np.divmod(row_key, kn)
+        self.row_level = level.ravel()[first]
+        self.row_lo, self.row_hi = np.divmod(first, kn)
         self.level_start = np.searchsorted(self.row_level, np.arange(self.row_level[-1] + 2))
         # per level: children (R, 2**c) and normalized weights of its row classes
-        self._children, self._weights = [], []
-        for c in range(len(self.level_start) - 1):
-            rows = slice(self.level_start[c], self.level_start[c + 1])
-            kids = children_indices(self.contrib[self.row_lo[rows]], self.contrib[self.row_hi[rows]])
-            w = measure.weights[kids]
-            self._children.append(kids)
-            self._weights.append(w / w.sum(axis=1, keepdims=True))
+        self._children = [children_indices(self.contrib[self.row_lo[a:b]], self.contrib[self.row_hi[a:b]])
+                          for a, b in pairwise(self.level_start.tolist())]
+        weights = [measure.weights[kids] for kids in self._children]
+        self._weights = [w / w.sum(axis=1, keepdims=True) for w in weights]
+
+    def class_key(self, level, lo, hi):
+        """The row-class key ``level * k**2n + lo * k**n + hi``: ascending keys run by level, then by ``(lo, hi)``."""
+        return (level * self.kn + lo) * self.kn + hi
+
+    def pairs(self, kids: np.ndarray) -> np.ndarray:
+        """The pair indices of a children set, or of each row of an array of them, flat: ascending for sorted sets."""
+        return (kids[..., :, None] * self.kn + kids[..., None, :]).ravel()
 
     def children(self, index: int) -> tuple:
         """Ascending children cells and their normalized weights, as arrays.
@@ -111,32 +115,38 @@ class HeredityMatrix:
         pos = rid - self.level_start[c]
         return self._children[c][pos], self._weights[c][pos]
 
+    def _outer(self, kids: np.ndarray, w: np.ndarray) -> tuple:
+        """The entries of row classes with children ``kids`` and weights ``w``, ``(..., m)``: columns and products."""
+        return self.pairs(kids), (w[..., :, None] * w[..., None, :]).ravel()
+
+    def _expand(self, rids: np.ndarray) -> tuple:
+        """The columns (int32) and products of the ascending row classes ``rids``, class after class, from ``_outer``
+        one level at a time, and each class's entry count."""
+        counts = 4 ** self.row_level[rids]
+        cols, prods = np.empty(counts.sum(), dtype=np.int32), np.empty(counts.sum())
+        start = 0
+        for c, (r0, r1) in enumerate(pairwise(np.searchsorted(rids, self.level_start).tolist())):
+            pos, stop = rids[r0:r1] - self.level_start[c], start + (r1 - r0) * 4**c
+            cols[start:stop], prods[start:stop] = self._outer(self._children[c][pos], self._weights[c][pos])
+            start = stop
+        return cols, prods, counts
+
     def row(self, index: int) -> dict:
         """The full sparse row as ``{pair_index: coefficient}``."""
-        kids, w = self.children(index)
-        cols = np.add.outer(kids * self.kn, kids).ravel()
-        return dict(zip(cols.tolist(), np.outer(w, w).ravel().tolist()))
+        cols, prods = self._outer(*self.children(index))
+        return dict(zip(cols.tolist(), prods.tolist()))
 
     def combine(self, gens: list, scales: list) -> dict:
         """``sum_g scales[g] * row(gens[g])`` as ``{pair_index: coefficient}``.
 
-        ``gens`` must be ascending and in range: scales are summed per row
-        class in that order, so equal inputs give equal bits.  Each level's
-        classes expand to outer-product entries, summed per column in that
-        order over all columns or over the sorted distinct ones, with the
-        same bits either way.  Keys come out ascending; coefficients below
-        ``COEFF_DROP`` drop.
+        ``gens`` must be ascending and in range: scales are summed per row class in that order, so equal inputs give
+        equal bits.  The classes expand to their entries, each ``(w_i * w_j) * scale``, summed per column in that order
+        over all columns or over the sorted distinct ones, with the same bits either way.  Keys come out ascending;
+        coefficients below ``COEFF_DROP`` drop.
         """
         rids, inverse = np.unique(self.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
-        totals = np.bincount(inverse, weights=scales)
-        bounds = np.searchsorted(rids, self.level_start).tolist()
-        cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-        for c, (r0, r1) in enumerate(zip(bounds[:-1], bounds[1:])):
-            pos = rids[r0:r1] - self.level_start[c]
-            kids, w = self._children[c][pos], self._weights[c][pos]
-            cols.append((kids[:, :, None] * self.kn + kids[:, None, :]).ravel())
-            vals.append((w[:, :, None] * w[:, None, :] * totals[r0:r1, None, None]).ravel())
-        cols, vals = np.concatenate(cols), np.concatenate(vals)
+        cols, vals, counts = self._expand(rids)
+        vals *= np.repeat(np.bincount(inverse, weights=scales), counts)
         dense = len(cols) * _DENSE_SHARE >= self.dimension
         # one bincount either way, and it adds each column's terms in input order
         distinct, at = (None, cols) if dense else np.unique(cols, return_inverse=True)
@@ -144,52 +154,52 @@ class HeredityMatrix:
         keep = np.flatnonzero(np.abs(sums) >= COEFF_DROP)
         return dict(zip((keep if dense else distinct[keep]).tolist(), sums[keep].tolist()))
 
-    def _walk(self, max_entries: int, block, dtype):
-        """Chunks of consecutive generators, about ``max_entries`` entries each, as ``(rows, cols, values)``.
-
-        ``block(c, pos)`` gives the values of the level-``c`` row classes at ``pos``, ``(len(pos), 4**c)``.
-        """
-        width = 4 ** self.row_level[self.gen_row]
-        ends = np.cumsum(width)
+    def _walk(self, max_entries: int, cols: np.ndarray, values: np.ndarray):
+        """Chunks of consecutive generators, about ``max_entries`` entries each, as ``(rows, cols, values)``: one
+        ragged gather of each generator's class entries from ``cols`` and ``values``, laid out as ``_expand`` does."""
+        width = 4**self.row_level
+        size = width[self.gen_row]
+        ends = np.cumsum(size)
+        # a generator's entry e sits at e + shift in the class layout
+        shift = (np.cumsum(width) - width)[self.gen_row] - (ends - size)
         cuts = np.searchsorted(ends, np.arange(0, ends[-1], max_entries), side="right")
         cuts = np.append(np.unique(cuts), self.dimension)
-        for g0, g1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            rid, size = self.gen_row[g0:g1], width[g0:g1]
-            level, offset = self.row_level[rid], np.cumsum(size) - size
-            cols = np.empty(int(size.sum()), dtype=np.int64)
-            vals = np.empty(len(cols), dtype=dtype)
-            for c in np.unique(level).tolist():
-                sel = level == c
-                pos = rid[sel] - self.level_start[c]
-                kids = self._children[c][pos]
-                at = offset[sel][:, None] + np.arange(4**c)
-                cols[at] = (kids[:, :, None] * self.kn + kids[:, None, :]).reshape(len(pos), -1)
-                vals[at] = block(c, pos)
-            yield np.repeat(np.arange(g0, g1), size), cols, vals
+        for g0, g1 in pairwise(cuts.tolist()):
+            at = np.arange(ends[g0] - size[g0], ends[g1 - 1]) + np.repeat(shift[g0:g1], size[g0:g1])
+            yield np.repeat(np.arange(g0, g1), size[g0:g1]), cols[at], values[at]
 
     def entry_chunks(self, max_entries: int = 1 << 12):
         """All nonzero entries as ``(rows, cols, values)`` arrays, sorted, about ``max_entries`` a chunk."""
-        return self._walk(max_entries, lambda c, pos: _outer(self._weights[c][pos]), float)
+        return self._walk(_chunk_size(max_entries), *self._expand(np.arange(len(self.classes)))[:2])
 
     @cached_property
     def _text_table(self) -> tuple:
-        """Per level, the ``repr`` texts of the row classes' entries, ``(R, 4**c)``; the ``str`` texts of the indices.
+        """All class entries' columns and their coefficients' places among the distinct ones, int32, laid out as
+        ``_expand`` does; the distinct coefficients' ``repr`` texts, made one float at a time; the indices' ``str``.
 
-        Each distinct coefficient is formatted once and found per level by binary search.  The peak memory of
-        ``build`` on edgeless n=4, k=4 is then 79.8 MiB under 256 random weights and 46.6 MiB under a Potts measure;
-        an inverse from ``np.unique`` over all levels took 83.8 and 63.8 MiB.
+        The places are found, and the products freed, before any text is made: ``build`` of edgeless n=4, k=4 under 256
+        distinct weights peaks at 74.2-74.4 MiB, and one text per entry, int64 places or a float list took 76.6-76.9.
         """
-        values = np.unique(np.concatenate([_outer(w).ravel() for w in self._weights]))
-        texts = np.fromiter(map(repr, values.tolist()), dtype=object, count=len(values))
-        value_text = [texts[np.searchsorted(values, _outer(w))] for w in self._weights]
-        return value_text, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
+        cols, products, _ = self._expand(np.arange(len(self.classes)))
+        values = np.unique(products)
+        at = np.searchsorted(values, products).astype(np.int32)
+        del products
+        texts = np.fromiter(map(repr, map(float, values)), dtype=object, count=len(values))
+        return cols, at, texts, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
 
     def entry_texts(self, max_entries: int = 1 << 12):
-        """``entry_chunks`` as ``(row, col, value)`` object arrays of texts, from the same walk: values are read per
-        row class from ``_text_table``, which only an export builds, so no chunk is sorted."""
-        value_text, index_text = self._text_table
-        for rows, cols, vals in self._walk(max_entries, lambda c, pos: value_text[c][pos], object):
-            yield index_text[rows], index_text[cols], vals
+        """``entry_chunks`` as ``(row, col, value)`` object arrays of texts, from the same walk over ``_text_table``,
+        which only an export builds."""
+        chunks = self._walk(_chunk_size(max_entries), *self._text_table[:2])
+        value_text, index_text = self._text_table[2:]
+        return ((index_text[rows], index_text[cols], value_text[at]) for rows, cols, at in chunks)
+
+
+def _chunk_size(max_entries) -> int:
+    """``max_entries`` if it is a positive integer; otherwise a ``ValidationError``."""
+    if not (is_index(max_entries) and max_entries > 0):
+        raise ValidationError(f"max_entries must be a positive integer, got {shown(max_entries)}")
+    return max_entries
 
 
 def write_joined(files, columns, first=None):
@@ -231,11 +241,6 @@ def write_labels(fh, algebra: EvolutionAlgebra, runs, quoted: bool):
     for lead, gens, seps in runs:
         first, second = np.divmod(gens, algebra.kn)
         write_joined((fh,), (seps, left[first], right[second]), lead)
-
-
-def _outer(w: np.ndarray) -> np.ndarray:
-    """Each row of ``w`` times itself as a flat outer product: the row-class entries, ``(R, 4**c)``."""
-    return (w[:, :, None] * w[:, None, :]).reshape(len(w), -1)
 
 
 class AlgebraElement:

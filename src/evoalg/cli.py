@@ -320,7 +320,8 @@ _PARSER = _parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.run(args)
+        with np.errstate(all="ignore"):  # a nan or an overflow meets a named check; a numpy warning would come first
+            return args.run(args)
     except (ValidationError, OSError) as exc:  # a scenario is read with a message of its own: an OSError is from --out
         print(f"error: {'out: ' if isinstance(exc, OSError) else ''}{exc}", file=sys.stderr)
         return 2

@@ -58,11 +58,8 @@ def generated_subalgebra(algebra: EvolutionAlgebra, seed) -> Subalgebra:
     gens = [algebra.pair_index(p) for p in seed]
     if not gens:
         raise ValidationError("generated_subalgebra: seed must be nonempty")
-    basis = set()
-    for g in gens:
-        kids = algebra.matrix.children(g)[0]
-        basis.update(np.add.outer(kids * algebra.kn, kids).ravel().tolist())
-    return Subalgebra(frozenset(basis))
+    m = algebra.matrix
+    return Subalgebra(frozenset(np.concatenate([m.pairs(m.children(g)[0]) for g in gens]).tolist()))
 
 
 def precedes(algebra: EvolutionAlgebra, tau, sigma) -> bool:
@@ -94,13 +91,10 @@ def descent_chain(algebra: EvolutionAlgebra, sigma) -> DescentChain:
     m = algebra.matrix
     current = algebra.pair_index(sigma)
     level = m.row_level[m.gen_row[current]]
-    if level == 0:
-        return DescentChain((algebra.pair_from_index(current),))
-    chain = []
+    chain = [] if level else [current]
     while level > 0:
-        kids = m.children(current)[0]
         # ascending children give ascending candidates
-        candidates = np.add.outer(kids * algebra.kn, kids).ravel()
+        candidates = m.pairs(m.children(current)[0])
         levels = m.row_level[m.gen_row[candidates]]
         lower = levels < level
         transit = lower & (levels > 0)
@@ -176,8 +170,7 @@ def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
         keep = np.array(list(product(range(3), repeat=c))[:-1]).reshape(3**c - 1, c)
         sub_lo = m.row_lo[rows, None] + steps @ (keep == 1).T
         sub_hi = m.row_lo[rows, None] + steps @ (keep != 0).T
-        sub_level = np.count_nonzero(keep == 2, axis=1)
-        sub_class = sub_level * algebra.dimension + sub_lo * algebra.kn + sub_hi
+        sub_class = m.class_key(np.count_nonzero(keep == 2, axis=1), sub_lo, sub_hi)
         # classes run in (level, position) order: sorting each row sorts the flows
         sources.append(np.repeat(rows, len(keep)))
         targets.append(np.sort(np.searchsorted(m.classes, sub_class), axis=1).ravel())

@@ -495,20 +495,21 @@ def oracle_combine(algebra, scaled):
 def oracle_sorted_combine(matrix, gens, scales) -> dict:
     """``HeredityMatrix.combine`` merging every expansion by sorting, then filtered like user input.
 
-    Equal columns are found with ``np.unique`` and summed with
-    ``np.bincount`` over the sorted distinct columns, whatever the entry
-    count; ``AlgebraElement`` then drops what is below ``COEFF_DROP``.
-    Both accumulation paths of ``combine`` must give this dict bit for bit.
+    Each row class is read through the public ``children`` of its smallest
+    generator ``lo * k**n + hi`` and expanded here, class by class in
+    ascending order, as ``(w_i * w_j) * scale``.  Equal columns are found
+    with ``np.unique`` and summed with ``np.bincount`` over the sorted
+    distinct columns, whatever the entry count; ``AlgebraElement`` then
+    drops what is below ``COEFF_DROP``.  Both accumulation paths of
+    ``combine`` must give this dict bit for bit.
     """
     rids, inverse = np.unique(matrix.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
     totals = np.bincount(inverse, weights=scales)
-    bounds = np.searchsorted(rids, matrix.level_start).tolist()
     cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for c, (r0, r1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        pos = rids[r0:r1] - matrix.level_start[c]
-        kids, w = matrix._children[c][pos], matrix._weights[c][pos]
-        cols.append((kids[:, :, None] * matrix.kn + kids[:, None, :]).ravel())
-        vals.append((w[:, :, None] * w[:, None, :] * totals[r0:r1, None, None]).ravel())
+    for rid, total in zip(rids.tolist(), totals.tolist()):
+        kids, w = matrix.children(int(matrix.row_lo[rid]) * matrix.kn + int(matrix.row_hi[rid]))
+        cols.append(np.add.outer(kids * matrix.kn, kids).ravel())
+        vals.append((np.multiply.outer(w, w) * total).ravel())
     keys, at = np.unique(np.concatenate(cols), return_inverse=True)
     sums = np.bincount(at, weights=np.concatenate(vals))
     return ev.AlgebraElement(dict(zip(keys.tolist(), sums.tolist()))).coeffs

@@ -381,7 +381,8 @@ def test_entry_chunks_and_texts_share_one_walk():
 
 
 def test_only_an_export_builds_the_text_table(tmp_path, monkeypatch):
-    """``build_algebra``, ``hierarchy`` and ``isocheck`` leave the text table unbuilt; ``build`` builds it."""
+    """``build_algebra``, ``hierarchy``, ``isocheck``, element arithmetic and the subalgebra queries cache nothing on
+    the matrix, neither the class-entry columns nor the texts; ``build`` caches both, in the text table."""
     built = []
     monkeypatch.setattr(cli, "build_algebra", lambda *args: built.append(ev.build_algebra(*args)) or built[-1])
     edges = [[a, b] for a, b in zip(SIX, SIX[1:])]
@@ -390,10 +391,30 @@ def test_only_an_export_builds_the_text_table(tmp_path, monkeypatch):
     for argv in (["hierarchy", "--scenario", first], ["isocheck", "--scenario", first, "--scenario-b", second]):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     assert len(built) == 3
-    assert not any("_text_table" in algebra.matrix.__dict__ for algebra in built)
+    fresh = set(ev.build_algebra(built[0].graph, built[0].space, built[0].measure).matrix.__dict__)
+    algebra = built[0]
+    x = ev.AlgebraElement({g: 0.5 + g / 7000 for g in range(0, algebra.dimension, 7)})
+    algebra.square(x)
+    algebra.multiply(x, algebra.generator(7))
+    algebra.row(5)
+    structure.generated_subalgebra(algebra, [5, 9])
+    structure.descent_chain(algebra, 9)
+    assert all(set(each.matrix.__dict__) == fresh for each in built)
     with contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["build", "--scenario", first, "--out", str(tmp_path)]) == 0
-    assert "_text_table" in built[-1].matrix.__dict__
+    assert set(built[-1].matrix.__dict__) == fresh | {"_text_table"}
+    cols, places, *_ = built[-1].matrix._text_table
+    assert len(cols) == len(places) and cols.dtype == places.dtype == np.int32
+
+
+@pytest.mark.parametrize("max_entries", [-1, 0, 1.5, True])
+def test_walks_reject_bad_chunk_sizes(edge_algebra, max_entries):
+    """A chunk size that is not a positive integer is named before any table is built, not walked as zero entries
+    or a numpy error."""
+    for walk in (edge_algebra.matrix.entry_chunks, edge_algebra.matrix.entry_texts):
+        with pytest.raises(ev.ValidationError, match="max_entries must be a positive integer"):
+            walk(max_entries)
+    assert "_text_table" not in edge_algebra.matrix.__dict__
 
 
 def assert_same_report(got, expected):
