@@ -54,6 +54,9 @@ SCENARIOS = {
     "chain5_k3_whole_vertex_set": (CHAIN, ",".join(CHAIN_VERTICES), False),
     # the shape of the gibbs workload: a Potts chain of ten vertices
     "path10_k2_potts": (_scenario(10, _path(_vertices(10)), ["a", "b"], POTTS), "v4,v5", False),
+    # at the enumeration budget's edge: 2^19 = 524,288 and 3^12 = 531,441 cells
+    "path19_k2_potts": (_scenario(19, _path(_vertices(19)), ["a", "b"], POTTS), "v9,v10", False),
+    "path12_k3_potts": (_scenario(12, _path(_vertices(12)), ["a", "b", "c"], POTTS), "v5,v6", False),
     # a vertex the graph does not list: exit 2
     "unknown_vertex": (CHAIN, "α,z", False),
     # a weights measure has no Hamiltonian: exit 2
