@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .cells import PairCell, StateSpace, cell_digits, children_indices, component_contributions
+from .cells import PairCell, StateSpace, children_indices, component_contributions, state_axes
 from .errors import BudgetError, ValidationError, is_index, shown
 from .graphs import Graph, components
 from .measures import Measure
@@ -73,12 +73,9 @@ class HeredityMatrix:
         self.kn = kn
         self.dimension = kn * kn
         cells = np.arange(kn, dtype=np.int64)
-        self.contrib = component_contributions(cell_digits(n, k), components(graph), k)
-        lo = np.zeros((kn, kn), dtype=np.int64)
-        level = np.zeros((kn, kn), dtype=np.int64)
-        for part in self.contrib.T:
-            lo += np.minimum.outer(part, part)
-            level += np.not_equal.outer(part, part)
+        self.contrib = component_contributions(state_axes(n, k), components(graph), k)
+        lo = sum(np.minimum.outer(part, part) for part in self.contrib.T)
+        level = sum(np.not_equal.outer(part, part) for part in self.contrib.T)
         # min + max = a + b on every component, so hi = a + b - lo
         hi = np.add.outer(cells, cells) - lo
         # a class's first generator is its smallest, (lo, hi)

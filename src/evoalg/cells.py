@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ENUMERATION_BUDGET, BudgetError, ValidationError, cut
 from .graphs import ComponentPartition
 
 __all__ = [
     "StateSpace",
     "Cell",
     "PairCell",
-    "cell_digits",
+    "base_code",
+    "state_axes",
+    "cellwise",
     "children_set",
     "component_contributions",
     "children_indices",
@@ -60,7 +62,7 @@ class StateSpace:
         try:
             return self.labels.index(str(label)) + 1
         except ValueError:
-            raise ValidationError(f"states: unknown state label {label!r}") from None
+            raise ValidationError(f"states: unknown state label {cut(label)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,7 @@ class Cell:
 
     @property
     def index(self) -> int:
-        value = 0
-        for d in reversed(self.digits):
-            value = value * self.k + d
-        return value
+        return base_code(reversed(self.digits), self.k)
 
     @property
     def states(self) -> tuple:
@@ -119,9 +118,26 @@ class Cell:
         return "(" + ",".join(space.label_of(s) for s in self.states) + ")"
 
 
-def cell_digits(n: int, k: int) -> np.ndarray:
-    """The ``(k**n, n)`` digit table of every cell: row ``i`` holds the digits of index ``i``."""
-    return np.arange(k**n, dtype=np.int64)[:, None] // k ** np.arange(n, dtype=np.int64) % k
+def base_code(digits, k: int):
+    """Base-``k`` code of a digit sequence, its first digit most significant; digits may be arrays."""
+    value = 0
+    for d in digits:
+        value = value * k + d
+    return value
+
+
+def state_axes(n: int, k: int) -> list:
+    """One array per vertex ``v``, its states ``0..k-1`` along axis ``n-1-v``: together they broadcast to every cell
+    and ravel in canonical index order.  With one state all share one axis, which keeps any vertex count within
+    numpy's dimension limit.  ``k**n`` cells past ``ENUMERATION_BUDGET`` raise a ``BudgetError`` first."""
+    if k**n > ENUMERATION_BUDGET:
+        raise BudgetError(f"{k**n} cells exceed the enumeration budget of {ENUMERATION_BUDGET}")
+    return [np.arange(k).reshape((k,) + (1,) * v * (k > 1)) for v in range(n)]
+
+
+def cellwise(value, digit) -> np.ndarray:
+    """``value`` at every cell that the arrays ``digit`` broadcast to, flat in canonical index order."""
+    return np.broadcast_to(value, np.broadcast_shapes(*map(np.shape, digit))).ravel()
 
 
 @dataclass(frozen=True)
@@ -159,15 +175,14 @@ class PairCell:
         return f"({self.first.label(space)},{self.second.label(space)})"
 
 
-def component_contributions(digits, parts: ComponentPartition, k: int) -> np.ndarray:
-    """``sum(digits[..., v] * k**v)`` over each component's vertices, in ``digits``' dtype.
+def component_contributions(digit, parts: ComponentPartition, k: int) -> np.ndarray:
+    """``sum(digit[v] * k**v)`` over each component's vertices, one column per component.
 
-    A cell's index is the sum of these contributions, and two cells agree on
-    a component exactly when their contributions there coincide.
+    ``digit[v]`` holds vertex ``v``'s states, as ``state_axes`` or as arrays
+    that broadcast alike.  A cell's index is the sum of its contributions, and
+    two cells agree on a component exactly when their contributions coincide.
     """
-    digits = np.asarray(digits)
-    place = np.array([k**v for v in range(digits.shape[-1])], dtype=digits.dtype)
-    return np.stack([digits[..., list(b)] @ place[list(b)] for b in parts], axis=-1)
+    return np.stack([cellwise(sum(digit[v] * k**v for v in b), digit) for b in parts], axis=-1)
 
 
 def children_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -193,9 +208,9 @@ def children_set(theta: PairCell, parts: ComponentPartition, space: StateSpace) 
     second's, independently of the other components.
     """
     _check_pair(theta, parts, space)
-    # Python integers, so no cell index can overflow whatever the vertex count
-    digits = np.array([theta.first.digits, theta.second.digits], dtype=object)
-    first, second = component_contributions(digits, parts, theta.k)
+    # each vertex's two parent states, as Python integers, so no cell index can overflow whatever the vertex count
+    digit = np.array([theta.first.digits, theta.second.digits], dtype=object).T
+    first, second = component_contributions(digit, parts, theta.k)
     kids = children_indices(first[None], second[None])[0]
     return {Cell.from_index(i, theta.n, theta.k) for i in kids.tolist()}
 

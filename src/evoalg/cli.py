@@ -23,7 +23,7 @@ from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined,
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
-from .errors import BudgetError, ValidationError, is_index, is_number, shown
+from .errors import BudgetError, ValidationError, cut, is_index, is_number, shown
 from .graphs import graph_from_json
 from .limits import TailCell, VolumeScheme, coefficient_sequence, low_temp_limit_algebras
 # dlr_check stays importable here: bench/tracing.py wraps it by this name
@@ -262,25 +262,19 @@ def cmd_dlr(args) -> int:
     raw_domain = [v for v in (args.domain or "").split(",") if v != ""]
     if not raw_domain:
         raise ValidationError("domain: at least one vertex required")
-    domain = []
-    for name in raw_domain:
-        if name not in scenario.labels:
-            raise ValidationError(f"domain: unknown vertex {name!r}")
-        domain.append(scenario.labels.index(name))
-    domain = sorted(set(domain))
-    k = scenario.space.k
-    rows = []
-    max_gap = 0.0
+    unknown = [name for name in raw_domain if name not in scenario.labels]
+    if unknown:
+        raise ValidationError(f"domain: unknown vertex {cut(unknown[0])!r}")
+    domain = sorted({scenario.labels.index(name) for name in raw_domain})
     table = dlr_table(scenario.hamiltonian, domain, scenario.measure)
-    for states, result in zip(product(range(1, k + 1), repeat=len(domain)), table):
-        max_gap = max(max_gap, result.gap)
-        label = "(" + ",".join(scenario.space.label_of(s) for s in states) + ")"
-        rows.append({"assignment": label, "lhs": result.lhs, "rhs": result.rhs, "gap": result.gap})
+    labels = product(scenario.space.labels, repeat=len(domain))
+    rows = [{"assignment": f"({','.join(states)})", "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap}
+            for states, r in zip(labels, table)]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "domain": [scenario.labels[v] for v in domain],
         "rows": rows,
-        "max_gap": max_gap,
+        "max_gap": max(r.gap for r in table),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

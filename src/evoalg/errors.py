@@ -28,8 +28,12 @@ def shown(value) -> str:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if isinstance(value, int) and limit and (digits := digit_count(value)) > limit:
         return f"{type(value).__name__} of {digits} digits{', negative' * (value < 0)}"
-    text = repr(value)
-    return f"{type(value).__name__} {text[:60]}{'…' * (len(text) > 60)}"
+    return f"{type(value).__name__} {cut(repr(value))}"
+
+
+def cut(label):
+    """A label for an error message: a string cut to 60 characters, plus ``…`` when cut; anything else as it is."""
+    return label[:60] + "…" * (len(label) > 60) if isinstance(label, str) else label
 
 
 def written(value: int) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .errors import ValidationError, check_budget, is_index, shown, written
+from .errors import ValidationError, check_budget, cut, is_index, shown, written
 
 __all__ = [
     "Graph",
@@ -179,14 +179,14 @@ def graph_from_json(descriptor: dict):
     edges = set()
     for raw in raw_edges:
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ValidationError(f"graph.edges: malformed edge {raw!r}")
+            raise ValidationError(f"graph.edges: malformed edge {cut(repr(raw))}")
         a, b = str(raw[0]), str(raw[1])
         if a not in index or b not in index:
-            raise ValidationError(f"graph.edges: unknown endpoint in [{a}, {b}]")
+            raise ValidationError(f"graph.edges: unknown endpoint in [{cut(a)}, {cut(b)}]")
         if a == b:
-            raise ValidationError(f"graph.edges: loop edge [{a}, {b}]")
+            raise ValidationError(f"graph.edges: loop edge [{cut(a)}, {cut(b)}]")
         key = (min(index[a], index[b]), max(index[a], index[b]))
         if key in edges:
-            raise ValidationError(f"graph.edges: duplicate edge [{a}, {b}]")
+            raise ValidationError(f"graph.edges: duplicate edge [{cut(a)}, {cut(b)}]")
         edges.add(key)
     return Graph(len(labels), frozenset(edges)), tuple(labels)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import cell_digits
+from .cells import cellwise, state_axes
 from .errors import ValidationError, check_budget, is_index, shown, written
 from .graphs import LatticeBox, coordinate, site_text
 from .measures import POSITIVITY_FLOOR
@@ -98,9 +98,11 @@ def _column_sweep(width: int, states: int, strengths, stops):
     bits of its own sweep: the strength axis leads in memory, so every sum
     runs in the same order.  Resuming takes the same steps as starting afresh.
     """
-    col = cell_digits(width, states)
-    inner = np.multiply.outer(strengths, (col[:, 1:] == col[:, :-1]).sum(axis=1))
-    bond = np.multiply.outer(strengths, (col[:, None, :] == col[None, :, :]).sum(axis=2))
+    axes = state_axes(2 * width, states)  # a column's sites on the low axes, the one before's on the high ones
+    same = sum(axes[v] == axes[v + 1] for v in range(width - 1))
+    inner = np.multiply.outer(strengths, cellwise(same, axes[:width]))
+    same = sum(axes[v] == axes[width + v] for v in range(width))
+    bond = np.multiply.outer(strengths, cellwise(same, axes).reshape(states**width, -1))
     log_z, done = inner, 1
     for stop in stops:
         for _ in range(stop - done):

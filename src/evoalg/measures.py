@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import Cell, cell_digits
-from .errors import ENUMERATION_BUDGET, BudgetError, ValidationError, is_number, shown
+from .cells import Cell, base_code, cellwise, state_axes
+from .errors import ValidationError, cut, is_number, shown
 from .graphs import Graph
 
 __all__ = [
@@ -76,7 +76,11 @@ def from_weights(raw, n: int, k: int) -> Measure:
         raise ValidationError("measure: at least one cell required")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValidationError("measure: all raw weights must be positive and finite")
-    return Measure(w / w.sum(), n, k)
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ValidationError("measure: the sum of the raw weights overflows a float")
+    return Measure(w / total, n, k)
 
 
 def uniform_measure(n: int, k: int) -> Measure:
@@ -139,31 +143,17 @@ def potts_hamiltonian(graph: Graph, k: int, coupling: float, beta: float) -> Ham
     return Hamiltonian(graph, k, beta, {e: mat for e in graph.edges})
 
 
-def _digit_table(n: int, k: int) -> np.ndarray:
-    count = k**n
-    if count > ENUMERATION_BUDGET:
-        raise BudgetError(f"{count} cells exceed the enumeration budget of {ENUMERATION_BUDGET}")
-    return cell_digits(n, k)
-
-
 def _energy(h: Hamiltonian, digit, vertices, edges):
     """Site fields on ``vertices`` plus couplings on ``edges``, at the 0-based states ``digit[v]``.
 
-    ``digit[v]`` is one state or an array of states; fields are added
-    vertex by vertex, then couplings in the order of ``edges``.
+    ``digit[v]`` is one state or an array of states, and the arrays
+    broadcast together; fields are added vertex by vertex, then couplings in
+    the order of ``edges``, out of place, as the sum grows by broadcasting.
     """
     total = sum(h.site_field[v][digit[v]] for v in vertices)
     for x, y in edges:
-        total += h.pair_coupling[(x, y)][digit[x], digit[y]]
+        total = total + h.pair_coupling[(x, y)][digit[x], digit[y]]
     return total
-
-
-def _code(digits, k: int):
-    """Base-``k`` code of a digit sequence, its first digit most significant."""
-    value = 0
-    for d in digits:
-        value = value * k + d
-    return value
 
 
 def hamiltonian_energy(h: Hamiltonian, cell: Cell) -> float:
@@ -179,7 +169,7 @@ def gibbs_measure(h: Hamiltonian) -> Measure:
     Free boundary: the graph is the whole volume.  The max of ``-beta * H``
     is subtracted before exponentiation.
     """
-    log_w = -h.beta * _energy(h, _digit_table(h.n, h.k).T, range(h.n), h.pair_coupling)
+    log_w = -h.beta * _energy(h, state_axes(h.n, h.k), range(h.n), h.pair_coupling).ravel()
     log_w -= log_w.max()
     w = np.exp(log_w)
     w /= w.sum()
@@ -232,7 +222,7 @@ def _local_specification(h: Hamiltonian, domain: tuple) -> tuple:
     meeting = [e for e in h.pair_coupling if inside & set(e)]
     outer = sorted({v for e in meeting for v in e} - inside)
     local = outer + list(domain)
-    digit = dict(zip(local, _digit_table(len(local), k).T[::-1]))
+    digit = dict(zip(local, state_axes(len(local), k)[::-1]))
     log_w = -h.beta * _energy(h, digit, domain, meeting).reshape(-1, k ** len(domain))
     cond = np.exp(log_w - log_w.max(axis=1, keepdims=True))
     cond /= cond.sum(axis=1, keepdims=True)
@@ -254,7 +244,7 @@ def conditional_prob(h: Hamiltonian, spec: ConditionalSpec, assignment: dict) ->
     if any(d < 0 or d >= h.k for d in target):
         raise ValidationError("conditional: assignment state out of range")
     outer, cond = _local_specification(h, spec.domain)
-    return float(cond[_code((int(spec.boundary[v]) - 1 for v in outer), h.k), _code(target, h.k)])
+    return float(cond[base_code((int(spec.boundary[v]) - 1 for v in outer), h.k), base_code(target, h.k)])
 
 
 @dataclass(frozen=True)
@@ -284,8 +274,8 @@ def dlr_table(h: Hamiltonian, domain, measure: Measure = None) -> list:
         raise ValidationError("dlr: measure does not match the Hamiltonian")
     k = h.k
     outer, cond = _local_specification(h, domain) if len(domain) < h.n else ([], None)
-    local, cells = outer + list(domain), np.arange(k**h.n)
-    code = _code((cells // k**v % k for v in local), k)
+    local, axes = outer + list(domain), state_axes(h.n, k)
+    code = cellwise(base_code((axes[v] for v in local), k), axes)
     # joint mass of (outer neighbours' states, domain states)
     joint = np.bincount(code, measure.weights, k ** len(local)).reshape(-1, k ** len(domain))
     lhs = rhs = joint.sum(axis=0)
@@ -302,7 +292,7 @@ def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
     digits = [int(assignment[v]) - 1 for v in domain]
     if any(not 0 <= d < h.k for d in digits):
         raise ValidationError("dlr: assignment state out of range")
-    return dlr_table(h, domain)[_code(digits, h.k)]
+    return dlr_table(h, domain)[base_code(digits, h.k)]
 
 
 def _floats(raw, name: str, shape=()):
@@ -341,7 +331,7 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
         if vertex_labels is not None:
             name = str(raw)
             if name not in vertex_labels:
-                raise ValidationError(f"measure.hamiltonian: unknown vertex {name!r}")
+                raise ValidationError(f"measure.hamiltonian: unknown vertex {cut(name)!r}")
             return vertex_labels.index(name)
         return int(raw)
     if "weights" in descriptor:
@@ -350,7 +340,6 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             raise ValidationError("measure.weights: nonempty object required")
         raw = np.zeros(k**n)
         seen = set()
-        digit = {label: d for d, label in enumerate(space.labels)}
         for label, value in table.items():
             # "(s_0, ..., s_{n-1})", brackets optional: the cell whose index has s_0 as its least significant digit
             text = str(label).strip()
@@ -358,15 +347,12 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
                 text = text[1:-1]
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != n:
-                raise ValidationError(f"measure.weights: key {label!r} must list {n} states")
-            unknown = [p for p in parts if p not in digit]
-            if unknown:
-                raise ValidationError(f"states: unknown state label {unknown[0]!r}")
-            index = _code((digit[p] for p in reversed(parts)), k)
+                raise ValidationError(f"measure.weights: key {cut(label)!r} must list {n} states")
+            index = base_code(reversed([space.state_of(p) - 1 for p in parts]), k)
             if index in seen:
-                raise ValidationError(f"measure.weights: duplicate cell {label!r}")
+                raise ValidationError(f"measure.weights: duplicate cell {cut(label)!r}")
             seen.add(index)
-            raw[index] = _floats(value, f"measure.weights[{label!r}]")
+            raw[index] = _floats(value, f"measure.weights[{cut(label)!r}]")
         if len(seen) != k**n:
             raise ValidationError("measure.weights: every cell needs a weight")
         if np.any(raw <= 0):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import evoalg as ev
+from evoalg import limits
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import ValidationError, shown
 
@@ -165,8 +166,7 @@ def dlr_check_oracle(h, domain, assignment):
     domain = tuple(sorted(set(domain)))
     target = {v: int(assignment[v]) - 1 for v in domain}
     mu = ev.gibbs_measure(h)
-    index = np.arange(h.k**h.n)
-    digits = np.stack([index // h.k**v % h.k for v in range(h.n)], axis=1)
+    digits = cell_digits(h.n, h.k)
     match = np.ones(len(digits), dtype=bool)
     for v in domain:
         match &= digits[:, v] == target[v]
@@ -513,3 +513,72 @@ def oracle_sorted_combine(matrix, gens, scales) -> dict:
     keys, at = np.unique(np.concatenate(cols), return_inverse=True)
     sums = np.bincount(at, weights=np.concatenate(vals))
     return ev.AlgebraElement(dict(zip(keys.tolist(), sums.tolist()))).coeffs
+
+
+def cell_digits(n, k):
+    """The ``(k**n, n)`` digit table of every cell: row ``i`` holds the digits of index ``i``, vertex 0 first."""
+    return np.arange(k**n, dtype=np.int64)[:, None] // k ** np.arange(n, dtype=np.int64) % k
+
+
+def oracle_energy(h, digit, vertices, edges):
+    """Site fields on ``vertices``, then couplings on ``edges`` added in place, at the digit columns ``digit[v]``."""
+    total = sum(h.site_field[v][digit[v]] for v in vertices)
+    for x, y in edges:
+        total += h.pair_coupling[(x, y)][digit[x], digit[y]]
+    return total
+
+
+def oracle_gibbs_weights(h):
+    """Normalized Boltzmann weights of every row of the digit table, with the max of ``-beta * H`` subtracted."""
+    log_w = -h.beta * oracle_energy(h, cell_digits(h.n, h.k).T, range(h.n), h.pair_coupling)
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    w /= w.sum()
+    return w
+
+
+def oracle_local_specification(h, domain):
+    """``(outer, cond)`` over the digit table of the outer neighbours then the domain, first vertex most significant."""
+    k, inside = h.k, set(domain)
+    meeting = [e for e in h.pair_coupling if inside & set(e)]
+    outer = sorted({v for e in meeting for v in e} - inside)
+    local = outer + list(domain)
+    digit = dict(zip(local, cell_digits(len(local), k).T[::-1]))
+    log_w = -h.beta * oracle_energy(h, digit, domain, meeting).reshape(-1, k ** len(domain))
+    cond = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    cond /= cond.sum(axis=1, keepdims=True)
+    return outer, cond
+
+
+def oracle_dlr_rows(h, domain, weights):
+    """``(lhs, rhs)`` arrays of the consistency identity: the joint mass of (outer states, domain states) binned by
+    the digits of every cell index."""
+    k = h.k
+    outer, cond = oracle_local_specification(h, domain) if len(domain) < h.n else ([], None)
+    digits = cell_digits(h.n, k)
+    code = np.zeros(k**h.n, dtype=np.int64)
+    for v in outer + list(domain):
+        code = code * k + digits[:, v]
+    joint = np.bincount(code, weights, k ** (len(outer) + len(domain))).reshape(-1, k ** len(domain))
+    lhs = joint.sum(axis=0)
+    return lhs, lhs if cond is None else joint.sum(axis=1) @ cond
+
+
+def oracle_contributions(n, k, parts):
+    """``contrib[cell, b]``: the digit table's columns on component ``b`` times their place values, summed."""
+    digits = cell_digits(n, k)
+    place = k ** np.arange(n, dtype=np.int64)
+    return np.stack([digits[:, list(b)] @ place[list(b)] for b in parts], axis=-1)
+
+
+def oracle_column_sweep(width, states, strengths, stops):
+    """``limits._column_sweep`` with its equal-pair counts read off the digit table of the column states."""
+    col = cell_digits(width, states)
+    inner = np.multiply.outer(strengths, (col[:, 1:] == col[:, :-1]).sum(axis=1))
+    bond = np.multiply.outer(strengths, (col[:, None, :] == col[None, :, :]).sum(axis=2))
+    log_z, done = inner, 1
+    for stop in stops:
+        for _ in range(stop - done):
+            log_z = inner + limits._logsumexp((log_z[..., None] + bond).swapaxes(0, -2))
+        done = stop
+        yield limits._logsumexp(log_z.swapaxes(0, -1)).tolist()

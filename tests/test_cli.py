@@ -285,7 +285,7 @@ def test_limits_transfer_table_budget(tmp_path, capsys, monkeypatch, dimension):
     def refuse(*args):
         raise AssertionError("the transfer table was allocated")
 
-    monkeypatch.setattr(ev.limits, "cell_digits", refuse)
+    monkeypatch.setattr(ev.limits, "state_axes", refuse)
     payload = limits_scenario(radii=(0,))
     payload["limits"].update(dimension=dimension, states=1000000)
     scenario = write(tmp_path / "l.json", payload)
@@ -596,6 +596,60 @@ def test_rejected_values_are_echoed_cut_short(tmp_path, capsys, command, payload
     assert err.startswith(f"error: {field}")
     assert f"got {kind} " in err and err.endswith("…\n")
     assert len(err) < len(field) + 160
+
+
+LONG = "x" * 5000
+CUT = "x" * 60 + "…"
+PADDED = "(a,a)" + " " * 5000  # the cell (a,a) once its key is stripped
+
+
+def long_label_site_field():
+    payload = general_scenario([0.5, 0.5])
+    payload["measure"]["hamiltonian"]["site_field"][0]["vertex"] = LONG
+    return payload
+
+
+LONG_LABELS = {
+    "malformed edge": ("build", edges_with([[LONG, LONG, LONG]]), "1", f"graph.edges: malformed edge ['{'x' * 58}…"),
+    "unknown endpoint": ("build", edges_with([[LONG, "2"]]), "1", f"graph.edges: unknown endpoint in [{CUT}, 2]"),
+    "loop edge": (
+        "build",
+        {**edges_with([[LONG, LONG]]), "graph": {"vertices": [LONG, "2"], "edges": [[LONG, LONG]]}},
+        "1",
+        f"graph.edges: loop edge [{CUT}, {CUT}]",
+    ),
+    "duplicate edge": (
+        "build",
+        {**edges_with([]), "graph": {"vertices": [LONG, "2"], "edges": [[LONG, "2"], ["2", LONG]]}},
+        "1",
+        f"graph.edges: duplicate edge [2, {CUT}]",
+    ),
+    "dlr domain": ("dlr", potts_scenario(["1", "2"], [["1", "2"]]), LONG, f"domain: unknown vertex '{CUT}'"),
+    "site field vertex": ("dlr", long_label_site_field(), "1", f"measure.hamiltonian: unknown vertex '{CUT}'"),
+    "weights key": ("build", edge_scenario({LONG: 1.0}), "1", f"measure.weights: key '{CUT}' must list 2 states"),
+    "state label": ("build", edge_scenario({f"({LONG},a)": 1.0}), "1", f"states: unknown state label '{CUT}'"),
+    "duplicate cell": (
+        "build",
+        edge_scenario({"(a,a)": 1.0, PADDED: 1.0}),
+        "1",
+        f"measure.weights: duplicate cell '{PADDED[:60]}…'",
+    ),
+    "weight value": (
+        "build",
+        edge_scenario({PADDED: "x"}),
+        "1",
+        f"measure.weights['{PADDED[:60]}…']: expected 1 number(s), got str 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, payload, domain, message", LONG_LABELS.values(), ids=list(LONG_LABELS))
+def test_long_labels_are_echoed_cut_short(tmp_path, capsys, command, payload, domain, message):
+    """A label of 5,000 characters is echoed as its first 60 and an ellipsis: one line, well under 400 characters."""
+    scenario = write(tmp_path / "bad.json", payload)
+    argv = [command, "--scenario", scenario, "--out", str(tmp_path / "out")]
+    assert main(argv + ["--domain", domain] * (command == "dlr")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def potts_with(**fields):

@@ -1,11 +1,11 @@
-"""Mutated golden scenarios through ``cli.main``: each exits 0, 2 or 3, a failure says why on one line, nothing raises
-and nothing warns.
+"""Mutated golden scenarios through ``cli.main``: each exits 0, 2 or 3, a failure says why on one line of under 400
+characters, nothing raises and nothing warns.
 
 The seeds are the exit-0 entries of the ``build``, ``hierarchy``, ``dlr`` and ``limits`` golden manifests.  Each
-example replaces or deletes one or two leaves of a seed's scenario; replacements are booleans, null, strings,
-``10**400``, NaN, ±inf, ±1e308, lists and objects.  The path n=8 seeds of ``build`` and ``hierarchy`` are left out
-for time: each run of one takes a tenth of a second or more, and a deleted edge turns it into the edgeless n=8
-scenario, whose ``hierarchy`` takes longer still.  No exit-0 seed is edgeless with n=8.  The ``dlr`` seeds at the
+example replaces or deletes one or two leaves of a seed's scenario; replacements are booleans, null, strings (one of
+5,000 characters), ``10**400``, NaN, ±inf, ±1e308, lists and objects.  The path n=8 seeds of ``build`` and
+``hierarchy`` are left out for time: each run of one takes a tenth of a second or more, and a deleted edge turns it
+into the edgeless n=8 scenario, whose ``hierarchy`` takes longer still.  No exit-0 seed is edgeless with n=8.  The ``dlr`` seeds at the
 enumeration budget's edge, path n=19 with k=2 and path n=12 with k=3, are left out for time as well: each run
 enumerates over half a million cells.
 """
@@ -24,8 +24,8 @@ from evoalg import cli
 
 GOLDEN = Path(__file__).with_name("golden")
 DELETE = object()
-REPLACEMENTS = [True, False, None, "", "x", 10**400, float("nan"), float("inf"), -float("inf"), 1e308, -1e308,
-                [], [1, "a"], {}, {"a": 1}, DELETE]
+REPLACEMENTS = [True, False, None, "", "x", "y" * 5000, 10**400, float("nan"), float("inf"), -float("inf"), 1e308,
+                -1e308, [], [1, "a"], {}, {"a": 1}, DELETE]
 
 
 def _seeds() -> list:
@@ -90,4 +90,7 @@ def test_mutated_golden_scenarios_exit_cleanly(data):
             code = cli.main([command, "--scenario", str(path), "--out", str(Path(tmp) / "out"), *extra])
     assert code in (0, 2, 3)
     if code:
-        assert stderr.getvalue().startswith(("error:", "budget exceeded:")), stderr.getvalue()
+        err = stderr.getvalue()
+        assert err.startswith(("error:", "budget exceeded:")), err
+        # an echoed label or value is cut short, so a message stays one short line
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 400, err

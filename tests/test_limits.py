@@ -194,7 +194,7 @@ def test_transfer_sweep_budget(monkeypatch):
     # one column of a thousand states: exactly the budget
     assert limits.BoxMeasure(ev.LatticeBox(1, 0), 1000, 1.0, 0.1).log_partition == pytest.approx(math.log(1000))
     limits.BoxMeasure(ev.LatticeBox(2, 3), 2, 1.0, 0.5)  # 7 * 2^14 = 114688
-    monkeypatch.setattr(limits, "cell_digits", lambda *args: pytest.fail("the transfer table was allocated"))
+    monkeypatch.setattr(limits, "state_axes", lambda *args: pytest.fail("the transfer table was allocated"))
     with pytest.raises(BudgetError, match=r"^transfer sweep: columns \* q\^\(2\*width\) = 1002001 entries "
                                           r"exceed the enumeration budget of 1000000$"):
         limits.BoxMeasure(ev.LatticeBox(1, 0), 1001, 1.0, 0.1)

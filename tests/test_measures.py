@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ from conftest import (
 def test_from_weights_uniform():
     mu = ev.from_weights([1, 1, 1, 1], 2, 2)
     assert np.allclose(mu.weights, 0.25)
+
+
+def test_from_weights_names_an_overflowing_sum():
+    """Finite positive weights whose sum overflows are rejected by name, without numpy's overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^measure: the sum of the raw weights overflows a float$"):
+            ev.from_weights([1e308, 1e308, 1.0, 1.0], 2, 2)
+        # a sum just below the float limit is no overflow, and keeps its bits
+        mu = ev.from_weights([8e307, 9e307], 1, 2)
+    assert mu.weights.tolist() == [8e307 / 1.7e308, 9e307 / 1.7e308]
 
 
 def test_from_weights_normalizes():
