@@ -72,12 +72,10 @@ class HeredityMatrix:
         kn = k**n
         self.kn = kn
         self.dimension = kn * kn
-        cells = np.arange(kn, dtype=np.int64)
         self.contrib = component_contributions(state_axes(n, k), components(graph), k)
         lo = sum(np.minimum.outer(part, part) for part in self.contrib.T)
+        hi = sum(np.maximum.outer(part, part) for part in self.contrib.T)
         level = sum(np.not_equal.outer(part, part) for part in self.contrib.T)
-        # min + max = a + b on every component, so hi = a + b - lo
-        hi = np.add.outer(cells, cells) - lo
         # a class's first generator is its smallest, (lo, hi)
         self.classes, first, self.gen_row = np.unique(
             self.class_key(level, lo, hi).ravel(), return_index=True, return_inverse=True

@@ -340,6 +340,7 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             raise ValidationError("measure.weights: nonempty object required")
         raw = np.zeros(k**n)
         seen = set()
+        digit = {label: d for d, label in enumerate(space.labels)}
         for label, value in table.items():
             # "(s_0, ..., s_{n-1})", brackets optional: the cell whose index has s_0 as its least significant digit
             text = str(label).strip()
@@ -348,7 +349,10 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != n:
                 raise ValidationError(f"measure.weights: key {cut(label)!r} must list {n} states")
-            index = base_code(reversed([space.state_of(p) - 1 for p in parts]), k)
+            unknown = [p for p in parts if p not in digit]
+            if unknown:
+                raise ValidationError(f"states: unknown state label {cut(unknown[0])!r}")
+            index = base_code((digit[p] for p in reversed(parts)), k)
             if index in seen:
                 raise ValidationError(f"measure.weights: duplicate cell {cut(label)!r}")
             seen.add(index)
