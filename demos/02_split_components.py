@@ -15,14 +15,14 @@ from evoalg.cells import Cell, PairCell
 graph = ev.Graph(2)  # two vertices, no edges
 space = ev.StateSpace(2, ("a", "A"))
 parts = ev.components(graph)
-print("components:", parts.blocks)
+print("components:", parts)
 
 cells = sorted((Cell.from_index(i, 2, 2) for i in range(4)), key=lambda c: c.states)
 aa, aA, Aa, AA = cells
 
 # parents disagreeing on both components can produce any cell
 wide = PairCell(aa, AA)
-kids = ev.children_set(wide, parts, space)
+kids = ev.children_set(wide, parts)
 print(f"children of {wide.label(space)}: {sorted(c.label(space) for c in kids)}")
 
 # a measure with matching middle weights, so swapping aA and Aa is a symmetry

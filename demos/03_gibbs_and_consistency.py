@@ -33,9 +33,8 @@ print("\nground-state mass:", mu.mass(aligned))
 print("closed form      :", math.e**2 / z)
 
 # conditional probability of the middle site given its two neighbors
-spec = ev.ConditionalSpec((1,), {0: 1, 2: 1})
 for s in (1, 2):
-    value = ev.conditional_prob(h, spec, {1: s})
+    value = ev.conditional_prob(h, {0: 1, 2: 1}, {1: s})
     print(f"middle site = {s} given aligned neighbors: {value:.6f}")
 
 # the marginal/conditional consistency identity, every small domain
@@ -52,5 +51,5 @@ for states, row in zip(itertools.product((1, 2), repeat=2), ev.dlr_table(h, (0, 
     print(f"  domain (0, 1) = {states}: marginal {row.lhs:.6f}, averaged conditional {row.rhs:.6f}")
 
 # the identity is exact when the domain is the whole volume
-result = ev.dlr_check(h, (0, 1, 2), {0: 1, 1: 2, 2: 1})
+result = ev.dlr_check(h, {0: 1, 1: 2, 2: 1})
 print("  full-volume gap:", result.gap)

@@ -29,7 +29,6 @@ from .cells import (
 )
 from .errors import BudgetError, ValidationError
 from .graphs import (
-    ComponentPartition,
     Graph,
     LatticeBox,
     components,
@@ -44,7 +43,6 @@ from .limits import (
     low_temp_limit_algebras,
 )
 from .measures import (
-    ConditionalSpec,
     DlrGap,
     Hamiltonian,
     Measure,

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .cells import PairCell, StateSpace, children_indices, component_contributions, state_axes
-from .errors import BudgetError, ValidationError, is_index, shown
+from .errors import ValidationError, check_budget, is_index, shown
 from .graphs import Graph, components
 from .measures import Measure
 
@@ -53,6 +53,8 @@ COEFF_DROP = 1e-15
 # combine sums over all columns once its entries reach dimension / _DENSE_SHARE: measured, that was
 # as fast or faster from 4 entries up at dimension 4,096, and from dimension/16 up at 65,536
 _DENSE_SHARE = 8
+# entries per chunk of a walk over the matrix
+_CHUNK_ENTRIES = 1 << 12
 
 
 class HeredityMatrix:
@@ -149,23 +151,23 @@ class HeredityMatrix:
         keep = np.flatnonzero(np.abs(sums) >= COEFF_DROP)
         return dict(zip((keep if dense else distinct[keep]).tolist(), sums[keep].tolist()))
 
-    def _walk(self, max_entries: int, cols: np.ndarray, values: np.ndarray):
-        """Chunks of consecutive generators, about ``max_entries`` entries each, as ``(rows, cols, values)``: one
+    def _walk(self, cols: np.ndarray, values: np.ndarray):
+        """Chunks of consecutive generators, about ``_CHUNK_ENTRIES`` entries each, as ``(rows, cols, values)``: one
         ragged gather of each generator's class entries from ``cols`` and ``values``, laid out as ``_expand`` does."""
         width = 4**self.row_level
         size = width[self.gen_row]
         ends = np.cumsum(size)
         # a generator's entry e sits at e + shift in the class layout
         shift = (np.cumsum(width) - width)[self.gen_row] - (ends - size)
-        cuts = np.searchsorted(ends, np.arange(0, ends[-1], max_entries), side="right")
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK_ENTRIES), side="right")
         cuts = np.append(np.unique(cuts), self.dimension)
         for g0, g1 in pairwise(cuts.tolist()):
             at = np.arange(ends[g0] - size[g0], ends[g1 - 1]) + np.repeat(shift[g0:g1], size[g0:g1])
             yield np.repeat(np.arange(g0, g1), size[g0:g1]), cols[at], values[at]
 
-    def entry_chunks(self, max_entries: int = 1 << 12):
-        """All nonzero entries as ``(rows, cols, values)`` arrays, sorted, about ``max_entries`` a chunk."""
-        return self._walk(_chunk_size(max_entries), *self._expand(np.arange(len(self.classes)))[:2])
+    def entry_chunks(self):
+        """All nonzero entries as ``(rows, cols, values)`` arrays, sorted, about ``_CHUNK_ENTRIES`` a chunk."""
+        return self._walk(*self._expand(np.arange(len(self.classes)))[:2])
 
     @cached_property
     def _text_table(self) -> tuple:
@@ -182,19 +184,12 @@ class HeredityMatrix:
         texts = np.fromiter(map(repr, map(float, values)), dtype=object, count=len(values))
         return cols, at, texts, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
 
-    def entry_texts(self, max_entries: int = 1 << 12):
+    def entry_texts(self):
         """``entry_chunks`` as ``(row, col, value)`` object arrays of texts, from the same walk over ``_text_table``,
         which only an export builds."""
-        chunks = self._walk(_chunk_size(max_entries), *self._text_table[:2])
+        chunks = self._walk(*self._text_table[:2])
         value_text, index_text = self._text_table[2:]
         return ((index_text[rows], index_text[cols], value_text[at]) for rows, cols, at in chunks)
-
-
-def _chunk_size(max_entries) -> int:
-    """``max_entries`` if it is a positive integer; otherwise a ``ValidationError``."""
-    if not (is_index(max_entries) and max_entries > 0):
-        raise ValidationError(f"max_entries must be a positive integer, got {shown(max_entries)}")
-    return max_entries
 
 
 def write_joined(files, columns, first=None):
@@ -368,8 +363,7 @@ class EvolutionAlgebra:
 def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> EvolutionAlgebra:
     """Construct the algebra for a graph, state space and positive measure."""
     n, k = graph.vertex_count, space.k
-    if k ** (2 * n) > DIMENSION_BUDGET:
-        raise BudgetError(f"pair space of size k^2n = {k ** (2 * n)} exceeds the budget {DIMENSION_BUDGET}")
+    check_budget(k ** (2 * n), "pair space: k^2n", "generators", DIMENSION_BUDGET, "dimension")
     if measure.n != n or measure.k != k:
         raise ValidationError("measure does not match the graph and state space")
     return EvolutionAlgebra(graph, space, measure, HeredityMatrix(graph, space, measure))

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ENUMERATION_BUDGET, BudgetError, ValidationError, cut
-from .graphs import ComponentPartition
+from .errors import ValidationError, check_budget, cut
 
 __all__ = [
     "StateSpace",
@@ -130,8 +129,7 @@ def state_axes(n: int, k: int) -> list:
     """One array per vertex ``v``, its states ``0..k-1`` along axis ``n-1-v``: together they broadcast to every cell
     and ravel in canonical index order.  With one state all share one axis, which keeps any vertex count within
     numpy's dimension limit.  ``k**n`` cells past ``ENUMERATION_BUDGET`` raise a ``BudgetError`` first."""
-    if k**n > ENUMERATION_BUDGET:
-        raise BudgetError(f"{k**n} cells exceed the enumeration budget of {ENUMERATION_BUDGET}")
+    check_budget(k**n, "cell space: k^n", "cells")
     return [np.arange(k).reshape((k,) + (1,) * v * (k > 1)) for v in range(n)]
 
 
@@ -175,8 +173,8 @@ class PairCell:
         return f"({self.first.label(space)},{self.second.label(space)})"
 
 
-def component_contributions(digit, parts: ComponentPartition, k: int) -> np.ndarray:
-    """``sum(digit[v] * k**v)`` over each component's vertices, one column per component.
+def component_contributions(digit, parts: tuple, k: int) -> np.ndarray:
+    """``sum(digit[v] * k**v)`` over each component's vertices, one column per component of ``parts``.
 
     ``digit[v]`` holds vertex ``v``'s states, as ``state_axes`` or as arrays
     that broadcast alike.  A cell's index is the sum of its contributions, and
@@ -201,26 +199,20 @@ def children_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.sort(base[:, None] + steps @ subsets.T, axis=1)
 
 
-def children_set(theta: PairCell, parts: ComponentPartition, space: StateSpace) -> set:
+def children_set(theta: PairCell, parts: tuple) -> set:
     """The cells assembled componentwise from the two parents of ``theta``.
 
-    On every component the child copies the first parent's subcell or the
+    ``parts`` holds the components, as ``graphs.components`` gives them.  On
+    every component the child copies the first parent's subcell or the
     second's, independently of the other components.
     """
-    _check_pair(theta, parts, space)
+    if sorted(v for blk in parts for v in blk) != list(range(theta.n)):
+        raise ValidationError("children: partition does not cover the pair's vertex set")
     # each vertex's two parent states, as Python integers, so no cell index can overflow whatever the vertex count
     digit = np.array([theta.first.digits, theta.second.digits], dtype=object).T
     first, second = component_contributions(digit, parts, theta.k)
     kids = children_indices(first[None], second[None])[0]
     return {Cell.from_index(i, theta.n, theta.k) for i in kids.tolist()}
-
-
-def _check_pair(theta: PairCell, parts: ComponentPartition, space: StateSpace):
-    covered = sorted(v for blk in parts for v in blk)
-    if covered != list(range(theta.n)):
-        raise ValidationError("children: partition does not cover the pair's vertex set")
-    if theta.k != space.k:
-        raise ValidationError("children: pair state space does not match")
 
 
 def state_space_from_json(descriptor: dict) -> StateSpace:

@@ -23,7 +23,7 @@ from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined,
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
-from .errors import BudgetError, ValidationError, cut, is_index, is_number, shown
+from .errors import BudgetError, ValidationError, check_budget, cut, is_index, is_number, shown
 from .graphs import graph_from_json
 from .limits import TailCell, VolumeScheme, coefficient_sequence, low_temp_limit_algebras
 # dlr_check stays importable here: bench/tracing.py wraps it by this name
@@ -124,8 +124,7 @@ def _write_hierarchy(fh, hierarchy, algebra, counts):
 def cmd_build(args) -> int:
     scenario = load_scenario(args.scenario)
     nonzeros = nonzero_count(scenario.graph, scenario.space.k)
-    if nonzeros > NONZERO_BUDGET:
-        raise BudgetError(f"{nonzeros} nonzeros exceed the nonzero budget of {NONZERO_BUDGET}")
+    check_budget(nonzeros, "heredity matrix: prod_b k^|b|(4k^|b|-3)", "nonzeros", NONZERO_BUDGET, "nonzero")
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,11 +15,11 @@ class BudgetError(RuntimeError):
     """Raised when a request exceeds the exact-enumeration budgets."""
 
 
-def check_budget(count, formula: str, unit: str) -> None:
-    """Reject a predicted ``count`` past ``ENUMERATION_BUDGET``; one of 10**20 or more is not printed."""
-    if count > ENUMERATION_BUDGET:
+def check_budget(count, formula: str, unit: str, limit=ENUMERATION_BUDGET, name="enumeration") -> None:
+    """Reject a predicted ``count`` past the ``name`` budget ``limit``; one of 10**20 or more is not printed."""
+    if count > limit:
         predicted = count if count < 10**20 else "10^20 or more"
-        raise BudgetError(f"{formula} = {predicted} {unit} exceed the enumeration budget of {ENUMERATION_BUDGET}")
+        raise BudgetError(f"{formula} = {predicted} {unit} exceed the {name} budget of {limit}")
 
 
 def shown(value) -> str:

@@ -15,7 +15,6 @@ from .errors import ValidationError, check_budget, cut, is_index, shown, written
 
 __all__ = [
     "Graph",
-    "ComponentPartition",
     "LatticeBox",
     "components",
     "graph_from_json",
@@ -45,28 +44,11 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(normalized))
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Partition of the vertex set into maximal connected blocks.
+def components(g: Graph) -> tuple:
+    """The vertex sets of ``g``'s maximal connected subgraphs, as sorted tuples.
 
-    Blocks are ordered by their smallest vertex label and each block is a
-    sorted tuple of vertices.
-    """
-
-    blocks: tuple
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def components(g: Graph) -> ComponentPartition:
-    """Decompose ``g`` into maximal connected subgraphs.
-
-    Uses BFS from the smallest unvisited vertex, so blocks come out ordered
-    by smallest contained label.
+    A search from the smallest unvisited vertex finds each, so they come out
+    ordered by their smallest vertex.
     """
     adjacency = {v: [] for v in range(g.vertex_count)}
     for x, y in g.edges:
@@ -88,7 +70,7 @@ def components(g: Graph) -> ComponentPartition:
                     seen[w] = True
                     queue.append(w)
         blocks.append(tuple(sorted(block)))
-    return ComponentPartition(tuple(blocks))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)

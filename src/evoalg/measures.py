@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import Cell, base_code, cellwise, state_axes
-from .errors import ValidationError, cut, is_number, shown
+from .errors import ValidationError, check_budget, cut, is_index, is_number, shown
 from .graphs import Graph
 
 __all__ = [
     "Measure",
     "Hamiltonian",
-    "ConditionalSpec",
     "DlrGap",
     "from_weights",
     "uniform_measure",
@@ -120,7 +119,8 @@ class Hamiltonian:
             coupling[(x, y)] = mat
         missing = self.graph.edges - set(coupling)
         if missing:
-            raise ValidationError(f"hamiltonian: missing coupling for edges {sorted(missing)}")
+            x, y = min(missing)
+            raise ValidationError(f"hamiltonian: missing coupling for {len(missing)} edge(s), the first ({x},{y})")
         field_arr = self.site_field
         if field_arr is None:
             field_arr = np.zeros((self.graph.vertex_count, self.k))
@@ -180,33 +180,15 @@ def gibbs_measure(h: Hamiltonian) -> Measure:
     return Measure(w, h.n, h.k)
 
 
-@dataclass(frozen=True)
-class ConditionalSpec:
-    """A finite domain together with a boundary assignment on its complement.
-
-    ``domain`` is a nonempty tuple of vertices; ``boundary`` maps every
-    vertex outside the domain to a state in ``1..k``.
-    """
-
-    domain: tuple
-    boundary: dict
-
-    def __post_init__(self):
-        domain = tuple(sorted(set(self.domain)))
-        if not domain:
-            raise ValidationError("conditional: domain must be nonempty")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "boundary", dict(self.boundary))
-
-    def validate(self, h: Hamiltonian):
-        if any(v < 0 or v >= h.n for v in self.domain):
-            raise ValidationError("conditional: domain vertex out of range")
-        complement = set(range(h.n)) - set(self.domain)
-        if set(self.boundary) != complement:
-            raise ValidationError("conditional: boundary must cover exactly the complement")
-        for v, s in self.boundary.items():
-            if not 1 <= int(s) <= h.k:
-                raise ValidationError(f"conditional: boundary state {s} at vertex {v} out of range")
+def _digits(h: Hamiltonian, states: dict, name: str) -> dict:
+    """``{vertex: 0-based digit}`` from ``states``, which maps vertices in ``0..n-1`` to states in ``1..k``, or an
+    error naming ``name``; booleans are neither vertices nor states."""
+    for v, s in states.items():
+        if not (is_index(v) and 0 <= v < h.n):
+            raise ValidationError(f"{name}: vertex {shown(v)} is not in 0..{h.n - 1}")
+        if not (is_index(s) and 1 <= s <= h.k):
+            raise ValidationError(f"{name}: state {shown(s)} at vertex {v} is not in 1..{h.k}")
+    return {int(v): int(s) - 1 for v, s in states.items()}
 
 
 def _local_specification(h: Hamiltonian, domain: tuple) -> tuple:
@@ -229,22 +211,24 @@ def _local_specification(h: Hamiltonian, domain: tuple) -> tuple:
     return outer, cond
 
 
-def conditional_prob(h: Hamiltonian, spec: ConditionalSpec, assignment: dict) -> float:
-    """Conditional probability of a domain assignment given the boundary.
+def conditional_prob(h: Hamiltonian, boundary: dict, assignment: dict) -> float:
+    """Conditional probability of ``assignment`` on its domain given ``boundary`` on the rest.
 
-    ``assignment`` maps every domain vertex to a state in ``1..k``.  The
+    The domain is the nonempty set of ``assignment``'s keys, and ``boundary``
+    maps exactly the other vertices; both give states in ``1..k``.  The
     value is one entry of the local specification that ``dlr_table``
     averages: only the boundary states of the domain's outer neighbours
     matter, and the values sum to 1 over the domain's assignments.
     """
-    spec.validate(h)
-    if set(assignment) != set(spec.domain):
-        raise ValidationError("conditional: assignment must cover exactly the domain")
-    target = [int(assignment[v]) - 1 for v in spec.domain]
-    if any(d < 0 or d >= h.k for d in target):
-        raise ValidationError("conditional: assignment state out of range")
-    outer, cond = _local_specification(h, spec.domain)
-    return float(cond[base_code((int(spec.boundary[v]) - 1 for v in outer), h.k), base_code(target, h.k)])
+    target = _digits(h, assignment, "conditional: assignment")
+    outside = _digits(h, boundary, "conditional: boundary")
+    if not target:
+        raise ValidationError("conditional: domain must be nonempty")
+    if set(outside) != set(range(h.n)) - set(target):
+        raise ValidationError("conditional: boundary must cover exactly the complement")
+    domain = tuple(sorted(target))
+    outer, cond = _local_specification(h, domain)
+    return float(cond[base_code((outside[v] for v in outer), h.k), base_code((target[v] for v in domain), h.k)])
 
 
 @dataclass(frozen=True)
@@ -284,15 +268,11 @@ def dlr_table(h: Hamiltonian, domain, measure: Measure = None) -> list:
     return [DlrGap(float(a), float(b), abs(float(a) - float(b))) for a, b in zip(lhs, rhs)]
 
 
-def dlr_check(h: Hamiltonian, domain, assignment: dict) -> DlrGap:
-    """The row of ``dlr_table`` for one domain assignment."""
-    domain = tuple(sorted(set(domain)))
-    if set(assignment) != set(domain):
-        raise ValidationError("dlr: assignment must cover exactly the domain")
-    digits = [int(assignment[v]) - 1 for v in domain]
-    if any(not 0 <= d < h.k for d in digits):
-        raise ValidationError("dlr: assignment state out of range")
-    return dlr_table(h, domain)[base_code(digits, h.k)]
+def dlr_check(h: Hamiltonian, assignment: dict) -> DlrGap:
+    """The row of ``dlr_table`` for ``assignment``, on the domain of its keys, with states in ``1..k``."""
+    target = _digits(h, assignment, "dlr: assignment")
+    domain = tuple(sorted(target))
+    return dlr_table(h, domain)[base_code((target[v] for v in domain), h.k)]
 
 
 def _floats(raw, name: str, shape=()):
@@ -314,30 +294,29 @@ def _objects(spec: dict, name: str) -> list:
     return entries
 
 
-def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None) -> tuple:
+def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels) -> tuple:
     """Build ``(measure, hamiltonian_or_none)`` from a JSON descriptor.
 
     Accepts ``{"weights": {"(a,A)": w, ...}}``, a Potts shorthand
     ``{"hamiltonian": {"model": "potts", "J": j, "beta": b}}`` or a general
     ``{"hamiltonian": {"beta": b, "pair_coupling": [...], "site_field": [...]}}``.
-    Vertices inside the descriptor are external labels when
-    ``vertex_labels`` is given, dense indices otherwise.
+    Vertices inside the descriptor are named by their labels: vertex ``i``
+    is ``vertex_labels[i]``, as ``graphs.graph_from_json`` gives them.
     """
     if not isinstance(descriptor, dict):
         raise ValidationError("measure: descriptor must be an object")
     n, k = graph.vertex_count, space.k
 
     def vertex_of(raw) -> int:
-        if vertex_labels is not None:
-            name = str(raw)
-            if name not in vertex_labels:
-                raise ValidationError(f"measure.hamiltonian: unknown vertex {cut(name)!r}")
-            return vertex_labels.index(name)
-        return int(raw)
+        name = str(raw)
+        if name not in vertex_labels:
+            raise ValidationError(f"measure.hamiltonian: unknown vertex {cut(name)!r}")
+        return vertex_labels.index(name)
     if "weights" in descriptor:
         table = descriptor["weights"]
         if not isinstance(table, dict) or not table:
             raise ValidationError("measure.weights: nonempty object required")
+        check_budget(k**n, "cell space: k^n", "cells")
         raw = np.zeros(k**n)
         seen = set()
         digit = {label: d for d, label in enumerate(space.labels)}
@@ -382,8 +361,6 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels=None)
             field_arr = np.zeros((n, k))
             for entry in _objects(spec, "site_field"):
                 v = vertex_of(entry.get("vertex", -1))
-                if not 0 <= v < n:
-                    raise ValidationError("measure.hamiltonian.site_field: vertex out of range")
                 field_arr[v] = _floats(entry.get("values"), "measure.hamiltonian.site_field", (k,))
             h = Hamiltonian(graph, k, beta, coupling, field_arr)
         return gibbs_measure(h), h

@@ -64,9 +64,9 @@ def brute_children(theta, parts, k):
     return out
 
 
-def pair_children(sigma, parts, space):
+def pair_children(sigma, parts):
     """All ordered pairs of children of ``sigma``; always contains ``sigma``."""
-    kids = ev.children_set(sigma, parts, space)
+    kids = ev.children_set(sigma, parts)
     return {PairCell(a, b) for a in kids for b in kids}
 
 
@@ -131,20 +131,21 @@ def free_algebra(free_graph, two_states, reference_measure):
     return ev.build_algebra(free_graph, two_states, reference_measure)
 
 
-def conditional_prob_oracle(h, spec, assignment):
-    """Conditional probability by a loop over every domain assignment.
+def conditional_prob_oracle(h, boundary, assignment):
+    """Conditional probability by a loop over every assignment of the domain, the keys of ``assignment``.
 
     Each assignment's energy sums the site fields on the domain and the
     couplings on every edge meeting it, with the boundary filled in
     outside; the target's Boltzmann weight is divided by their total.
     """
-    inside = set(spec.domain)
-    target = tuple(int(assignment[v]) - 1 for v in spec.domain)
+    domain = sorted(assignment)
+    inside = set(domain)
+    target = tuple(assignment[v] - 1 for v in domain)
     log_w, target_log = [], None
-    for combo in itertools.product(range(h.k), repeat=len(spec.domain)):
-        digit = {v: int(s) - 1 for v, s in spec.boundary.items()}
-        digit.update(zip(spec.domain, combo))
-        energy = sum(h.site_field[v][digit[v]] for v in spec.domain)
+    for combo in itertools.product(range(h.k), repeat=len(domain)):
+        digit = {v: s - 1 for v, s in boundary.items()}
+        digit.update(zip(domain, combo))
+        energy = sum(h.site_field[v][digit[v]] for v in domain)
         for (x, y), mat in h.pair_coupling.items():
             if x in inside or y in inside:
                 energy += mat[digit[x], digit[y]]
@@ -156,15 +157,15 @@ def conditional_prob_oracle(h, spec, assignment):
     return float(np.exp(target_log - shift) / np.exp(log_w - shift).sum())
 
 
-def dlr_check_oracle(h, domain, assignment):
+def dlr_check_oracle(h, assignment):
     """Both sides of the consistency identity by a loop over every cell.
 
     The left side sums the Gibbs mass of the cells matching the assignment;
     the right side adds, cell by cell, that cell's mass times the
     conditional probability of the assignment given its whole complement.
     """
-    domain = tuple(sorted(set(domain)))
-    target = {v: int(assignment[v]) - 1 for v in domain}
+    domain = tuple(sorted(assignment))
+    target = {v: assignment[v] - 1 for v in domain}
     mu = ev.gibbs_measure(h)
     digits = cell_digits(h.n, h.k)
     match = np.ones(len(digits), dtype=bool)
@@ -178,8 +179,7 @@ def dlr_check_oracle(h, domain, assignment):
     rhs = 0.0
     for idx in range(len(digits)):
         boundary = {v: int(digits[idx, v]) + 1 for v in complement}
-        spec = ev.ConditionalSpec(domain, boundary)
-        rhs += float(mu.weights[idx]) * conditional_prob_oracle(h, spec, assignment)
+        rhs += float(mu.weights[idx]) * conditional_prob_oracle(h, boundary, assignment)
     return ev.DlrGap(lhs, rhs, abs(lhs - rhs))
 
 
@@ -250,7 +250,7 @@ def oracle_coeff(scheme, radius, phi, psi):
 def dense_coeff(box, q, coupling, beta, phi, psi):
     """A box coefficient from the searched children set and the dense measure."""
     parents = PairCell(oracle_restrict(phi[0], box, q), oracle_restrict(phi[1], box, q))
-    kids = ev.children_set(parents, ev.components(box.graph), ev.StateSpace(q))
+    kids = ev.children_set(parents, ev.components(box.graph))
     children = [oracle_restrict(c, box, q) for c in psi]
     if any(c not in kids for c in children):
         return 0.0

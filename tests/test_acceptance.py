@@ -225,7 +225,7 @@ def test_criterion_07_consistency_gaps():
                 for size in (1, 2):
                     for domain in itertools.combinations(range(graph.vertex_count), size):
                         for states in itertools.product((1, 2), repeat=size):
-                            result = ev.dlr_check(h, domain, dict(zip(domain, states)))
+                            result = ev.dlr_check(h, dict(zip(domain, states)))
                             assert result.gap < 1e-10
 
 

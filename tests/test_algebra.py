@@ -194,7 +194,7 @@ def test_support_equals_pair_children():
         algebra = ev.build_algebra(graph, space, mu)
         for index in range(algebra.dimension):
             generator = algebra.pair_from_index(index)
-            kids = pair_children(generator, parts, space)
+            kids = pair_children(generator, parts)
             assert set(algebra.row(index)) == {p.index for p in kids}
 
 

@@ -14,8 +14,6 @@ PUBLIC = [
     "Cell",
     "CoefficientSequence",
     "CollapsedTable",
-    "ComponentPartition",
-    "ConditionalSpec",
     "DescentChain",
     "DlrGap",
     "EvolutionAlgebra",

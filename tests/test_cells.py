@@ -29,35 +29,35 @@ def test_pair_order_matters():
     assert pair((1, 2), (2, 1)).index != pair((2, 1), (1, 2)).index
 
 
-def test_children_of_diagonal_pair(edge_graph, two_states):
+def test_children_of_diagonal_pair(edge_graph):
     parts = ev.components(edge_graph)
     theta = pair((1, 2), (1, 2))
-    assert ev.children_set(theta, parts, two_states) == {cell((1, 2))}
+    assert ev.children_set(theta, parts) == {cell((1, 2))}
 
 
-def test_children_on_connected_graph(edge_graph, two_states):
+def test_children_on_connected_graph(edge_graph):
     parts = ev.components(edge_graph)
     theta = pair((1, 1), (1, 2))
-    kids = ev.children_set(theta, parts, two_states)
+    kids = ev.children_set(theta, parts)
     assert kids == {cell((1, 1)), cell((1, 2))}
     assert kids == brute_children(theta, parts, 2)
 
 
-def test_children_span_everything_when_components_split(free_graph, two_states):
+def test_children_span_everything_when_components_split(free_graph):
     parts = ev.components(free_graph)
     theta = pair((1, 1), (2, 2))
-    kids = ev.children_set(theta, parts, two_states)
+    kids = ev.children_set(theta, parts)
     assert len(kids) == 4
     assert kids == brute_children(theta, parts, 2)
 
 
-def test_pair_children_of_diagonal(edge_graph, two_states):
+def test_pair_children_of_diagonal(edge_graph):
     parts = ev.components(edge_graph)
     sigma = pair((2, 1), (2, 1))
-    assert pair_children(sigma, parts, two_states) == {sigma}
+    assert pair_children(sigma, parts) == {sigma}
 
 
-def test_pair_children_on_connected_graph(edge_graph, two_states):
+def test_pair_children_on_connected_graph(edge_graph):
     parts = ev.components(edge_graph)
     sigma = pair((1, 1), (1, 2))
     expected = {
@@ -66,7 +66,7 @@ def test_pair_children_on_connected_graph(edge_graph, two_states):
         pair((1, 2), (1, 1)),
         pair((1, 2), (1, 2)),
     }
-    assert pair_children(sigma, parts, two_states) == expected
+    assert pair_children(sigma, parts) == expected
 
 
 def test_membership_and_size_law_exhaustive():
@@ -75,7 +75,7 @@ def test_membership_and_size_law_exhaustive():
         n, k = graph.vertex_count, space.k
         for index in range(k ** (2 * n)):
             sigma = PairCell.from_index(index, n, k)
-            kids = pair_children(sigma, parts, space)
+            kids = pair_children(sigma, parts)
             assert sigma in kids
             disagreements = sum(
                 1
@@ -93,7 +93,7 @@ def test_nested_children_exhaustive():
         spaces = {}
         for index in range(k ** (2 * n)):
             sigma = PairCell.from_index(index, n, k)
-            spaces[index] = pair_children(sigma, parts, space)
+            spaces[index] = pair_children(sigma, parts)
         for index, kids in spaces.items():
             for tau in kids:
                 assert spaces[tau.index] <= kids
@@ -113,7 +113,7 @@ def test_singleton_children_iff_diagonal():
         n, k = graph.vertex_count, space.k
         for index in range(k ** (2 * n)):
             sigma = PairCell.from_index(index, n, k)
-            singleton = len(pair_children(sigma, parts, space)) == 1
+            singleton = len(pair_children(sigma, parts)) == 1
             assert singleton == (sigma.first == sigma.second)
 
 

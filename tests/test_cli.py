@@ -106,6 +106,30 @@ def test_build_nonzero_budget_checked_before_enumeration(tmp_path, capsys):
     assert not out.exists()
 
 
+def long_path(n, states, measure):
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [list(e) for e in zip(vertices, vertices[1:])]
+    return {"schema_version": 1, "graph": {"vertices": vertices, "edges": edges}, "states": {"states": states},
+            "measure": measure}
+
+
+@pytest.mark.parametrize("command", ["build", "hierarchy", "isocheck", "dlr"])
+@pytest.mark.parametrize("payload", [
+    pytest.param(long_path(5000, list("abcdefghij"), {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 1.0}}),
+                 id="potts-path-n5000-k10"),
+    pytest.param(long_path(20000, ["a", "b"], {"weights": {"(" + ",".join("a" * 20000) + ")": 1.0}}),
+                 id="weights-path-n20000-k2"),
+])
+def test_budgets_reject_counts_of_thousands_of_digits_in_one_short_line(tmp_path, capsys, command, payload):
+    """``k^n`` of 5,000 digits is neither turned into text, past the interpreter's digit limit, nor allocated, past
+    numpy's dimension limit: the rejection is one line that names no digit of it."""
+    scenario = write(tmp_path / "s.json", payload)
+    extra = {"isocheck": ["--scenario-b", scenario], "dlr": ["--domain", "v0"]}.get(command, [])
+    assert main([command, "--scenario", scenario, *extra, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: cell space: k^n = 10^20 or more cells exceed the enumeration budget of 1000000\n"
+
+
 def test_hierarchy_reports_level_structure(tmp_path):
     scenario = write(tmp_path / "edge.json", edge_scenario())
     out = tmp_path / "out"

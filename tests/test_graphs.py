@@ -9,22 +9,22 @@ from evoalg.errors import BudgetError, ValidationError
 
 def test_single_edge_is_one_component():
     g = ev.Graph(2, frozenset({(0, 1)}))
-    assert ev.components(g).blocks == ((0, 1),)
+    assert ev.components(g) == ((0, 1),)
 
 
 def test_edgeless_pair_splits():
     g = ev.Graph(2)
-    assert ev.components(g).blocks == ((0,), (1,))
+    assert ev.components(g) == ((0,), (1,))
 
 
 def test_singleton_graph():
     g = ev.Graph(1)
-    assert ev.components(g).blocks == ((0,),)
+    assert ev.components(g) == ((0,),)
 
 
 def test_components_ordered_by_smallest_label():
     g = ev.Graph(5, frozenset({(3, 4), (1, 2)}))
-    assert ev.components(g).blocks == ((0,), (1, 2), (3, 4))
+    assert ev.components(g) == ((0,), (1, 2), (3, 4))
 
 
 def test_connected_graph_has_one_block():

@@ -106,10 +106,9 @@ def test_sequence_for_single_flip_closed_form():
 def test_row_sum_over_pair_children_is_one():
     scheme = VolumeScheme(1, (1,), 2, 1.0, 1.5)
     box = scheme.box(1)
-    space = ev.StateSpace(2)
     phi = (const(1), const(2))
     restricted = PairCell(oracle_restrict(phi[0], box, 2), oracle_restrict(phi[1], box, 2))
-    kids = ev.children_set(restricted, ev.components(box.graph), space)
+    kids = ev.children_set(restricted, ev.components(box.graph))
     total = 0.0
     for a in kids:
         for b in kids:

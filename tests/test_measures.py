@@ -102,7 +102,7 @@ def test_gibbs_high_temperature_is_nearly_uniform(edge_graph):
 
 def test_gibbs_budget():
     g = ev.Graph(21)
-    with pytest.raises(BudgetError, match=r"^2097152 cells .* budget of 1000000$"):
+    with pytest.raises(BudgetError, match=r"^cell space: k\^n = 2097152 cells exceed the enumeration budget of 1000000$"):
         ev.gibbs_measure(ev.Hamiltonian(g, 2, 1.0))
 
 
@@ -116,23 +116,20 @@ def test_gibbs_rejects_underflowing_measures(edge_graph):
 
 def test_conditional_full_volume_matches_gibbs(edge_potts):
     mu = ev.gibbs_measure(edge_potts)
-    spec = ev.ConditionalSpec((0, 1), {})
-    value = ev.conditional_prob(edge_potts, spec, {0: 1, 1: 2})
+    value = ev.conditional_prob(edge_potts, {}, {0: 1, 1: 2})
     assert value == pytest.approx(mu.mass(cell((1, 2))), abs=1e-14)
 
 
 def test_conditional_single_site_closed_form(edge_potts):
-    spec = ev.ConditionalSpec((0,), {1: 1})
     e = math.e
-    assert ev.conditional_prob(edge_potts, spec, {0: 1}) == pytest.approx(
+    assert ev.conditional_prob(edge_potts, {1: 1}, {0: 1}) == pytest.approx(
         e / (e + 1), abs=1e-14
     )
 
 
 def test_conditional_zero_hamiltonian_uniform(edge_graph):
     h = ev.Hamiltonian(edge_graph, 2, 1.0, {(0, 1): np.zeros((2, 2))})
-    spec = ev.ConditionalSpec((0,), {1: 2})
-    assert ev.conditional_prob(h, spec, {0: 1}) == pytest.approx(0.5, abs=1e-14)
+    assert ev.conditional_prob(h, {1: 2}, {0: 1}) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_conditional_values_sum_to_one():
@@ -143,27 +140,27 @@ def test_conditional_values_sum_to_one():
     for domain in ((0,), (1,), (0, 2), (0, 1)):
         outside = [v for v in range(3) if v not in domain]
         for boundary_states in itertools.product((1, 2), repeat=len(outside)):
-            spec = ev.ConditionalSpec(domain, dict(zip(outside, boundary_states)))
+            boundary = dict(zip(outside, boundary_states))
             total = sum(
-                ev.conditional_prob(h, spec, dict(zip(domain, states)))
+                ev.conditional_prob(h, boundary, dict(zip(domain, states)))
                 for states in itertools.product((1, 2), repeat=len(domain))
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dlr_full_volume_is_exact(edge_potts):
-    result = ev.dlr_check(edge_potts, (0, 1), {0: 1, 1: 2})
+    result = ev.dlr_check(edge_potts, {0: 1, 1: 2})
     assert result.gap == 0.0
 
 
 def test_dlr_single_site(edge_potts):
-    result = ev.dlr_check(edge_potts, (0,), {0: 1})
+    result = ev.dlr_check(edge_potts, {0: 1})
     assert result.gap < 1e-12
 
 
 def test_dlr_zero_hamiltonian(edge_graph):
     h = ev.Hamiltonian(edge_graph, 2, 1.0, {(0, 1): np.zeros((2, 2))})
-    result = ev.dlr_check(h, (0,), {0: 2})
+    result = ev.dlr_check(h, {0: 2})
     assert result.lhs == pytest.approx(0.5, abs=1e-14)
     assert result.rhs == pytest.approx(0.5, abs=1e-14)
 
@@ -177,7 +174,7 @@ def test_dlr_sweep_small_graphs():
         for size in (1, 2, 3):
             for domain in itertools.combinations(range(3), size):
                 for states in itertools.product((1, 2), repeat=size):
-                    result = ev.dlr_check(h, domain, dict(zip(domain, states)))
+                    result = ev.dlr_check(h, dict(zip(domain, states)))
                     assert result.gap < 1e-10
 
 
@@ -218,7 +215,7 @@ def test_dlr_table_matches_cell_loop_oracle(instance, data):
         assert all(row.gap == 0.0 and row.rhs == row.lhs for row in table)
     rows = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=2, unique=True))
     for i in rows:
-        expected = dlr_check_oracle(h, domain, dict(zip(domain, assignments[i])))
+        expected = dlr_check_oracle(h, dict(zip(domain, assignments[i])))
         assert table[i].lhs == pytest.approx(expected.lhs, rel=1e-12, abs=0.0)
         assert table[i].rhs == pytest.approx(expected.rhs, rel=1e-12, abs=0.0)
 
@@ -232,11 +229,11 @@ def test_conditional_prob_matches_assignment_loop_oracle(instance, data):
     outside = [v for v in range(h.n) if v not in domain]
     boundaries = st.lists(st.integers(1, h.k), min_size=len(outside), max_size=len(outside))
     for _ in range(3):
-        spec = ev.ConditionalSpec(domain, dict(zip(outside, data.draw(boundaries))))
+        boundary = dict(zip(outside, data.draw(boundaries)))
         for states in itertools.product(range(1, h.k + 1), repeat=len(domain)):
             assignment = dict(zip(domain, states))
-            expected = conditional_prob_oracle(h, spec, assignment)
-            assert ev.conditional_prob(h, spec, assignment) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            expected = conditional_prob_oracle(h, boundary, assignment)
+            assert ev.conditional_prob(h, boundary, assignment) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_dlr_table_every_domain_of_a_small_graph():
@@ -249,8 +246,8 @@ def test_dlr_table_every_domain_of_a_small_graph():
             table = ev.dlr_table(h, domain)
             for row, states in zip(table, itertools.product((1, 2), repeat=size)):
                 assignment = dict(zip(domain, states))
-                expected = dlr_check_oracle(h, domain, assignment)
-                assert row == ev.dlr_check(h, domain, assignment)
+                expected = dlr_check_oracle(h, assignment)
+                assert row == ev.dlr_check(h, assignment)
                 assert row.lhs == pytest.approx(expected.lhs, rel=1e-12, abs=0.0)
                 assert row.rhs == pytest.approx(expected.rhs, rel=1e-12, abs=0.0)
 
@@ -276,11 +273,33 @@ def test_dlr_table_reuses_a_given_measure(monkeypatch):
 
 @pytest.mark.parametrize(
     "domain, assignment",
-    [((), {}), ((5,), {5: 1}), ((0,), {1: 1}), ((0,), {0: 3}), ((0,), {0: 0})],
+    [((), {}), ((5,), {5: 1}), ((0,), {0: 3}), ((0,), {0: 0}), ((0,), {0: True})],
 )
 def test_dlr_check_rejects(edge_potts, domain, assignment):
+    """``domain`` lists the assignment's keys: ``dlr_check`` rejects the assignment, and so does ``conditional_prob``
+    with the rest of the graph as its boundary."""
+    boundary = {v: 1 for v in range(edge_potts.n) if v not in domain}
     with pytest.raises(ValidationError):
-        ev.dlr_check(edge_potts, domain, assignment)
+        ev.dlr_check(edge_potts, assignment)
+    with pytest.raises(ValidationError):
+        ev.conditional_prob(edge_potts, boundary, assignment)
+
+
+@pytest.mark.parametrize("state", ["x", True, 1.7, 0, 3])
+@pytest.mark.parametrize("where", ["boundary", "assignment"])
+def test_conditional_prob_rejects_states_outside_1_to_k(edge_potts, where, state):
+    """A state that is not an integer in ``1..k`` is named: not read as state 1, nor raised as ``int()``'s error."""
+    states = {"boundary": {1: 1}, "assignment": {0: 1}}
+    states[where] = dict.fromkeys(states[where], state)
+    with pytest.raises(ValidationError, match=rf"^conditional: {where}: state {type(state).__name__} .* at vertex [01] "
+                                              r"is not in 1\.\.2$"):
+        ev.conditional_prob(edge_potts, states["boundary"], states["assignment"])
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0, -1, 2])
+def test_conditional_prob_rejects_vertices_outside_the_graph(edge_potts, vertex):
+    with pytest.raises(ValidationError, match=r"^conditional: assignment: vertex .* is not in 0\.\.1$"):
+        ev.conditional_prob(edge_potts, {0: 1}, {vertex: 1})
 
 
 def test_product_mass_of_everything_is_one():
@@ -291,11 +310,11 @@ def test_product_mass_of_everything_is_one():
     assert product_mass(mu, pairs) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_product_mass_of_children_square(edge_graph, two_states):
+def test_product_mass_of_children_square(edge_graph):
     mu = reference_measure_for()
     parts = ev.components(edge_graph)
     sigma = pair((1, 1), (1, 2))
-    mass = product_mass(mu, pair_children(sigma, parts, two_states))
+    mass = product_mass(mu, pair_children(sigma, parts))
     assert mass == pytest.approx((0.1 + 0.2) ** 2, abs=1e-14)
 
 
@@ -347,12 +366,25 @@ def test_hamiltonian_requires_full_coupling(edge_graph):
         ev.Hamiltonian(edge_graph, 2, 1.0, {})
 
 
+def test_missing_coupling_message_names_the_count_and_the_first_edge():
+    """The message does not grow with the graph: a 300-vertex path names 298 of its 299 edges by their count."""
+    path = ev.Graph(300, frozenset(zip(range(299), range(1, 300))))
+    with pytest.raises(ValidationError) as exc:
+        ev.Hamiltonian(path, 2, 1.0, {(5, 6): np.zeros((2, 2))})
+    assert str(exc.value) == "hamiltonian: missing coupling for 298 edge(s), the first (0,1)"
+
+
 def test_conditional_spec_validation(edge_potts):
-    with pytest.raises(ValidationError):
-        ev.ConditionalSpec((), {})
-    spec = ev.ConditionalSpec((0,), {})
-    with pytest.raises(ValidationError):
-        ev.conditional_prob(edge_potts, spec, {0: 1})
+    """The domain is the assignment's keys: it must be nonempty, and the boundary must hold exactly the rest."""
+    with pytest.raises(ValidationError, match="domain must be nonempty"):
+        ev.conditional_prob(edge_potts, {0: 1, 1: 1}, {})
+    for boundary in ({}, {0: 1, 1: 1}):
+        with pytest.raises(ValidationError, match="boundary must cover exactly the complement"):
+            ev.conditional_prob(edge_potts, boundary, {0: 1})
+
+
+# vertex labels of edge_graph
+EDGE_LABELS = ("u", "v")
 
 
 def test_measure_from_json_weights(edge_graph, two_states):
@@ -360,6 +392,7 @@ def test_measure_from_json_weights(edge_graph, two_states):
         {"weights": {"(a,a)": 1, "(a,A)": 2, "(A,a)": 3, "(A,A)": 4}},
         edge_graph,
         two_states,
+        EDGE_LABELS,
     )
     assert h is None
     assert mu.mass(cell((2, 2))) == pytest.approx(0.4)
@@ -370,6 +403,7 @@ def test_measure_from_json_potts(edge_graph, two_states):
         {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 1.0}},
         edge_graph,
         two_states,
+        EDGE_LABELS,
     )
     assert h is not None
     assert mu.mass(cell((1, 1))) == pytest.approx(math.e / (2 * math.e + 2))
@@ -379,17 +413,25 @@ def test_measure_from_json_general(edge_graph, two_states):
     desc = {
         "hamiltonian": {
             "beta": 1.0,
-            "pair_coupling": [{"edge": [0, 1], "matrix": [[-1, 0], [0, -1]]}],
-            "site_field": [{"vertex": 0, "values": [0.0, 0.5]}],
+            "pair_coupling": [{"edge": ["u", "v"], "matrix": [[-1, 0], [0, -1]]}],
+            "site_field": [{"vertex": "u", "values": [0.0, 0.5]}],
         }
     }
-    mu, h = ev.measure_from_json(desc, edge_graph, two_states)
+    mu, h = ev.measure_from_json(desc, edge_graph, two_states, EDGE_LABELS)
     assert ev.hamiltonian_energy(h, cell((2, 1))) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("first", [0.9, True])
+def test_measure_from_json_reads_vertices_by_label_only(edge_graph, two_states, first):
+    """An endpoint is a vertex label: ``0.9`` and ``True`` name no vertex, though ``int()`` would read them."""
+    desc = {"hamiltonian": {"beta": 1.0, "pair_coupling": [{"edge": [first, "1"], "matrix": [[0, 0], [0, 0]]}]}}
+    with pytest.raises(ValidationError, match=rf"^measure\.hamiltonian: unknown vertex '{first}'$"):
+        ev.measure_from_json(desc, edge_graph, two_states, ("0", "1"))
 
 
 def test_measure_from_json_rejects_partial_weights(edge_graph, two_states):
     with pytest.raises(ValidationError):
-        ev.measure_from_json({"weights": {"(a,a)": 1}}, edge_graph, two_states)
+        ev.measure_from_json({"weights": {"(a,a)": 1}}, edge_graph, two_states, EDGE_LABELS)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +448,7 @@ def test_measure_from_json_rejects_partial_weights(edge_graph, two_states):
 )
 def test_measure_from_json_weights_key_messages(edge_graph, two_states, table, message):
     with pytest.raises(ValidationError) as exc:
-        ev.measure_from_json({"weights": table}, edge_graph, two_states)
+        ev.measure_from_json({"weights": table}, edge_graph, two_states, EDGE_LABELS)
     assert str(exc.value) == message
 
 
@@ -419,5 +461,5 @@ def test_measure_from_json_weights_keys_follow_the_cell_index():
         "(" + ",".join(labels[s - 1] for s in states) + ")": cell(states, 3).index + 1
         for states in itertools.product((3, 1, 2), repeat=3)
     }
-    mu, _ = ev.measure_from_json({"weights": table}, graph, space)
+    mu, _ = ev.measure_from_json({"weights": table}, graph, space, ("u", "v", "w"))
     assert mu.weights.tolist() == (np.arange(1, 28) / np.arange(1, 28).sum()).tolist()

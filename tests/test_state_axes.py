@@ -52,7 +52,7 @@ def test_state_axes_ravel_in_canonical_order():
 
 
 def test_state_axes_check_the_enumeration_budget():
-    with pytest.raises(ev.BudgetError, match=r"^1048576 cells exceed the enumeration budget of 1000000$"):
+    with pytest.raises(ev.BudgetError, match=r"^cell space: k\^n = 1048576 cells exceed the enumeration budget of 1000000$"):
         state_axes(20, 2)
     assert len(state_axes(19, 2)) == 19
 

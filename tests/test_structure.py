@@ -38,11 +38,11 @@ def test_precedes_examples(edge_algebra):
     assert not ev.precedes(edge_algebra, phi(3, 3), phi(1, 2))
 
 
-def test_precedes_matches_children_membership(edge_algebra, two_states):
+def test_precedes_matches_children_membership(edge_algebra):
     parts = ev.components(edge_algebra.graph)
     for s in range(edge_algebra.dimension):
         sigma = edge_algebra.pair_from_index(s)
-        kids = {p.index for p in pair_children(sigma, parts, two_states)}
+        kids = {p.index for p in pair_children(sigma, parts)}
         for t in range(edge_algebra.dimension):
             assert ev.precedes(edge_algebra, t, s) == (t in kids)
 
@@ -275,19 +275,19 @@ def test_closure_equals_children_exhaustively():
         algebra = ev.build_algebra(graph, space, random_positive_measure(rng, 3, 2))
         for index in range(algebra.dimension):
             sigma = algebra.pair_from_index(index)
-            kids = {p.index for p in pair_children(sigma, parts, space)}
+            kids = {p.index for p in pair_children(sigma, parts)}
             assert ev.generated_subalgebra(algebra, [index]).basis == frozenset(kids)
 
 
-def test_descent_chain_nesting(free_algebra, two_states):
+def test_descent_chain_nesting(free_algebra):
     parts = ev.components(free_algebra.graph)
     for index in range(free_algebra.dimension):
         chain = ev.descent_chain(free_algebra, index)
         sigma = free_algebra.pair_from_index(index)
-        previous = pair_children(sigma, parts, two_states)
+        previous = pair_children(sigma, parts)
         assert len(chain) <= len(previous)
         for tau in chain.elements:
-            current = pair_children(tau, parts, two_states)
+            current = pair_children(tau, parts)
             assert current <= previous
             previous = current
         assert len(previous) == 1
