@@ -172,16 +172,20 @@ class HeredityMatrix:
     @cached_property
     def _text_table(self) -> tuple:
         """All class entries' columns and their coefficients' places among the distinct ones, int32, laid out as
-        ``_expand`` does; the distinct coefficients' ``repr`` texts, made one float at a time; the indices' ``str``.
+        ``_expand`` does; the distinct coefficients' ``repr`` texts; the indices' ``str``.
 
-        The places are found, and the products freed, before any text is made: ``build`` of edgeless n=4, k=4 under 256
-        distinct weights peaks at 74.2-74.4 MiB, and one text per entry, int64 places or a float list took 76.6-76.9.
+        One sort gives both the distinct coefficients and every entry's place among them, and the products are freed
+        before any text is made.  Each distinct value is formatted once, from float lists of ``_CHUNK_ENTRIES`` values at
+        a time: ``build`` of edgeless n=4, k=4 under 256 distinct weights peaks at 74.5 MiB, where one float list of all
+        its 300,908 distinct values took 79.5.
         """
         cols, products, _ = self._expand(np.arange(len(self.classes)))
-        values = np.unique(products)
-        at = np.searchsorted(values, products).astype(np.int32)
+        values, at = np.unique(products, return_inverse=True)
+        at = at.astype(np.int32)
         del products
-        texts = np.fromiter(map(repr, map(float, values)), dtype=object, count=len(values))
+        texts = np.empty(len(values), dtype=object)
+        for i in range(0, len(values), _CHUNK_ENTRIES):
+            texts[i : i + _CHUNK_ENTRIES] = list(map(repr, values[i : i + _CHUNK_ENTRIES].tolist()))
         return cols, at, texts, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
 
     def entry_texts(self):

@@ -130,7 +130,7 @@ def state_axes(n: int, k: int) -> list:
     and ravel in canonical index order.  With one state all share one axis, which keeps any vertex count within
     numpy's dimension limit.  ``k**n`` cells past ``ENUMERATION_BUDGET`` raise a ``BudgetError`` first."""
     check_budget(k**n, "cell space: k^n", "cells")
-    return [np.arange(k).reshape((k,) + (1,) * v * (k > 1)) for v in range(n)]
+    return [np.arange(k).reshape((k,) + (1,) * (v * (k > 1))) for v in range(n)]
 
 
 def cellwise(value, digit) -> np.ndarray:

@@ -261,10 +261,11 @@ def cmd_dlr(args) -> int:
     raw_domain = [v for v in (args.domain or "").split(",") if v != ""]
     if not raw_domain:
         raise ValidationError("domain: at least one vertex required")
-    unknown = [name for name in raw_domain if name not in scenario.labels]
+    index = {label: i for i, label in enumerate(scenario.labels)}
+    unknown = [name for name in raw_domain if name not in index]
     if unknown:
         raise ValidationError(f"domain: unknown vertex {cut(unknown[0])!r}")
-    domain = sorted({scenario.labels.index(name) for name in raw_domain})
+    domain = sorted({index[name] for name in raw_domain})
     table = dlr_table(scenario.hamiltonian, domain, scenario.measure)
     labels = product(scenario.space.labels, repeat=len(domain))
     rows = [{"assignment": f"({','.join(states)})", "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap}

@@ -306,17 +306,12 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels) -> t
     if not isinstance(descriptor, dict):
         raise ValidationError("measure: descriptor must be an object")
     n, k = graph.vertex_count, space.k
-
-    def vertex_of(raw) -> int:
-        name = str(raw)
-        if name not in vertex_labels:
-            raise ValidationError(f"measure.hamiltonian: unknown vertex {cut(name)!r}")
-        return vertex_labels.index(name)
+    # every measure is a vector over the k^n cells, so the budget comes before any entry is read
+    check_budget(k**n, "cell space: k^n", "cells")
     if "weights" in descriptor:
         table = descriptor["weights"]
         if not isinstance(table, dict) or not table:
             raise ValidationError("measure.weights: nonempty object required")
-        check_budget(k**n, "cell space: k^n", "cells")
         raw = np.zeros(k**n)
         seen = set()
         digit = {label: d for d, label in enumerate(space.labels)}
@@ -350,6 +345,13 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels) -> t
             coupling = _floats(spec.get("J", 1.0), "measure.hamiltonian.J")
             h = potts_hamiltonian(graph, k, coupling, beta)
         else:
+            index = {label: i for i, label in enumerate(vertex_labels)}
+
+            def vertex_of(raw) -> int:
+                name = str(raw)
+                if name not in index:
+                    raise ValidationError(f"measure.hamiltonian: unknown vertex {cut(name)!r}")
+                return index[name]
             coupling = {}
             for entry in _objects(spec, "pair_coupling"):
                 edge = entry.get("edge")

@@ -255,15 +255,20 @@ def write_like_writers(algebra, out: Path, entries):
 @settings(max_examples=25, deadline=None)
 @given(algebras(max_n=3, labels=True))
 def test_exports_match_csv_and_json_writers(algebra):
+    """Under the default chunk size and under one of 7, whose text slices split the distinct coefficients."""
     n, k = algebra.graph.vertex_count, algebra.space.k
     assert algebra.cell_labels() == [ev.Cell.from_index(i, n, k).label(algebra.space) for i in range(k**n)]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_like_writers(algebra, out, oracle_entries(algebra))
-        ev.export_matrix_csv(algebra, out / "matrix.csv")
-        ev.export_matrix_json(algebra, out / "matrix.json")
-        for name in ("csv", "json"):
-            assert (out / f"matrix.{name}").read_bytes() == (out / f"expected.{name}").read_bytes()
+        for chunk in (algebra_module._CHUNK_ENTRIES, 7):
+            # a fresh matrix, so that the text table is built under this chunk size
+            fresh = ev.build_algebra(algebra.graph, algebra.space, algebra.measure)
+            with mock.patch.object(algebra_module, "_CHUNK_ENTRIES", chunk):
+                ev.export_matrix_csv(fresh, out / "matrix.csv")
+                ev.export_matrix_json(fresh, out / "matrix.json")
+            for name in ("csv", "json"):
+                assert (out / f"matrix.{name}").read_bytes() == (out / f"expected.{name}").read_bytes()
 
 
 @st.composite
@@ -584,21 +589,28 @@ def test_iso_check_builds_no_hierarchy(tmp_path, monkeypatch):
 
 def test_build_formats_each_distinct_coefficient_once(tmp_path, monkeypatch):
     """Both exports of one ``build`` read one ``repr`` table, under random weights and under a Potts measure,
-    which ties most coefficients across row classes and levels."""
+    which ties most coefficients across row classes and levels.  With chunks of 7 entries the texts are made over
+    many slices of the distinct coefficients, with the same calls and the writers' bytes."""
     names = ["x", "y", "z"]
     rng = np.random.default_rng(3)
     cells = itertools.product(names, repeat=3)
     weights = {f"({','.join(c)})": w for c, w in zip(cells, rng.uniform(0.1, 1.0, 27).tolist())}
-    for measure in ({"weights": weights}, None):
+    for measure, chunk in itertools.product(({"weights": weights}, None), (algebra_module._CHUNK_ENTRIES, 7)):
         scenario = scenario_file(tmp_path / "s.json", SIX[:3], [["v0", "v1"]], names, measure)
         calls = []
         monkeypatch.setattr(algebra_module, "repr", lambda v: calls.append(v) or builtins.repr(v), raising=False)
+        monkeypatch.setattr(algebra_module, "_CHUNK_ENTRIES", chunk)
         assert cli.main(["build", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
         loaded = cli.load_scenario(scenario)
-        entries = list(ev.matrix_entries(ev.build_algebra(loaded.graph, loaded.space, loaded.measure)))
+        algebra = ev.build_algebra(loaded.graph, loaded.space, loaded.measure)
+        entries = oracle_entries(algebra)
         distinct = {v for _, _, v in entries}
         if measure:
             assert len(distinct) > 100
         else:
             assert len(distinct) < len(entries) / 100
         assert sorted(calls) == sorted(distinct)
+        write_like_writers(algebra, tmp_path, entries)
+        for name in ("csv", "json"):
+            assert (tmp_path / f"matrix.{name}").read_bytes() == (tmp_path / f"expected.{name}").read_bytes()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -463,3 +464,38 @@ def test_measure_from_json_weights_keys_follow_the_cell_index():
     }
     mu, _ = ev.measure_from_json({"weights": table}, graph, space, ("u", "v", "w"))
     assert mu.weights.tolist() == (np.arange(1, 28) / np.arange(1, 28).sum()).tolist()
+
+
+def coupled_path(n, k):
+    """A path of ``n`` labelled vertices and a general Hamiltonian descriptor with a coupling on every edge."""
+    labels = tuple(f"v{i}" for i in range(n))
+    graph = ev.Graph(n, frozenset(zip(range(n - 1), range(1, n))))
+    pairs = [{"edge": [a, b], "matrix": np.full((k, k), 0.5).tolist()} for a, b in zip(labels, labels[1:])]
+    return graph, labels, {"hamiltonian": {"beta": 1.0, "pair_coupling": pairs}}
+
+
+@pytest.mark.parametrize("model", ["general", "potts", "weights"])
+def test_measure_from_json_checks_the_cell_budget_before_reading_any_entry(monkeypatch, model):
+    """An over-budget cell space is rejected before any number of the descriptor is read."""
+    graph, labels, descriptor = coupled_path(5000, 2)
+    if model == "potts":
+        descriptor = {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 1.0}}
+    elif model == "weights":
+        descriptor = {"weights": {"(a)": 1.0}}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entry was read before the budget check")
+    monkeypatch.setattr(ev.measures, "_floats", refuse)
+    with pytest.raises(BudgetError, match=r"^cell space: k\^n = 10\^20 or more cells exceed"):
+        ev.measure_from_json(descriptor, graph, ev.StateSpace(2), labels)
+
+
+def test_measure_from_json_reads_a_long_one_state_path_in_linear_time():
+    """Labels map through one dict and the state axes of one state share one axis: found by a scan of the label tuple
+    each, the labels of a 20,000-vertex path with a coupling on every edge take about 14 s."""
+    graph, labels, descriptor = coupled_path(20000, 1)
+    start = time.perf_counter()
+    mu, h = ev.measure_from_json(descriptor, graph, ev.StateSpace(1), labels)
+    assert time.perf_counter() - start < 1.0
+    assert mu.weights.tolist() == [1.0]
+    assert len(h.pair_coupling) == 19999
