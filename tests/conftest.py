@@ -6,11 +6,15 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import evoalg as ev
 from evoalg import limits
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import ValidationError, shown
+
+# CI runs with --hypothesis-profile=ci: a failure prints the @reproduce_failure blob that replays it
+settings.register_profile("ci", print_blob=True)
 
 # masses assigned to the cells (1,1), (1,2), (2,1), (2,2) in that order
 REFERENCE_P = (0.1, 0.2, 0.3, 0.4)

@@ -19,6 +19,7 @@ from evoalg.limits import TailCell, VolumeScheme
 from conftest import (
     REFERENCE_P,
     display_cells,
+    oracle_iso,
     oracle_restrict,
     random_positive_measure,
     reference_measure_for,
@@ -181,6 +182,8 @@ def test_criterion_05_measure_independence():
                 report = ev.iso_check(left, right)
                 assert report.support_equal
                 assert report.skeleton_equal
+                # the theorem itself: row keys and levels read off both matrices agree
+                assert oracle_iso(left, right) == report
                 verdicts.append(report.verdict)
         assert verdicts.count("isomorphic-per-theorem") == 50
 

@@ -18,6 +18,7 @@ import itertools
 import json
 import random
 import tempfile
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -181,6 +182,27 @@ def test_hierarchy_matches_subset_search(algebra):
 @given(algebras(), st.integers(0, 2**32 - 1))
 def test_subalgebra_queries_match_search(algebra, seed):
     check_queries(algebra, seed)
+
+
+@pytest.mark.parametrize(
+    "n, k, edges",
+    [
+        (1, 1, ()),
+        (5, 1, ((0, 1), (1, 2), (2, 3), (3, 4))),
+        (3, 1, ((0, 1), (1, 2), (0, 2))),
+        (1, 2, ()),
+        (1, 5, ()),
+        (1, 16, ()),
+    ],
+)
+def test_structure_counts_closed_form_at_the_edges(n, k, edges):
+    """One state, where the pair space is one diagonal generator and the counts are ``(1, 1, 0)``, and one vertex,
+    where the cells are the states: ``(k^2n, k^n, k^n (k^n - 1) / 2)`` against the counts off the pair-loop rows."""
+    measure = ev.from_weights(np.random.default_rng(n * 100 + k).uniform(0.1, 1.0, size=k**n), n, k)
+    algebra = ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), measure)
+    kn = k**n
+    assert ev.structure_counts(algebra) == ev.StructureCounts(kn * kn, kn, kn * (kn - 1) // 2)
+    assert ev.structure_counts(algebra) == oracle_counts(oracle_supports(algebra)[0], kn)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,8 +412,9 @@ def test_entry_chunks_and_texts_share_one_walk():
 
 
 def test_only_an_export_builds_the_text_table(tmp_path, monkeypatch):
-    """``build_algebra``, ``hierarchy``, ``isocheck``, element arithmetic and the subalgebra queries cache nothing on
-    the matrix, neither the class-entry columns nor the texts; ``build`` caches both, in the text table."""
+    """``build_algebra``, ``hierarchy``, element arithmetic and the subalgebra queries cache nothing on the matrix,
+    neither the class-entry columns nor the texts, and ``isocheck`` builds no algebra; ``build`` caches both, in the
+    text table."""
     built = []
     monkeypatch.setattr(cli, "build_algebra", lambda *args: built.append(ev.build_algebra(*args)) or built[-1])
     edges = [[a, b] for a, b in zip(SIX, SIX[1:])]
@@ -399,7 +422,7 @@ def test_only_an_export_builds_the_text_table(tmp_path, monkeypatch):
     second = scenario_file(tmp_path / "b.json", SIX, edges, ["a", "b"], {"hamiltonian": {"model": "potts", "beta": 2.0}})
     for argv in (["hierarchy", "--scenario", first], ["isocheck", "--scenario", first, "--scenario-b", second]):
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-    assert len(built) == 3
+    assert len(built) == 1
     fresh = set(ev.build_algebra(built[0].graph, built[0].space, built[0].measure).matrix.__dict__)
     algebra = built[0]
     x = ev.AlgebraElement({g: 0.5 + g / 7000 for g in range(0, algebra.dimension, 7)})
@@ -551,28 +574,40 @@ TAMPERS = ("none", "swap", "shuffle", "extra level", "moved boundary")
 @settings(max_examples=60, deadline=None)
 @given(algebras(), st.integers(0, 2**32 - 1), st.sampled_from(TAMPERS))
 def test_iso_check_matches_hierarchy_oracle(left, seed, how):
-    """Two measures per graph, the second matrix possibly tampered with."""
+    """Two measures per graph, the second matrix possibly tampered with.  Untampered, the oracle reads the
+    theorem's report off both matrices; tampered, it sees the change, while ``iso_check`` reads no matrix at all."""
     rng = np.random.default_rng(seed)
     n, k = left.graph.vertex_count, left.space.k
     measure = ev.from_weights(rng.uniform(0.1, 1.0, size=k**n), n, k)
-    right = tampered(ev.build_algebra(left.graph, left.space, measure), how, rng)
-    assert ev.iso_check(left, right) == oracle_iso(left, right)
-    assert ev.iso_check(right, left) == oracle_iso(right, left)
-    if how != "moved boundary":  # a moved boundary breaks the flow search, not the levels
-        assert ev.build_hierarchy(right).levels == oracle_levels(right.matrix)
+    built = ev.build_algebra(left.graph, left.space, measure)
+    right = tampered(built, how, rng)
     if how == "none":
+        assert ev.iso_check(left, right) == oracle_iso(left, right)
+        assert ev.iso_check(right, left) == oracle_iso(right, left)
         assert oracle_levels(left.matrix) == oracle_hierarchy(left).levels
         assert ev.iso_check(left, right).verdict == "isomorphic-per-theorem"
-    elif how != "swap":
-        assert not ev.iso_check(left, right).skeleton_equal
+    else:
+        changed = not all(np.array_equal(getattr(right.matrix, name), getattr(built.matrix, name))
+                          for name in ("gen_row", "level_start"))
+        assert changed or how == "swap"  # a swap within one class changes nothing
+        for report in (oracle_iso(left, right), oracle_iso(right, left)):
+            assert (report.verdict == "not-isomorphic-per-theorem") == changed
+        if how != "swap":
+            assert not oracle_iso(left, right).skeleton_equal
+        matrixless = types.SimpleNamespace(graph=right.graph, space=right.space)
+        assert ev.iso_check(left, matrixless) == ev.IsoReport(True, True, "isomorphic-per-theorem")
+    if how != "moved boundary":  # a moved boundary breaks the flow search, not the levels
+        assert ev.build_hierarchy(right).levels == oracle_levels(right.matrix)
 
 
 def test_iso_check_builds_no_hierarchy(tmp_path, monkeypatch):
+    """``isocheck`` loads and checks both scenarios and builds neither a hierarchy nor a heredity matrix."""
     def refuse(*args):
-        raise AssertionError("iso_check built a hierarchy")
+        raise AssertionError("isocheck built a hierarchy or a heredity matrix")
 
     monkeypatch.setattr(structure, "build_hierarchy", refuse)
     monkeypatch.setattr(cli, "build_hierarchy", refuse)
+    monkeypatch.setattr(algebra_module, "HeredityMatrix", refuse)
     edges = [[a, b] for a, b in zip(SIX, SIX[1:])]
     first = scenario_file(tmp_path / "a.json", SIX, edges, ["a", "b"])
     weights = {f"({','.join(c)})": 1.0 + i for i, c in enumerate(itertools.product("ab", repeat=6))}
@@ -581,10 +616,6 @@ def test_iso_check_builds_no_hierarchy(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     report = json.loads((tmp_path / "isocheck.json").read_text())
     assert report["verdict"] == "isomorphic-per-theorem"
-    left, right = (cli.load_scenario(path) for path in (first, second))
-    left, right = (ev.build_algebra(s.graph, s.space, s.measure) for s in (left, right))
-    skewed = tampered(right, "extra level", np.random.default_rng(0))
-    assert ev.iso_check(left, skewed) == ev.IsoReport(True, False, "not-isomorphic-per-theorem")
 
 
 def test_build_formats_each_distinct_coefficient_once(tmp_path, monkeypatch):
