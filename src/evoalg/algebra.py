@@ -38,7 +38,7 @@ __all__ = [
     "AlgebraElement",
     "EvolutionAlgebra",
     "build_algebra",
-    "check_dimension",
+    "check_budgets",
     "matrix_entries",
     "nonzero_count",
     "export_matrix_csv",
@@ -63,11 +63,11 @@ class HeredityMatrix:
 
     ``contrib[cell, b]`` is a cell's index contribution on component ``b``.  A generator's parents give the signature
     cells ``lo`` and ``hi``, with the smaller and the larger contribution on every component, and its level, the number
-    of components where they differ; these fix its children set.  ``classes`` lists the row classes by ascending
-    ``class_key``, ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each
-    class's level and its smallest generator ``(lo, hi)``, and ``level_start`` marks where each level begins.  A row is
-    the outer product of the normalized cell weights of its class's children set, formed by ``_outer`` alone and laid
-    out class after class by ``_expand`` for ``combine`` and the exports.
+    of components where they differ; these fix its children set.  Row classes run by level, then by ``(lo, hi)``:
+    ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each class's level and
+    smallest generator ``(lo, hi)``, ``level_start`` marks where each level begins, and ``level_children[c][p]`` holds
+    the ascending children of the class at position ``p`` of level ``c``.  A row is the outer product of the normalized
+    weights of its class's children, formed by ``_outer`` alone and laid out by ``_expand``.
     """
 
     def __init__(self, graph: Graph, space: StateSpace, measure: Measure):
@@ -79,22 +79,16 @@ class HeredityMatrix:
         lo = sum(np.minimum.outer(part, part) for part in self.contrib.T)
         hi = sum(np.maximum.outer(part, part) for part in self.contrib.T)
         level = sum(np.not_equal.outer(part, part) for part in self.contrib.T)
-        # a class's first generator is its smallest, (lo, hi)
-        self.classes, first, self.gen_row = np.unique(
-            self.class_key(level, lo, hi).ravel(), return_index=True, return_inverse=True
-        )
+        # keys level * k**2n + lo * k**n + hi ascend by level, then by (lo, hi); a class's first generator is (lo, hi)
+        _, first, self.gen_row = np.unique(((level * kn + lo) * kn + hi).ravel(), return_index=True, return_inverse=True)
         self.row_level = level.ravel()[first]
         self.row_lo, self.row_hi = np.divmod(first, kn)
         self.level_start = np.searchsorted(self.row_level, np.arange(self.row_level[-1] + 2))
         # per level: children (R, 2**c) and normalized weights of its row classes
-        self._children = [children_indices(self.contrib[self.row_lo[a:b]], self.contrib[self.row_hi[a:b]])
-                          for a, b in pairwise(self.level_start.tolist())]
-        weights = [measure.weights[kids] for kids in self._children]
+        self.level_children = [children_indices(self.contrib[self.row_lo[a:b]], self.contrib[self.row_hi[a:b]])
+                               for a, b in pairwise(self.level_start.tolist())]
+        weights = [measure.weights[kids] for kids in self.level_children]
         self._weights = [w / w.sum(axis=1, keepdims=True) for w in weights]
-
-    def class_key(self, level, lo, hi):
-        """The row-class key ``level * k**2n + lo * k**n + hi``: ascending keys run by level, then by ``(lo, hi)``."""
-        return (level * self.kn + lo) * self.kn + hi
 
     def pairs(self, kids: np.ndarray) -> np.ndarray:
         """The pair indices of a children set, or of each row of an array of them, flat: ascending for sorted sets."""
@@ -111,7 +105,7 @@ class HeredityMatrix:
         rid = self.gen_row[index]
         c = self.row_level[rid]
         pos = rid - self.level_start[c]
-        return self._children[c][pos], self._weights[c][pos]
+        return self.level_children[c][pos], self._weights[c][pos]
 
     def _outer(self, kids: np.ndarray, w: np.ndarray) -> tuple:
         """The entries of row classes with children ``kids`` and weights ``w``, ``(..., m)``: columns and products."""
@@ -125,7 +119,7 @@ class HeredityMatrix:
         start = 0
         for c, (r0, r1) in enumerate(pairwise(np.searchsorted(rids, self.level_start).tolist())):
             pos, stop = rids[r0:r1] - self.level_start[c], start + (r1 - r0) * 4**c
-            cols[start:stop], prods[start:stop] = self._outer(self._children[c][pos], self._weights[c][pos])
+            cols[start:stop], prods[start:stop] = self._outer(self.level_children[c][pos], self._weights[c][pos])
             start = stop
         return cols, prods, counts
 
@@ -168,7 +162,7 @@ class HeredityMatrix:
 
     def entry_chunks(self):
         """All nonzero entries as ``(rows, cols, values)`` arrays, sorted, about ``_CHUNK_ENTRIES`` a chunk."""
-        return self._walk(*self._expand(np.arange(len(self.classes)))[:2])
+        return self._walk(*self._expand(np.arange(len(self.row_level)))[:2])
 
     @cached_property
     def _text_table(self) -> tuple:
@@ -180,7 +174,7 @@ class HeredityMatrix:
         a time: ``build`` of edgeless n=4, k=4 under 256 distinct weights peaks at 74.5 MiB, where one float list of all
         its 300,908 distinct values took 79.5.
         """
-        cols, products, _ = self._expand(np.arange(len(self.classes)))
+        cols, products, _ = self._expand(np.arange(len(self.row_level)))
         values, at = np.unique(products, return_inverse=True)
         at = at.astype(np.int32)
         del products
@@ -365,14 +359,18 @@ class EvolutionAlgebra:
         return AlgebraElement._of(self.matrix.combine(gens, [x.coeffs[i] * y.coeffs[i] for i in gens]))
 
 
-def check_dimension(graph: Graph, space: StateSpace) -> None:
-    """Reject a pair space of more than ``DIMENSION_BUDGET`` generators, before any work."""
+def check_budgets(graph: Graph, space: StateSpace, nonzeros: bool = False) -> None:
+    """Reject, before any work, more cells, nonzeros (with ``nonzeros``) or generators than a budget allows, in order."""
+    check_budget(space.k**graph.vertex_count, "cell space: k^n", "cells")
+    if nonzeros:
+        check_budget(nonzero_count(graph, space.k), "heredity matrix: prod_b k^|b|(4k^|b|-3)", "nonzeros",
+                     NONZERO_BUDGET, "nonzero")
     check_budget(space.k ** (2 * graph.vertex_count), "pair space: k^2n", "generators", DIMENSION_BUDGET, "dimension")
 
 
 def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> EvolutionAlgebra:
     """Construct the algebra for a graph, state space and positive measure."""
-    check_dimension(graph, space)
+    check_budgets(graph, space)
     if measure.n != graph.vertex_count or measure.k != space.k:
         raise ValidationError("measure does not match the graph and state space")
     return EvolutionAlgebra(graph, space, measure, HeredityMatrix(graph, space, measure))

@@ -14,18 +14,17 @@ import json
 import sys
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import (
-    NONZERO_BUDGET, build_algebra, check_dimension, nonzero_count, write_joined, write_labels, write_matrix
-)
+from .algebra import build_algebra, check_budgets, nonzero_count, write_joined, write_labels, write_matrix
 # matrix_entries, export_matrix_csv and export_matrix_json stay importable here: bench/tracing.py wraps them by these names
 from .algebra import export_matrix_csv, export_matrix_json, matrix_entries  # noqa: F401
 from .cells import state_space_from_json
-from .errors import BudgetError, ValidationError, check_budget, cut, is_index, is_number, shown
+from .errors import BudgetError, ValidationError, cut, is_index, is_number, shown
 from .graphs import graph_from_json
 from .limits import TailCell, VolumeScheme, coefficient_sequence, low_temp_limit_algebras
 # dlr_check stays importable here: bench/tracing.py wraps it by this name
@@ -73,13 +72,16 @@ def _list(value, name: str) -> list:
     return value
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, budgets=None) -> Scenario:
+    """The scenario at ``path``; ``budgets(graph, space)``, if given, runs before its measure is read."""
     raw = _read_scenario(path)
     for key in ("graph", "states", "measure"):
         if key not in raw:
             raise ValidationError(f"scenario.{key}: missing")
     graph, labels = graph_from_json(raw["graph"])
     space = state_space_from_json(raw["states"])
+    if budgets:
+        budgets(graph, space)
     measure, hamiltonian = measure_from_json(raw["measure"], graph, space, labels)
     return Scenario(graph, labels, space, measure, hamiltonian)
 
@@ -124,9 +126,7 @@ def _write_hierarchy(fh, hierarchy, algebra, counts):
 
 
 def cmd_build(args) -> int:
-    scenario = load_scenario(args.scenario)
-    nonzeros = nonzero_count(scenario.graph, scenario.space.k)
-    check_budget(nonzeros, "heredity matrix: prod_b k^|b|(4k^|b|-3)", "nonzeros", NONZERO_BUDGET, "nonzero")
+    scenario = load_scenario(args.scenario, partial(check_budgets, nonzeros=True))
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,7 +136,7 @@ def cmd_build(args) -> int:
         "vertices": scenario.graph.vertex_count,
         "states": scenario.space.k,
         "dimension": algebra.dimension,
-        "nonzeros": nonzeros,
+        "nonzeros": nonzero_count(scenario.graph, scenario.space.k),
     }
     _dump_json(summary, out / "build_summary.json", args.stdout)
     print(f"matrix exported to {out}", file=sys.stderr)
@@ -144,7 +144,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = load_scenario(args.scenario, check_budgets)
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
     hierarchy = build_hierarchy(algebra)
     try:
@@ -162,9 +162,8 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_isocheck(args) -> int:
-    scenarios = load_scenario(args.scenario), load_scenario(args.scenario_b)
-    for scenario in scenarios:  # the budget of the algebras compared, though neither is built
-        check_dimension(scenario.graph, scenario.space)
+    # the budgets of the algebras compared, though neither is built
+    scenarios = [load_scenario(path, check_budgets) for path in (args.scenario, args.scenario_b)]
     report = iso_check(*scenarios)
     payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     out = Path(args.out)

@@ -277,8 +277,9 @@ def dlr_check(h: Hamiltonian, assignment: dict) -> DlrGap:
 
 def _floats(raw, name: str, shape=()):
     """``raw`` as floats of the given shape, or an error naming the field; booleans and strings are no numbers."""
-    arr = np.array(raw, dtype=object)  # every leaf as given, ragged lists as list leaves, so each can be type-checked
-    if arr.shape != shape or not all(map(is_number, arr.flat)):
+    # one number as it is, else every leaf as given, ragged lists as list leaves, so each can be type-checked
+    arr = np.array(raw, dtype=object) if shape else None
+    if not (arr.shape == shape and all(map(is_number, arr.flat)) if shape else is_number(raw)):
         raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {shown(raw)}")
     try:
         return arr.astype(float) if shape else float(raw)

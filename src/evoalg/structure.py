@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise, product
+from itertools import pairwise
 
 import numpy as np
 
@@ -108,9 +108,9 @@ def descent_chain(algebra: EvolutionAlgebra, sigma) -> DescentChain:
 class Hierarchy:
     """Leveled block decomposition of the generator set, held as the matrix's arrays.
 
-    Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from classes
-    ``flow_source`` to classes ``flow_target`` on lower levels.  ``levels`` (each level's blocks as sorted generator
-    tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built on first read.
+    Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from each class in
+    ``flow_source`` to a class of its children pairs in ``flow_target``, on a lower level.  ``levels`` (each level's
+    blocks as sorted generator tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built on first read.
     """
 
     gen_row: np.ndarray
@@ -157,24 +157,25 @@ class Hierarchy:
 def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
     """Rank the row classes by level and list the flows between them.
 
-    A class whose parents differ on ``c`` components sits at level ``c`` and flows to its ``3**c - 1`` proper
-    sub-classes: on every disagreeing component keep ``lo``, ``hi`` or both, short of both everywhere.  A class's
-    smallest generator is ``(lo, hi)``, so classes in key order are each level's blocks by smallest generator.
+    A generator's subalgebra is its children-pair set: a class flows to the classes of its children pairs other than
+    itself, ``3**c - 1`` of them at level ``c``, in sorted order, which is (level, position) order.
     """
     m = algebra.matrix
-    sources, targets = [], []
-    for c in range(len(m.level_start) - 1):
-        rows = np.arange(m.level_start[c], m.level_start[c + 1])
-        lo, hi = m.contrib[m.row_lo[rows]], m.contrib[m.row_hi[rows]]
-        steps = (hi - lo)[hi != lo].reshape(len(rows), c)
-        keep = np.array(list(product(range(3), repeat=c))[:-1]).reshape(3**c - 1, c)
-        sub_lo = m.row_lo[rows, None] + steps @ (keep == 1).T
-        sub_hi = m.row_lo[rows, None] + steps @ (keep != 0).T
-        sub_class = m.class_key(np.count_nonzero(keep == 2, axis=1), sub_lo, sub_hi)
-        # classes run in (level, position) order: sorting each row sorts the flows
-        sources.append(np.repeat(rows, len(keep)))
-        targets.append(np.sort(np.searchsorted(m.classes, sub_class), axis=1).ravel())
-    return Hierarchy(m.gen_row, m.row_level, m.level_start, np.concatenate(sources), np.concatenate(targets))
+    flows = [_level_flows(m, np.arange(a, b), kids) for (a, b), kids in zip(pairwise(m.level_start), m.level_children)]
+    return Hierarchy(m.gen_row, m.row_level, m.level_start, *map(np.concatenate, zip(*flows)))
+
+
+def _level_flows(m, rows: np.ndarray, kids: np.ndarray) -> tuple:
+    """The flows of the classes ``rows`` of one level, whose children are ``kids``, as ``(sources, targets)``."""
+    width = kids.shape[1] ** 2
+    targets = np.sort(m.gen_row[m.pairs(kids)].reshape(-1, width), axis=1)
+    flat = targets.ravel()
+    # the first of each class's equal targets, short of the class itself
+    keep = np.concatenate(([True], flat[1:] != flat[:-1]))
+    keep[::width] = True
+    keep &= (targets != rows[:, None]).ravel()
+    at = np.flatnonzero(keep)
+    return rows[at // width], flat[at]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import evoalg as ev
 from evoalg import limits
@@ -15,6 +15,9 @@ from evoalg.errors import ValidationError, shown
 
 # CI runs with --hypothesis-profile=ci: a failure prints the @reproduce_failure blob that replays it
 settings.register_profile("ci", print_blob=True)
+# tests/mutants.py runs with --hypothesis-profile=mutants: the same examples on every run, and no shrinking, which
+# proves nothing more about a mutant and once took most of a minute of its time bound
+settings.register_profile("mutants", derandomize=True, database=None, phases=[p for p in Phase if p != Phase.shrink])
 
 # masses assigned to the cells (1,1), (1,2), (2,1), (2,2) in that order
 REFERENCE_P = (0.1, 0.2, 0.3, 0.4)
@@ -364,6 +367,31 @@ def oracle_hierarchy(algebra):
         for other in subsets_of[key]:
             flows.add((src, coord[groups[other][0]]))
     return OracleHierarchy(levels, tuple(sorted(flows)), coord)
+
+
+def oracle_flows(matrix):
+    """``(flow_source, flow_target)`` by the sub-class search ``build_hierarchy`` once made.
+
+    A class at level ``c`` keeps ``lo``, ``hi`` or both on each of its ``c``
+    disagreeing components, short of both everywhere, which gives the keys
+    ``level * k**2n + lo * k**n + hi`` of its ``3**c - 1`` proper sub-classes.
+    Each is found among the sorted keys, rebuilt from ``row_level``,
+    ``row_lo`` and ``row_hi``, and each class's finds are sorted.
+    """
+    m, kn = matrix, matrix.kn
+    keys = (m.row_level * kn + m.row_lo) * kn + m.row_hi
+    sources, targets = [], []
+    for c in range(len(m.level_start) - 1):
+        rows = np.arange(m.level_start[c], m.level_start[c + 1])
+        lo, hi = m.contrib[m.row_lo[rows]], m.contrib[m.row_hi[rows]]
+        steps = (hi - lo)[hi != lo].reshape(len(rows), c)
+        keep = np.array(list(itertools.product(range(3), repeat=c))[:-1]).reshape(3**c - 1, c)
+        sub_lo = m.row_lo[rows, None] + steps @ (keep == 1).T
+        sub_hi = m.row_lo[rows, None] + steps @ (keep != 0).T
+        sub_keys = (np.count_nonzero(keep == 2, axis=1) * kn + sub_lo) * kn + sub_hi
+        sources.append(np.repeat(rows, len(keep)))
+        targets.append(np.sort(np.searchsorted(keys, sub_keys), axis=1).ravel())
+    return np.concatenate(sources), np.concatenate(targets)
 
 
 def oracle_levels(matrix):

@@ -130,6 +130,34 @@ def test_budgets_reject_counts_of_thousands_of_digits_in_one_short_line(tmp_path
     assert err == "budget exceeded: cell space: k^n = 10^20 or more cells exceed the enumeration budget of 1000000\n"
 
 
+OVER_BUDGET = {
+    "cells": (long_path(20, ["a", "b"], {"weights": {"(a)": "not read"}}),
+              "cell space: k^n = 1048576 cells exceed the enumeration budget of 1000000"),
+    "generators": (long_path(9, ["a", "b"], {"hamiltonian": {"model": "potts", "J": 1.0, "beta": 1.0}}),
+                   "pair space: k^2n = 262144 generators exceed the dimension budget of 65536"),
+    "nonzeros": ({**long_path(8, ["a", "b"], None), "graph": {"vertices": list("abcdefgh"), "edges": []}},
+                 "heredity matrix: prod_b k^|b|(4k^|b|-3) = 100000000 nonzeros exceed the nonzero budget of 10000000"),
+}
+
+
+@pytest.mark.parametrize("command, budget", [
+    *((command, budget) for command in ("build", "hierarchy", "isocheck") for budget in ("cells", "generators")),
+    ("build", "nonzeros"),
+])
+def test_budgets_are_checked_before_the_measure_is_read(tmp_path, capsys, monkeypatch, command, budget):
+    """``build``, ``hierarchy`` and ``isocheck`` check their budgets right after the graph and the states are read:
+    cells, then nonzeros (``build`` only), then generators.  The measure of an over-budget scenario is never read."""
+    def refuse(*args):
+        raise AssertionError("the measure was read before the budgets were checked")
+
+    monkeypatch.setattr(ev.cli, "measure_from_json", refuse)
+    payload, line = OVER_BUDGET[budget]
+    scenario = write(tmp_path / "s.json", payload)
+    extra = ["--scenario-b", scenario] if command == "isocheck" else []
+    assert main([command, "--scenario", scenario, *extra, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"budget exceeded: {line}\n"
+
+
 def test_hierarchy_reports_level_structure(tmp_path):
     scenario = write(tmp_path / "edge.json", edge_scenario())
     out = tmp_path / "out"

@@ -35,6 +35,7 @@ from conftest import (
     oracle_counts,
     oracle_descent,
     oracle_entries,
+    oracle_flows,
     oracle_hierarchy,
     oracle_iso,
     oracle_levels,
@@ -176,6 +177,39 @@ def test_entries_and_nonzero_count_match_pair_loop(algebra, chunk):
 @given(algebras())
 def test_hierarchy_matches_subset_search(algebra):
     check_hierarchy(algebra)
+
+
+PATH8, EDGELESS = tuple(zip(range(7), range(1, 8))), ()
+
+
+@pytest.mark.parametrize(
+    "n, k, edges",
+    [
+        pytest.param(7, 2, PATH8[:6], id="path n=7, k=2"),
+        pytest.param(8, 2, PATH8, id="path n=8, k=2"),
+        pytest.param(7, 2, EDGELESS, id="edgeless n=7, k=2"),
+        pytest.param(8, 2, EDGELESS, id="edgeless n=8, k=2"),
+        pytest.param(3, 3, ((0, 2),), id="{0,2},{1}, k=3"),
+        pytest.param(4, 3, ((0, 2), (1, 3)), id="{0,2},{1,3}, k=3"),
+        pytest.param(4, 3, ((0, 3),), id="{0,3},{1},{2}, k=3"),
+        pytest.param(4, 3, EDGELESS, id="edgeless n=4, k=3"),
+        pytest.param(3, 4, ((0, 2),), id="{0,2},{1}, k=4"),
+        pytest.param(3, 4, EDGELESS, id="edgeless n=3, k=4"),
+        pytest.param(2, 4, ((0, 1),), id="path n=2, k=4"),
+        pytest.param(1, 1, EDGELESS, id="n=1, k=1"),
+        pytest.param(4, 1, PATH8[:3], id="path n=4, k=1"),
+        pytest.param(3, 1, EDGELESS, id="edgeless n=3, k=1"),
+    ],
+)
+def test_flows_match_sub_class_search(n, k, edges):
+    """The flows read off the children sets equal the 3-ary sub-class search, values and dtype, on graphs past the
+    subset-search oracle's reach and on components that interleave the vertices, such as {0,2},{1}."""
+    measure = ev.from_weights(np.random.default_rng(n * 10 + k).uniform(0.1, 1.0, size=k**n), n, k)
+    algebra = ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), measure)
+    hierarchy = ev.build_hierarchy(algebra)
+    for got, want in zip((hierarchy.flow_source, hierarchy.flow_target), oracle_flows(algebra.matrix)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)
