@@ -277,12 +277,13 @@ def dlr_check(h: Hamiltonian, assignment: dict) -> DlrGap:
 
 def _floats(raw, name: str, shape=()):
     """``raw`` as floats of the given shape, or an error naming the field; booleans and strings are no numbers."""
-    # one number as it is, else every leaf as given, ragged lists as list leaves, so each can be type-checked
-    arr = np.array(raw, dtype=object) if shape else None
-    if not (arr.shape == shape and all(map(is_number, arr.flat)) if shape else is_number(raw)):
-        raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {shown(raw)}")
     try:
-        return arr.astype(float) if shape else float(raw)
+        if not shape and is_number(raw):  # one number needs no object array
+            return float(raw)
+        arr = np.array(raw, dtype=object)  # every leaf as given, ragged lists as list leaves, to check each one
+        if arr.shape != shape or not all(map(is_number, arr.flat)):
+            raise ValidationError(f"{name}: expected {int(np.prod(shape))} number(s), got {shown(raw)}")
+        return arr.astype(float)
     except OverflowError:
         raise ValidationError(f"{name}: number too large for a float, got {shown(raw)}") from None
 

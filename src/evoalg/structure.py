@@ -174,8 +174,7 @@ def _level_flows(m, rows: np.ndarray, kids: np.ndarray) -> tuple:
     keep = np.concatenate(([True], flat[1:] != flat[:-1]))
     keep[::width] = True
     keep &= (targets != rows[:, None]).ravel()
-    at = np.flatnonzero(keep)
-    return rows[at // width], flat[at]
+    return rows[np.flatnonzero(keep) // width], flat[keep]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Apply each mutant of ``tests/mutants.json`` to a copy of the repository and require its tests to fail in time.
 
-Run from anywhere, outside tier-1: ``python tests/mutants.py [name ...]``, with no names for every row.  A row gives a
-``file``, an ``old`` text found there exactly once, the ``new`` text that replaces it, the ``tests`` (pytest ids) that
-must fail and the ``seconds`` within which their run must end.  The unmutated copy must pass the same tests first, so
-a failure is the mutant's.  pytest runs with the ``mutants`` Hypothesis profile of ``tests/conftest.py``: the same
-examples on every run, and no shrinking.  Copies go to a temporary directory (``TMPDIR``); the exit status is the
-number of rows that did not hold.
+Run from anywhere, outside tier-1: ``python tests/mutants.py``, which takes every row. A row gives a ``file``, an
+``old`` text found there exactly once, the ``new`` text that replaces it, the ``tests`` (pytest ids) that must fail and
+the ``seconds`` within which their run must end. The unmutated copy must pass the same tests first, so a failure is the
+mutant's. pytest runs with the ``mutants`` Hypothesis profile of ``tests/conftest.py``: the same examples on every run,
+and no shrinking. Copies go to a temporary directory (``TMPDIR``); the exit status is the number of rows that did not
+hold.
 """
 
 import json
@@ -29,8 +29,9 @@ def copy_tree(dest: Path) -> Path:
 
 
 def run_tests(tree: Path, tests: list, seconds: float) -> tuple:
-    """``(failed ids, seconds taken)`` of a pytest run of ``tests`` in ``tree``; ``None`` for the ids past ``seconds``."""
-    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *tests]
+    """``(failed ids, seconds taken)`` of a pytest run of ``tests`` in ``tree``; ``None`` for ids past ``seconds``."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-profile=mutants",
+            *tests]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     try:
@@ -44,12 +45,8 @@ def run_tests(tree: Path, tests: list, seconds: float) -> tuple:
     return failed, time.perf_counter() - start
 
 
-def main(names) -> int:
+def main() -> int:
     rows = json.loads(TABLE.read_text())
-    unknown = set(names) - {row["name"] for row in rows}
-    if unknown:
-        sys.exit(f"no such mutant: {sorted(unknown)}")
-    rows = [row for row in rows if not names or row["name"] in names]
     with tempfile.TemporaryDirectory() as tmp:
         clean = copy_tree(Path(tmp) / "clean")
         tests = sorted({t for row in rows for t in row["tests"]})
@@ -79,4 +76,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
