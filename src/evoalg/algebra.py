@@ -58,37 +58,51 @@ _DENSE_SHARE = 8
 _CHUNK_ENTRIES = 1 << 12
 
 
+def _row_classes(contrib: np.ndarray, parts: tuple, n: int, k: int) -> tuple:
+    """``HeredityMatrix``'s ``gen_row``, ``row_level``, ``row_lo`` and ``row_hi``, from a table of unordered subcell
+    pairs per component (none with one state), subcells ascending as the cell axes run; only class keys are sorted."""
+    kn = len(contrib)
+    level = lo = hi = np.zeros(1, dtype=np.int64)
+    classes = np.zeros((kn, kn), dtype=np.int64)
+    for values, part in zip(map(np.flatnonzero, map(np.bincount, contrib.T)), parts if k > 1 else ()):
+        j, i = np.nonzero(np.tri(len(values), dtype=bool))  # i <= j
+        table = np.zeros((len(values),) * 2, dtype=np.int64)
+        table[i, j] = table[j, i] = np.arange(len(i)) * len(level)  # mixed radix over the components so far
+        classes.reshape((k,) * 2 * n)[...] += table.reshape([k if v in part else 1 for v in reversed(range(n))] * 2)
+        level, lo, hi = (np.add.outer(b, a).ravel() for a, b in ((level, i != j), (lo, values[i]), (hi, values[j])))
+    order = np.argsort((level * kn + lo) * kn + hi)
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(len(order))
+    # each generator's class is read before its rank is written over it, and "clip" takes no buffer
+    return np.take(ranks, classes.ravel(), out=classes.ravel(), mode="clip"), level[order], lo[order], hi[order]
+
+
 class HeredityMatrix:
     """Sparse row-stochastic coefficient matrix over the pair cells.
 
     ``contrib[cell, b]`` is a cell's index contribution on component ``b``.  A generator's parents give the signature
-    cells ``lo`` and ``hi``, with the smaller and the larger contribution on every component, and its level, the number
-    of components where they differ; these fix its children set.  Row classes run by level, then by ``(lo, hi)``:
+    cells ``lo`` and ``hi``, of the smaller and the larger contribution on each component, and its level, the number of
+    components where they differ; these fix its children set.  So a row class is one unordered pair of subcells per
+    component, and ``_row_classes`` enumerates the classes per component.  They run by level, then by ``(lo, hi)``:
     ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each class's level and
     smallest generator ``(lo, hi)``, ``level_start`` marks where each level begins, and ``level_children[c][p]`` holds
-    the ascending children of the class at position ``p`` of level ``c``.  A row is the outer product of the normalized
-    weights of its class's children, formed by ``_outer`` alone and laid out by ``_expand``.
+    the ascending children of the class at position ``p`` of level ``c``.  A row is the outer product of their
+    normalized weights, formed by ``_outer`` alone and laid out by ``_expand``.
     """
 
     def __init__(self, graph: Graph, space: StateSpace, measure: Measure):
         n, k = graph.vertex_count, space.k
-        kn = k**n
-        self.kn = kn
-        self.dimension = kn * kn
-        self.contrib = component_contributions(state_axes(n, k), components(graph), k)
-        lo = sum(np.minimum.outer(part, part) for part in self.contrib.T)
-        hi = sum(np.maximum.outer(part, part) for part in self.contrib.T)
-        level = sum(np.not_equal.outer(part, part) for part in self.contrib.T)
-        # keys level * k**2n + lo * k**n + hi ascend by level, then by (lo, hi); a class's first generator is (lo, hi)
-        _, first, self.gen_row = np.unique(((level * kn + lo) * kn + hi).ravel(), return_index=True, return_inverse=True)
-        self.row_level = level.ravel()[first]
-        self.row_lo, self.row_hi = np.divmod(first, kn)
+        self.kn = k**n
+        self.dimension = self.kn**2
+        parts = components(graph)
+        self.contrib = component_contributions(state_axes(n, k), parts, k)
+        self.gen_row, self.row_level, self.row_lo, self.row_hi = _row_classes(self.contrib, parts, n, k)
         self.level_start = np.searchsorted(self.row_level, np.arange(self.row_level[-1] + 2))
         # per level: children (R, 2**c) and normalized weights of its row classes
         self.level_children = [children_indices(self.contrib[self.row_lo[a:b]], self.contrib[self.row_hi[a:b]])
                                for a, b in pairwise(self.level_start.tolist())]
         weights = [measure.weights[kids] for kids in self.level_children]
-        self._weights = [w / w.sum(axis=1, keepdims=True) for w in weights]
+        self._weights = [np.divide(w, w.sum(axis=1, keepdims=True), out=w) for w in weights]
 
     def pairs(self, kids: np.ndarray) -> np.ndarray:
         """The pair indices of a children set, or of each row of an array of them, flat: ascending for sorted sets."""

@@ -180,7 +180,8 @@ def component_contributions(digit, parts: tuple, k: int) -> np.ndarray:
     that broadcast alike.  A cell's index is the sum of its contributions, and
     two cells agree on a component exactly when their contributions coincide.
     """
-    return np.stack([cellwise(sum(digit[v] * k**v for v in b), digit) for b in parts], axis=-1)
+    shape = np.broadcast_shapes(*map(np.shape, digit))
+    return np.stack([np.broadcast_to(sum(digit[v] * k**v for v in b), shape).ravel() for b in parts], axis=-1)
 
 
 def children_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import Phase, settings
 
 import evoalg as ev
 from evoalg import limits
-from evoalg.cells import Cell, PairCell
+from evoalg.cells import Cell, PairCell, children_indices
 from evoalg.errors import ValidationError, shown
 
 # CI runs with --hypothesis-profile=ci: a failure prints the @reproduce_failure blob that replays it
@@ -392,6 +392,30 @@ def oracle_flows(matrix):
         sources.append(np.repeat(rows, len(keep)))
         targets.append(np.sort(np.searchsorted(keys, sub_keys), axis=1).ravel())
     return np.concatenate(sources), np.concatenate(targets)
+
+
+def oracle_row_classes(matrix, measure):
+    """The row-class layout by the search ``HeredityMatrix`` once made, as ``{attribute: value}``.
+
+    Every generator's ``lo``, ``hi`` and level come from ``(k^n)^2`` outer
+    arrays over the contributions, and ``np.unique`` sorts all ``k^2n``
+    keys ``level * k**2n + lo * k**n + hi``: a class's first generator is
+    ``(lo, hi)``.  The children and normalized weights follow from the rows.
+    """
+    kn, contrib = matrix.kn, matrix.contrib
+    lo = sum(np.minimum.outer(part, part) for part in contrib.T)
+    hi = sum(np.maximum.outer(part, part) for part in contrib.T)
+    level = sum(np.not_equal.outer(part, part) for part in contrib.T)
+    _, first, gen_row = np.unique(((level * kn + lo) * kn + hi).ravel(), return_index=True, return_inverse=True)
+    row_level = level.ravel()[first]
+    row_lo, row_hi = np.divmod(first, kn)
+    level_start = np.searchsorted(row_level, np.arange(row_level[-1] + 2))
+    children = [children_indices(contrib[row_lo[a:b]], contrib[row_hi[a:b]])
+                for a, b in zip(level_start.tolist(), level_start[1:].tolist())]
+    weights = [measure.weights[kids] for kids in children]
+    return {"gen_row": gen_row, "row_level": row_level, "row_lo": row_lo, "row_hi": row_hi,
+            "level_start": level_start, "level_children": children,
+            "_weights": [w / w.sum(axis=1, keepdims=True) for w in weights]}
 
 
 def oracle_levels(matrix):

@@ -1,5 +1,6 @@
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     brute_row,
     display_cells,
     pair_children,
+    oracle_row_classes,
     random_positive_measure,
 )
 
@@ -321,3 +323,50 @@ def test_matrix_loaders_name_the_malformed_file(tmp_path, name, text, where):
 
 def test_nonzero_count_reference(edge_algebra):
     assert sum(1 for _ in ev.matrix_entries(edge_algebra)) == 52
+
+
+PATH = tuple(zip(range(7), range(1, 8)))
+
+
+@pytest.mark.parametrize("edges, limit", [(PATH, 4.5), ((), 3.0)], ids=["path", "edgeless"])
+def test_heredity_matrix_peak_at_the_budget_edge(edges, limit):
+    """Eight vertices, two states, 65,536 generators: row classes enumerated per component peak at 3.6 MiB (path) and
+    1.8 MiB (edgeless), where the ``(k^n)^2`` outer arrays and the sort of all generator keys took 5.6 and 4.7 MiB."""
+    graph, space, measure = ev.Graph(8, frozenset(edges)), ev.StateSpace(2), ev.uniform_measure(8, 2)
+    ev.HeredityMatrix(graph, space, measure)
+    tracemalloc.start()
+    try:
+        ev.HeredityMatrix(graph, space, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * 2**20
+
+@pytest.mark.parametrize(
+    "n, k, edges",
+    [
+        pytest.param(7, 2, PATH[:6], id="path n=7, k=2"),
+        pytest.param(8, 2, PATH, id="path n=8, k=2"),
+        pytest.param(7, 2, (), id="edgeless n=7, k=2"),
+        pytest.param(8, 2, (), id="edgeless n=8, k=2"),
+        pytest.param(3, 3, ((0, 2),), id="{0,2},{1}, k=3"),
+        pytest.param(4, 3, ((0, 2), (1, 3)), id="{0,2},{1,3}, k=3"),
+        pytest.param(4, 3, ((0, 3),), id="{0,3},{1},{2}, k=3"),
+        pytest.param(3, 4, ((0, 2),), id="{0,2},{1}, k=4"),
+        pytest.param(4, 4, ((1, 3),), id="{0},{1,3},{2}, k=4"),
+        pytest.param(1, 1, (), id="n=1, k=1"),
+        pytest.param(12, 1, PATH[:5], id="{0..5},{6}..{11}, k=1"),
+        pytest.param(12, 1, (), id="edgeless n=12, k=1"),
+    ],
+)
+def test_row_classes_match_unique_search(n, k, edges):
+    """The layout enumerated per component equals the ``np.unique`` search over all ``k^2n`` generator keys: every
+    array in values and dtype, and the normalized weights bit for bit."""
+    measure = ev.from_weights(np.random.default_rng(n * 10 + k).uniform(0.1, 1.0, size=k**n), n, k)
+    matrix = ev.HeredityMatrix(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), measure)
+    for name, want in oracle_row_classes(matrix, measure).items():
+        got = getattr(matrix, name)
+        for g, w in zip(got, want) if isinstance(want, list) else [(got, want)]:
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.tobytes() == w.tobytes(), name
+        assert len(got) == len(want), name

@@ -130,6 +130,18 @@ def test_budgets_reject_counts_of_thousands_of_digits_in_one_short_line(tmp_path
     assert err == "budget exceeded: cell space: k^n = 10^20 or more cells exceed the enumeration budget of 1000000\n"
 
 
+@pytest.mark.parametrize("command", ["build", "hierarchy"])
+def test_one_state_edgeless_graph_of_thousands_of_vertices_is_quick(tmp_path, command):
+    """One cell and one generator pass every budget: the contributions take one broadcast shape for all 5,000
+    components, where one per component took about 30 s."""
+    payload = long_path(5000, ["a"], {"weights": {"(" + ",".join("a" * 5000) + ")": 1.0}})
+    payload["graph"]["edges"] = []
+    scenario = write(tmp_path / "s.json", payload)
+    start = time.perf_counter()
+    assert main([command, "--scenario", scenario, "--out", str(tmp_path / "out")]) == 0
+    assert time.perf_counter() - start < 5.0
+
+
 OVER_BUDGET = {
     "cells": (long_path(20, ["a", "b"], {"weights": {"(a)": "not read"}}),
               "cell space: k^n = 1048576 cells exceed the enumeration budget of 1000000"),
