@@ -169,7 +169,8 @@ class HeredityMatrix:
         # a generator's entry e sits at e + shift in the class layout
         shift = (np.cumsum(width) - width)[self.gen_row] - (ends - size)
         cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK_ENTRIES), side="right")
-        cuts = np.append(np.unique(cuts), self.dimension)
+        # ascending already, so a neighbour mask drops the repeats: plain np.unique would import numpy.ma
+        cuts = np.append(cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))], self.dimension)
         for g0, g1 in pairwise(cuts.tolist()):
             at = np.arange(ends[g0] - size[g0], ends[g1 - 1]) + np.repeat(shift[g0:g1], size[g0:g1])
             yield np.repeat(np.arange(g0, g1), size[g0:g1]), cols[at], values[at]

@@ -332,7 +332,8 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels) -> t
             if index in seen:
                 raise ValidationError(f"measure.weights: duplicate cell {cut(label)!r}")
             seen.add(index)
-            raw[index] = _floats(value, f"measure.weights[{cut(label)!r}]")
+            # a JSON float needs no check, and the field's name is made only for a value that may be rejected
+            raw[index] = value if type(value) is float else _floats(value, f"measure.weights[{cut(label)!r}]")
         if len(seen) != k**n:
             raise ValidationError("measure.weights: every cell needs a weight")
         if np.any(raw <= 0):

@@ -903,6 +903,21 @@ def test_unusable_out_path_exits_2_without_traceback(tmp_path, capsys, command, 
     assert err.startswith("error: out: ") and str(out) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+def test_commands_leave_numpy_ma_unimported(tmp_path, command):
+    """A command in a fresh interpreter imports no ``numpy.ma`` that ``import numpy`` did not.  On numpy 2.x plain
+    ``np.unique`` imports it, which took about 15 ms, as long as the rest of a small ``build``."""
+    scenario = write(tmp_path / "s.json", FUZZ_BASES[command])
+    code = (
+        "import sys; from evoalg.cli import main; eager = 'numpy.ma' in sys.modules; "
+        f"status = main({command_argv(command, scenario, tmp_path / 'out')!r}); "
+        "print(status, 'numpy.ma' in sys.modules and not eager)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ev.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stdout + proc.stderr
+
+
 def test_report_path_taken_by_a_directory_exits_2(tmp_path, capsys):
     scenario = write(tmp_path / "s.json", edge_scenario())
     (tmp_path / "out" / "matrix.csv").mkdir(parents=True)
