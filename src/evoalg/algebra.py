@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import numbers
+from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,15 +143,15 @@ class HeredityMatrix:
         cols, prods = self._outer(*self.children(index))
         return dict(zip(cols.tolist(), prods.tolist()))
 
-    def combine(self, gens: list, scales: list) -> dict:
-        """``sum_g scales[g] * row(gens[g])`` as ``{pair_index: coefficient}``.
+    def combine(self, gens: np.ndarray, scales: np.ndarray) -> tuple:
+        """``sum_g scales[g] * row(gens[g])`` as ascending int64 keys and their float64 coefficients.
 
         ``gens`` must be ascending and in range: scales are summed per row class in that order, so equal inputs give
         equal bits.  The classes expand to their entries, each ``(w_i * w_j) * scale``, summed per column in that order
-        over all columns or over the sorted distinct ones, with the same bits either way.  Keys come out ascending;
-        coefficients below ``COEFF_DROP`` drop.
+        over all columns or over the sorted distinct ones, with the same bits either way.  Coefficients below
+        ``COEFF_DROP`` drop.
         """
-        rids, inverse = np.unique(self.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
+        rids, inverse = np.unique(self.gen_row[gens], return_inverse=True)
         cols, vals, counts = self._expand(rids)
         vals *= np.repeat(np.bincount(inverse, weights=scales), counts)
         dense = len(cols) * _DENSE_SHARE >= self.dimension
@@ -158,7 +159,7 @@ class HeredityMatrix:
         distinct, at = (None, cols) if dense else np.unique(cols, return_inverse=True)
         sums = np.bincount(at, weights=vals, minlength=self.dimension if dense else 0)
         keep = np.flatnonzero(np.abs(sums) >= COEFF_DROP)
-        return dict(zip((keep if dense else distinct[keep]).tolist(), sums[keep].tolist()))
+        return (keep if dense else distinct[keep].astype(np.int64)), sums[keep]
 
     def _walk(self, cols: np.ndarray, values: np.ndarray):
         """Chunks of consecutive generators, about ``_CHUNK_ENTRIES`` entries each, as ``(rows, cols, values)``: one
@@ -247,17 +248,55 @@ def write_labels(fh, algebra: EvolutionAlgebra, runs, quoted: bool):
         write_joined((fh,), (seps, left[first], right[second]), lead)
 
 
+class _Coefficients(Mapping):
+    """A read-only ``{generator: coefficient}`` view of ascending int64 keys and their float64 values: it iterates in
+    key order, gives Python ``int`` and ``float``, and finds a key by ``searchsorted``."""
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self._keys, self._values = keys, values
+
+    def __getitem__(self, key) -> float:
+        if is_index(key):
+            at = self._keys.searchsorted(key)
+            if at < len(self._keys) and self._keys.item(at) == key:
+                return self._values.item(at)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self._keys.tolist())
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def items(self) -> ItemsView:
+        """The pairs, from a dict made for the call: ``Mapping``'s own would search for every key."""
+        return dict(zip(self._keys.tolist(), self._values.tolist())).items()
+
+    def values(self) -> ValuesView:
+        return self.items().mapping.values()
+
+
+def _element(value, name: str) -> "AlgebraElement":
+    """``value``, which must be an element: else a ``ValidationError`` names the argument ``name`` and its type."""
+    if not isinstance(value, AlgebraElement):
+        raise ValidationError(f"{name} must be an AlgebraElement, got {type(value).__name__}")
+    return value
+
+
 class AlgebraElement:
     """Sparse linear combination of generators; near-zero entries dropped.
 
     Keys must be integers and coefficients finite reals; whether a key is a
     generator of a given algebra is checked where the algebra reads it.
+    ``coeffs`` is a read-only view of the ascending keys and their values.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict = None):
-        self.coeffs = {}
+        kept = {}
         for i, v in (coeffs or {}).items():
             if not is_index(i):
                 raise ValidationError(f"element: generator must be an integer, got {shown(i)}")
@@ -268,40 +307,69 @@ class AlgebraElement:
             if not finite:
                 raise ValidationError(f"element: coefficient of {i} must be a finite real, got {shown(v)}")
             if abs(v) >= COEFF_DROP:
-                self.coeffs[int(i)] = float(v)
+                kept[int(i)] = float(v)
+        try:
+            keys = np.fromiter(kept, dtype=np.int64, count=len(kept))
+        except OverflowError:  # no algebra has a generator past int64
+            raise ValidationError(f"pair index {max(kept, key=abs)} out of range") from None
+        order = keys.argsort()
+        self.coeffs = _Coefficients(keys[order], np.fromiter(kept.values(), dtype=np.float64, count=len(kept))[order])
 
     @classmethod
-    def _of(cls, coeffs: dict) -> "AlgebraElement":
-        """Wrap computed ``{int: float}`` coefficients, none below ``COEFF_DROP``, unchecked."""
+    def _of(cls, keys: np.ndarray, values: np.ndarray) -> "AlgebraElement":
+        """Wrap computed ascending int64 keys and float64 values, none below ``COEFF_DROP``, unchecked."""
         element = cls.__new__(cls)
-        element.coeffs = coeffs
+        element.coeffs = _Coefficients(keys, values)
         return element
 
+    @classmethod
+    def _kept(cls, keys: np.ndarray, values: np.ndarray) -> "AlgebraElement":
+        """Wrap computed ``values`` of ascending int64 ``keys``, those below ``COEFF_DROP`` dropped; values that are not
+        all finite float64 go through the constructor, whose checks name the first it rejects."""
+        if values.dtype != np.float64 or not np.isfinite(values).all():
+            return cls(dict(zip(keys.tolist(), values.tolist())))
+        keep = np.abs(values) >= COEFF_DROP
+        return cls._of(keys[keep], values[keep])
+
+    def _merged(self, other: "AlgebraElement", sign: float) -> tuple:
+        """``self + sign * other`` over both elements' generators, ascending: keys and values, none dropped."""
+        mine, theirs = self.coeffs, other.coeffs
+        keys = np.union1d(mine._keys, theirs._keys)
+        values = np.zeros(len(keys))
+        values[keys.searchsorted(mine._keys)] = mine._values
+        values[keys.searchsorted(theirs._keys)] += sign * theirs._values
+        return keys, values
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, 0.0) + v
-        return AlgebraElement(out)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return AlgebraElement._kept(*self._merged(other, 1.0))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1.0) * other
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return AlgebraElement._kept(*self._merged(other, -1.0))
 
     def __rmul__(self, scalar: float) -> "AlgebraElement":
-        return AlgebraElement({i: scalar * v for i, v in self.coeffs.items()})
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return AlgebraElement._kept(self.coeffs._keys, scalar * self.coeffs._values)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
+        if not isinstance(other, AlgebraElement):
+            return False
+        mine, theirs = self.coeffs, other.coeffs
+        return np.array_equal(mine._keys, theirs._keys) and np.array_equal(mine._values, theirs._values)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{i}: {v:g}" for i, v in sorted(self.coeffs.items()))
+        inner = ", ".join(f"{i}: {v:g}" for i, v in self.coeffs.items())
         return f"AlgebraElement({{{inner}}})"
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def distance(self, other: "AlgebraElement") -> float:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(i, 0.0) - other.coeffs.get(i, 0.0)) for i in keys), default=0.0)
+        return float(np.abs(self._merged(_element(other, "other"), -1.0)[1]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -366,12 +434,12 @@ class EvolutionAlgebra:
         ``HeredityMatrix.combine``.  The result does not depend on the
         argument order, bit for bit.
         """
-        for coeffs in (x.coeffs, y.coeffs):
-            low, high = min(coeffs, default=0), max(coeffs, default=0)
-            if low < 0 or high >= self.dimension:
-                raise ValidationError(f"pair index {low if low < 0 else high} out of range")
-        gens = sorted(x.coeffs.keys() & y.coeffs.keys())
-        return AlgebraElement._of(self.matrix.combine(gens, [x.coeffs[i] * y.coeffs[i] for i in gens]))
+        x, y = _element(x, "x").coeffs, _element(y, "y").coeffs
+        for keys in (x._keys, y._keys):
+            if len(keys) and (keys[0] < 0 or keys[-1] >= self.dimension):
+                raise ValidationError(f"pair index {keys[0] if keys[0] < 0 else keys[-1]} out of range")
+        gens, ix, iy = np.intersect1d(x._keys, y._keys, assume_unique=True, return_indices=True)
+        return AlgebraElement._of(*self.matrix.combine(gens, x._values[ix] * y._values[iy]))
 
 
 def check_budgets(graph: Graph, space: StateSpace, nonzeros: bool = False) -> None:

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from evoalg.algebra import AlgebraElement
+from evoalg.algebra import COEFF_DROP, AlgebraElement
 from evoalg.cells import PairCell
 from evoalg.errors import BudgetError, ValidationError
 
@@ -146,6 +147,85 @@ def test_element_accepts_numpy_numbers():
     x = AlgebraElement({np.int64(3): np.float32(0.5), np.uint8(4): np.float64(-2.0), 5: 1})
     assert x.coeffs == {3: 0.5, 4: -2.0, 5: 1.0}
     assert all(type(i) is int and type(v) is float for i, v in x.coeffs.items())
+
+
+# Python and numpy integer keys, and coefficients on both sides of COEFF_DROP
+RAW_ELEMENTS = st.dictionaries(
+    st.one_of(st.integers(-3, 40), st.integers(-3, 40).map(np.int64), st.integers(0, 40).map(np.uint8)),
+    st.one_of(st.floats(-2.0, 2.0), st.floats(-3 * COEFF_DROP, 3 * COEFF_DROP),
+              st.sampled_from([COEFF_DROP, -COEFF_DROP, np.nextafter(COEFF_DROP, 0.0), np.float32(0.5)])),
+    max_size=12,
+)
+
+
+def parent_coeffs(raw) -> dict:
+    """The ``{int: float}`` dict an element kept of ``raw`` when it stored one."""
+    return {int(i): float(v) for i, v in raw.items() if abs(v) >= COEFF_DROP}
+
+
+@settings(max_examples=150, deadline=None)
+@given(RAW_ELEMENTS)
+def test_coeffs_view_behaves_like_the_kept_dict(raw):
+    want, view = parent_coeffs(raw), AlgebraElement(raw).coeffs
+    assert dict(view) == want
+    assert list(view) == sorted(want) and list(view.items()) == sorted(want.items())
+    assert all(type(i) is int and type(v) is float for i, v in view.items())
+    assert len(view) == len(want) and view == want and want == view
+    probes = range(min(want, default=0) - 2, max(want, default=0) + 3)
+    other = {i: 0.0 for i in probes if i % 2}
+    assert view.keys() & other.keys() == want.keys() & other.keys()
+    for i in probes:
+        assert (i in view) == (i in want) and view.get(i) == want.get(i)
+        if i in want:
+            assert view[i] == view[np.int64(i)] == want[i]
+            with pytest.raises(KeyError):
+                view[float(i)]
+        else:
+            with pytest.raises(KeyError):
+                view[i]
+    with pytest.raises(KeyError):
+        view[str(min(want, default=0))]
+    with pytest.raises(TypeError):
+        view[0] = 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(RAW_ELEMENTS, RAW_ELEMENTS, st.sampled_from([2.5, -1.0, 3, 1e-16, np.float64(0.1)]))
+def test_linear_operations_match_dict_arithmetic(raw_x, raw_y, scalar):
+    """Sums, differences, multiples, distances and reprs equal the dict arithmetic elements did: keys and bits."""
+    x, y = AlgebraElement(raw_x), AlgebraElement(raw_y)
+    a, b = parent_coeffs(raw_x), parent_coeffs(raw_y)
+    total, difference = dict(a), dict(a)
+    for i, v in b.items():
+        total[i] = total.get(i, 0.0) + v
+        difference[i] = difference.get(i, 0.0) + -1.0 * v
+    for got, want in ((x + y, total), (x - y, difference), (scalar * x, {i: scalar * v for i, v in a.items()})):
+        want = parent_coeffs(want)
+        assert [(i, v.hex()) for i, v in got.coeffs.items()] == [(i, float(v).hex()) for i, v in sorted(want.items())]
+    assert x.distance(y) == max((abs(a.get(i, 0.0) - b.get(i, 0.0)) for i in a.keys() | b.keys()), default=0.0)
+    assert repr(x) == "AlgebraElement({" + ", ".join(f"{i}: {v:g}" for i, v in sorted(a.items())) + "})"
+    assert (x == y) == (a == b) and x.is_zero() == (not a)
+
+
+def test_element_operands_fail_cleanly(edge_algebra):
+    """Adding a number, or multiplying by a non-number, raises Python's own ``TypeError``; a non-element argument of
+    ``multiply``, ``square`` or ``distance`` raises a ``ValidationError`` that names it and its type."""
+    x = AlgebraElement({3: 0.5})
+    for operation in (lambda: x + 1, lambda: x - 1, lambda: None * x, lambda: "a" * x):
+        with pytest.raises(TypeError, match="AlgebraElement") as raised:
+            operation()
+        assert "float" not in str(raised.value)
+    with pytest.raises(ValidationError, match=r"^element: coefficient of 3 must be a finite real, got complex 0\.5j$"):
+        1j * x
+    calls = [
+        (lambda: edge_algebra.multiply({1: 0.5}, x), "x must be an AlgebraElement, got dict"),
+        (lambda: edge_algebra.multiply(x, [1]), "y must be an AlgebraElement, got list"),
+        (lambda: edge_algebra.square({1: 0.5}), "x must be an AlgebraElement, got dict"),
+        (lambda: x.distance(1), "other must be an AlgebraElement, got int"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
 
 
 @pytest.mark.parametrize("raw", [2.7, True, "3", np.float64(2.0)], ids=repr)

@@ -18,6 +18,7 @@ import itertools
 import json
 import random
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 from unittest import mock
@@ -279,6 +280,23 @@ def test_square_is_product_on_every_generator():
     x = ev.AlgebraElement(dict(enumerate(rng.uniform(-1.0, 1.0, size=algebra.dimension).tolist())))
     assert len(x.coeffs) == 6561
     check_square_is_product(algebra, x)
+
+
+def test_square_retains_only_its_two_arrays():
+    """The square of 200 generators of the 4,096-generator edgeless algebra has all 4,096 coefficients: as int64 keys
+    and float64 values they take 64 KiB, where a ``{int: float}`` dict of them held about 0.4 MiB."""
+    algebra = edgeless_six()
+    gens = np.random.default_rng(0).choice(algebra.dimension, 200, replace=False)
+    x = ev.AlgebraElement({int(g): 0.5 + g / 9000 for g in gens})
+    algebra.square(x)
+    tracemalloc.start()
+    try:
+        squared = algebra.square(x)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(squared.coeffs) == algebra.dimension
+    assert retained <= 96 * 2**10
 
 
 def test_edgeless_six_vertices_match_oracles():
