@@ -54,7 +54,6 @@ from .measures import (
     hamiltonian_energy,
     measure_from_json,
     potts_hamiltonian,
-    uniform_measure,
 )
 from .structure import (
     CollapsedTable,

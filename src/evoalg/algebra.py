@@ -60,19 +60,22 @@ _CHUNK_ENTRIES = 1 << 12
 
 
 def _row_classes(contrib: np.ndarray, parts: tuple, n: int, k: int) -> tuple:
-    """``HeredityMatrix``'s ``gen_row``, ``row_level``, ``row_lo`` and ``row_hi``, from a table of unordered subcell
-    pairs per component (none with one state), subcells ascending as the cell axes run; only class keys are sorted."""
+    """``HeredityMatrix``'s ``gen_row``, ``row_lo`` and ``row_hi`` (int32) and ``row_level`` (int64), from a table of
+    unordered subcell pairs per component (none with one state), subcells ascending as the cell axes run; only class
+    keys are sorted.  The ``(k^n)^2`` class table, each component's table and the ranks are int32 too."""
     kn = len(contrib)
-    level = lo = hi = np.zeros(1, dtype=np.int64)
-    classes = np.zeros((kn, kn), dtype=np.int64)
-    for values, part in zip(map(np.flatnonzero, map(np.bincount, contrib.T)), parts if k > 1 else ()):
+    level = np.zeros(1, dtype=np.int64)  # row_level feeds 4 ** level
+    lo = hi = np.zeros(1, dtype=np.int32)
+    classes = np.zeros((kn, kn), dtype=np.int32)
+    for column, part in zip(contrib.T, parts if k > 1 else ()):
+        values = np.flatnonzero(np.bincount(column)).astype(np.int32)
         j, i = np.nonzero(np.tri(len(values), dtype=bool))  # i <= j
-        table = np.zeros((len(values),) * 2, dtype=np.int64)
+        table = np.zeros((len(values),) * 2, dtype=np.int32)
         table[i, j] = table[j, i] = np.arange(len(i)) * len(level)  # mixed radix over the components so far
         classes.reshape((k,) * 2 * n)[...] += table.reshape([k if v in part else 1 for v in reversed(range(n))] * 2)
         level, lo, hi = (np.add.outer(b, a).ravel() for a, b in ((level, i != j), (lo, values[i]), (hi, values[j])))
     order = np.argsort((level * kn + lo) * kn + hi)
-    ranks = np.empty_like(order)
+    ranks = np.empty(len(order), dtype=np.int32)
     ranks[order] = np.arange(len(order))
     # each generator's class is read before its rank is written over it, and "clip" takes no buffer
     return np.take(ranks, classes.ravel(), out=classes.ravel(), mode="clip"), level[order], lo[order], hi[order]
@@ -88,7 +91,8 @@ class HeredityMatrix:
     ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each class's level and
     smallest generator ``(lo, hi)``, ``level_start`` marks where each level begins, and ``level_children[c][p]`` holds
     the ascending children of the class at position ``p`` of level ``c``.  A row is the outer product of their
-    normalized weights, formed by ``_outer`` alone and laid out by ``_expand``.
+    normalized weights, formed by ``_outer`` alone and laid out by ``_expand``.  Every index array is int32, which
+    holds any pair index within ``DIMENSION_BUDGET``; ``row_level`` is int64, as it feeds ``4 ** level``.
     """
 
     def __init__(self, graph: Graph, space: StateSpace, measure: Measure):
@@ -96,7 +100,7 @@ class HeredityMatrix:
         self.kn = k**n
         self.dimension = self.kn**2
         parts = components(graph)
-        self.contrib = component_contributions(state_axes(n, k), parts, k)
+        self.contrib = component_contributions(state_axes(n, k), parts, k).astype(np.int32)
         self.gen_row, self.row_level, self.row_lo, self.row_hi = _row_classes(self.contrib, parts, n, k)
         self.level_start = np.searchsorted(self.row_level, np.arange(self.row_level[-1] + 2))
         # per level: children (R, 2**c) and normalized weights of its row classes
@@ -431,15 +435,23 @@ class EvolutionAlgebra:
         Every key of either factor must be a generator of this algebra.  The
         products ``x_i * y_i`` of the shared generators, in ascending order,
         scale the rows of their row classes, and the rows are summed by
-        ``HeredityMatrix.combine``.  The result does not depend on the
-        argument order, bit for bit.
+        ``HeredityMatrix.combine``.  Factors that hold one key array, as a
+        square's do, share all of it; otherwise the shorter key array is
+        found in the longer by ``searchsorted``.  The result does not depend
+        on the argument order, bit for bit.
         """
         x, y = _element(x, "x").coeffs, _element(y, "y").coeffs
         for keys in (x._keys, y._keys):
             if len(keys) and (keys[0] < 0 or keys[-1] >= self.dimension):
                 raise ValidationError(f"pair index {keys[0] if keys[0] < 0 else keys[-1]} out of range")
-        gens, ix, iy = np.intersect1d(x._keys, y._keys, assume_unique=True, return_indices=True)
-        return AlgebraElement._of(*self.matrix.combine(gens, x._values[ix] * y._values[iy]))
+        if x._keys is y._keys:
+            gens, scales = x._keys, x._values * y._values
+        else:
+            short, long = sorted((x, y), key=len)
+            at = long._keys.searchsorted(short._keys)
+            found = np.flatnonzero(long._keys.take(at, mode="clip") == short._keys)
+            gens, scales = short._keys[found], short._values[found] * long._values[at[found]]
+        return AlgebraElement._of(*self.matrix.combine(gens, scales))
 
 
 def check_budgets(graph: Graph, space: StateSpace, nonzeros: bool = False) -> None:

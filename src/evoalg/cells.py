@@ -190,13 +190,15 @@ def children_indices(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     ``first`` and ``second`` have shape ``(R, B)``, and every pair differs on
     the same number ``c`` of components.  Row ``r`` of the ``(R, 2**c)``
     result is the componentwise minimum plus every subset sum of the
-    differences: a child copies either parent on each component.
+    differences: a child copies either parent on each component.  It has
+    the inputs' dtype: int32 for the heredity layout, objects for Python
+    integers.
     """
     diff = np.abs(first - second)
     c = int(np.count_nonzero(diff[0]))
     steps = diff[diff != 0].reshape(len(diff), c)
-    subsets = (np.arange(2**c)[:, None] >> np.arange(c)) & 1
-    base = np.minimum(first, second).sum(axis=1)
+    subsets = ((np.arange(2**c)[:, None] >> np.arange(c)) & 1).astype(diff.dtype)
+    base = np.minimum(first, second).sum(axis=1, dtype=diff.dtype)
     return np.sort(base[:, None] + steps @ subsets.T, axis=1)
 
 

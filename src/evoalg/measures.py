@@ -22,7 +22,6 @@ __all__ = [
     "Hamiltonian",
     "DlrGap",
     "from_weights",
-    "uniform_measure",
     "potts_hamiltonian",
     "hamiltonian_energy",
     "gibbs_measure",
@@ -80,10 +79,6 @@ def from_weights(raw, n: int, k: int) -> Measure:
     if not np.isfinite(total):
         raise ValidationError("measure: the sum of the raw weights overflows a float")
     return Measure(w / total, n, k)
-
-
-def uniform_measure(n: int, k: int) -> Measure:
-    return Measure(np.full(k**n, 1.0 / k**n), n, k)
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,8 @@ class Hierarchy:
     """Leveled block decomposition of the generator set, held as the matrix's arrays.
 
     Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from each class in
-    ``flow_source`` to a class of its children pairs in ``flow_target``, on a lower level.  ``levels`` (each level's
-    blocks as sorted generator tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built on first read.
+    ``flow_source`` to a class of its children pairs in ``flow_target`` (int32), on a lower level.  ``levels`` (each
+    level's blocks as sorted generator tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built lazily.
     """
 
     gen_row: np.ndarray
@@ -161,7 +161,8 @@ def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
     itself, ``3**c - 1`` of them at level ``c``, in sorted order, which is (level, position) order.
     """
     m = algebra.matrix
-    flows = [_level_flows(m, np.arange(a, b), kids) for (a, b), kids in zip(pairwise(m.level_start), m.level_children)]
+    flows = [_level_flows(m, np.arange(a, b, dtype=np.int32), kids)
+             for (a, b), kids in zip(pairwise(m.level_start), m.level_children)]
     return Hierarchy(m.gen_row, m.row_level, m.level_start, *map(np.concatenate, zip(*flows)))
 
 

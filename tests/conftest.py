@@ -45,6 +45,11 @@ def measure_from_state_weights(weights, n, k):
     return ev.from_weights(raw, n, k)
 
 
+def uniform_measure(n, k):
+    """The measure giving each of the ``k**n`` cells mass ``1 / k**n``."""
+    return ev.Measure(np.full(k**n, 1.0 / k**n), n, k)
+
+
 def reference_measure_for(p=REFERENCE_P):
     cells = display_cells(2, 2)
     return measure_from_state_weights(
@@ -376,7 +381,8 @@ def oracle_flows(matrix):
     disagreeing components, short of both everywhere, which gives the keys
     ``level * k**2n + lo * k**n + hi`` of its ``3**c - 1`` proper sub-classes.
     Each is found among the sorted keys, rebuilt from ``row_level``,
-    ``row_lo`` and ``row_hi``, and each class's finds are sorted.
+    ``row_lo`` and ``row_hi``, and each class's finds are sorted.  Both
+    arrays hold row-class indices, int32.
     """
     m, kn = matrix, matrix.kn
     keys = (m.row_level * kn + m.row_lo) * kn + m.row_hi
@@ -391,7 +397,7 @@ def oracle_flows(matrix):
         sub_keys = (np.count_nonzero(keep == 2, axis=1) * kn + sub_lo) * kn + sub_hi
         sources.append(np.repeat(rows, len(keep)))
         targets.append(np.sort(np.searchsorted(keys, sub_keys), axis=1).ravel())
-    return np.concatenate(sources), np.concatenate(targets)
+    return np.concatenate(sources).astype(np.int32), np.concatenate(targets).astype(np.int32)
 
 
 def oracle_row_classes(matrix, measure):
@@ -401,6 +407,7 @@ def oracle_row_classes(matrix, measure):
     arrays over the contributions, and ``np.unique`` sorts all ``k^2n``
     keys ``level * k**2n + lo * k**n + hi``: a class's first generator is
     ``(lo, hi)``.  The children and normalized weights follow from the rows.
+    Class, cell and children indices are int32, levels and level starts int64.
     """
     kn, contrib = matrix.kn, matrix.contrib
     lo = sum(np.minimum.outer(part, part) for part in contrib.T)
@@ -408,12 +415,12 @@ def oracle_row_classes(matrix, measure):
     level = sum(np.not_equal.outer(part, part) for part in contrib.T)
     _, first, gen_row = np.unique(((level * kn + lo) * kn + hi).ravel(), return_index=True, return_inverse=True)
     row_level = level.ravel()[first]
-    row_lo, row_hi = np.divmod(first, kn)
+    row_lo, row_hi = np.divmod(first.astype(np.int32), kn)
     level_start = np.searchsorted(row_level, np.arange(row_level[-1] + 2))
-    children = [children_indices(contrib[row_lo[a:b]], contrib[row_hi[a:b]])
+    children = [children_indices(contrib[row_lo[a:b]], contrib[row_hi[a:b]]).astype(np.int32)
                 for a, b in zip(level_start.tolist(), level_start[1:].tolist())]
     weights = [measure.weights[kids] for kids in children]
-    return {"gen_row": gen_row, "row_level": row_level, "row_lo": row_lo, "row_hi": row_hi,
+    return {"gen_row": gen_row.astype(np.int32), "row_level": row_level, "row_lo": row_lo, "row_hi": row_hi,
             "level_start": level_start, "level_children": children,
             "_weights": [w / w.sum(axis=1, keepdims=True) for w in weights]}
 
@@ -621,10 +628,10 @@ def oracle_dlr_rows(h, domain, weights):
 
 
 def oracle_contributions(n, k, parts):
-    """``contrib[cell, b]``: the digit table's columns on component ``b`` times their place values, summed."""
+    """``contrib[cell, b]``: the digit table's columns on component ``b`` times their place values, summed, int32."""
     digits = cell_digits(n, k)
     place = k ** np.arange(n, dtype=np.int64)
-    return np.stack([digits[:, list(b)] @ place[list(b)] for b in parts], axis=-1)
+    return np.stack([digits[:, list(b)] @ place[list(b)] for b in parts], axis=-1).astype(np.int32)
 
 
 def oracle_column_sweep(width, states, strengths, stops):

@@ -19,6 +19,7 @@ from conftest import (
     pair_children,
     oracle_row_classes,
     random_positive_measure,
+    uniform_measure,
 )
 
 
@@ -29,7 +30,7 @@ def phi(i, j, n=2, k=2):
 
 
 def test_uniform_measure_gives_quarter_rows(edge_graph, two_states):
-    mu = ev.uniform_measure(2, 2)
+    mu = uniform_measure(2, 2)
     algebra = ev.build_algebra(edge_graph, two_states, mu)
     row = algebra.row(phi(1, 2))
     assert set(row) == {phi(1, 1).index, phi(1, 2).index, phi(2, 1).index, phi(2, 2).index}
@@ -341,14 +342,14 @@ def test_children_mass_square_matches_double_sum(free_algebra):
 def test_budget_rejection():
     graph = ev.Graph(10)
     space = ev.StateSpace(3)
-    mu = ev.uniform_measure(10, 3)
+    mu = uniform_measure(10, 3)
     with pytest.raises(BudgetError):
         ev.build_algebra(graph, space, mu)
 
 
 def test_measure_mismatch_rejected(edge_graph, two_states):
     with pytest.raises(ValidationError):
-        ev.build_algebra(edge_graph, two_states, ev.uniform_measure(3, 2))
+        ev.build_algebra(edge_graph, two_states, uniform_measure(3, 2))
 
 
 def test_matrix_export_import_roundtrip(tmp_path, edge_algebra):
@@ -412,7 +413,7 @@ PATH = tuple(zip(range(7), range(1, 8)))
 def test_heredity_matrix_peak_at_the_budget_edge(edges, limit):
     """Eight vertices, two states, 65,536 generators: row classes enumerated per component peak at 3.6 MiB (path) and
     1.8 MiB (edgeless), where the ``(k^n)^2`` outer arrays and the sort of all generator keys took 5.6 and 4.7 MiB."""
-    graph, space, measure = ev.Graph(8, frozenset(edges)), ev.StateSpace(2), ev.uniform_measure(8, 2)
+    graph, space, measure = ev.Graph(8, frozenset(edges)), ev.StateSpace(2), uniform_measure(8, 2)
     ev.HeredityMatrix(graph, space, measure)
     tracemalloc.start()
     try:

@@ -60,7 +60,6 @@ PUBLIC = [
     "precedes",
     "state_space_from_json",
     "structure_counts",
-    "uniform_measure",
 ]
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(evoalg.__path__))

@@ -18,6 +18,7 @@ from conftest import (
     pair_children,
     product_mass,
     reference_measure_for,
+    uniform_measure,
 )
 
 
@@ -269,7 +270,7 @@ def test_dlr_table_reuses_a_given_measure(monkeypatch):
     assert ev.dlr_table(h, (1, 2), mu) == expected
     assert calls == []
     with pytest.raises(ValidationError):
-        ev.dlr_table(h, (1,), ev.uniform_measure(3, 2))
+        ev.dlr_table(h, (1,), uniform_measure(3, 2))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,13 @@ import pytest
 import evoalg as ev
 from evoalg.errors import ValidationError
 
-from conftest import display_cells, measure_from_state_weights, pair_children, random_positive_measure
+from conftest import (
+    display_cells,
+    measure_from_state_weights,
+    pair_children,
+    random_positive_measure,
+    uniform_measure,
+)
 
 from test_algebra import phi
 
@@ -86,7 +92,7 @@ def test_hierarchy_three_levels_on_split_components(free_algebra):
 def test_hierarchy_trivial_instance():
     graph = ev.Graph(1)
     space = ev.StateSpace(1)
-    algebra = ev.build_algebra(graph, space, ev.uniform_measure(1, 1))
+    algebra = ev.build_algebra(graph, space, uniform_measure(1, 1))
     hierarchy = ev.build_hierarchy(algebra)
     assert hierarchy.level_count == 1
     assert hierarchy.levels == (((0,),),)
