@@ -91,8 +91,8 @@ class HeredityMatrix:
     ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each class's level and
     smallest generator ``(lo, hi)``, ``level_start`` marks where each level begins, and ``level_children[c][p]`` holds
     the ascending children of the class at position ``p`` of level ``c``.  A row is the outer product of their
-    normalized weights, formed by ``_outer`` alone and laid out by ``_expand``.  Every index array is int32, which
-    holds any pair index within ``DIMENSION_BUDGET``; ``row_level`` is int64, as it feeds ``4 ** level``.
+    normalized weights, formed by ``_outer`` alone and laid out by ``_expand``.  The cell, class and children arrays
+    are int32, which holds any pair index within ``DIMENSION_BUDGET``; ``row_level`` is int64: it feeds ``4 ** level``.
     """
 
     def __init__(self, graph: Graph, space: StateSpace, measure: Measure):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from evoalg.algebra import COEFF_DROP, AlgebraElement
+from evoalg.algebra import COEFF_DROP, DIMENSION_BUDGET, AlgebraElement
 from evoalg.cells import PairCell
 from evoalg.errors import BudgetError, ValidationError
 
@@ -407,21 +407,33 @@ def test_nonzero_count_reference(edge_algebra):
 
 
 PATH = tuple(zip(range(7), range(1, 8)))
+TWO_PATHS = ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7))
 
 
-@pytest.mark.parametrize("edges, limit", [(PATH, 4.5), ((), 3.0)], ids=["path", "edgeless"])
-def test_heredity_matrix_peak_at_the_budget_edge(edges, limit):
-    """Eight vertices, two states, 65,536 generators: row classes enumerated per component peak at 3.6 MiB (path) and
-    1.8 MiB (edgeless), where the ``(k^n)^2`` outer arrays and the sort of all generator keys took 5.6 and 4.7 MiB."""
+@pytest.mark.parametrize(
+    "edges, peak_limit, kept_limit",
+    [(PATH, 3.0, 1.9), ((), 1.5, 1.4), (TWO_PATHS, 2.25, 1.6)],
+    ids=["path", "edgeless", "two paths"],
+)
+def test_heredity_matrix_peak_at_the_budget_edge(edges, peak_limit, kept_limit):
+    """Eight vertices, two states, 65,536 generators.  Row classes enumerated per component, with int32 cell, class
+    and pair indices, peak at 2.39, 1.19 and 1.53 MiB (path, edgeless, two paths of four) and keep 1.50, 1.11 and
+    1.29 MiB.  With int64 indices they peaked at 3.56, 1.75 and 2.92 MiB and kept 2.26, 1.67 and 1.93; the
+    ``(k^n)^2`` outer arrays and the sort of all generator keys once peaked at 5.6 MiB (path) and 4.7 (edgeless).
+    int32 holds every pair index while the dimension budget stays within ``2**31``."""
+    assert DIMENSION_BUDGET <= 2**31
     graph, space, measure = ev.Graph(8, frozenset(edges)), ev.StateSpace(2), uniform_measure(8, 2)
     ev.HeredityMatrix(graph, space, measure)
     tracemalloc.start()
     try:
-        ev.HeredityMatrix(graph, space, measure)
-        peak = tracemalloc.get_traced_memory()[1]
+        matrix = ev.HeredityMatrix(graph, space, measure)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < limit * 2**20
+    assert matrix.dimension == 65536
+    assert peak < peak_limit * 2**20
+    assert kept < kept_limit * 2**20
+
 
 @pytest.mark.parametrize(
     "n, k, edges",

@@ -319,25 +319,6 @@ def test_square_retains_only_its_two_arrays():
     assert retained <= 96 * 2**10
 
 
-def test_two_path_layout_builds_and_keeps_int32_indices():
-    """The two-path algebra of 8 vertices and 2 states, 65,536 generators in 18,496 row classes: with int32 class,
-    cell and pair indices its build peaks at 1.54 MiB under ``tracemalloc`` and retains 1.29 MiB, where int64 ones took
-    2.92 and 1.93 MiB.  int32 holds every pair index while the dimension budget stays within ``2**31``."""
-    assert algebra_module.DIMENSION_BUDGET <= 2**31
-    graph = ev.Graph(8, frozenset([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]))
-    measure = ev.from_weights(np.random.default_rng(8).uniform(0.5, 2.0, size=256), 8, 2)
-    ev.build_algebra(graph, ev.StateSpace(2), measure)
-    tracemalloc.start()
-    try:
-        algebra = ev.build_algebra(graph, ev.StateSpace(2), measure)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(algebra.matrix.row_level) == 18496
-    assert peak <= 2.25 * 2**20
-    assert retained <= 1.6 * 2**20
-
-
 def test_edgeless_six_vertices_match_oracles():
     algebra = edgeless_six()
     check_entries(algebra, 5000)
