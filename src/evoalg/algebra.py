@@ -435,22 +435,18 @@ class EvolutionAlgebra:
         Every key of either factor must be a generator of this algebra.  The
         products ``x_i * y_i`` of the shared generators, in ascending order,
         scale the rows of their row classes, and the rows are summed by
-        ``HeredityMatrix.combine``.  Factors that hold one key array, as a
-        square's do, share all of it; otherwise the shorter key array is
-        found in the longer by ``searchsorted``.  The result does not depend
-        on the argument order, bit for bit.
+        ``HeredityMatrix.combine``.  The shorter key array is found in the
+        longer by ``searchsorted``.  The result does not depend on the
+        argument order, bit for bit.
         """
         x, y = _element(x, "x").coeffs, _element(y, "y").coeffs
         for keys in (x._keys, y._keys):
             if len(keys) and (keys[0] < 0 or keys[-1] >= self.dimension):
                 raise ValidationError(f"pair index {keys[0] if keys[0] < 0 else keys[-1]} out of range")
-        if x._keys is y._keys:
-            gens, scales = x._keys, x._values * y._values
-        else:
-            short, long = sorted((x, y), key=len)
-            at = long._keys.searchsorted(short._keys)
-            found = np.flatnonzero(long._keys.take(at, mode="clip") == short._keys)
-            gens, scales = short._keys[found], short._values[found] * long._values[at[found]]
+        short, long = sorted((x, y), key=len)
+        at = long._keys.searchsorted(short._keys)
+        found = np.flatnonzero(long._keys.take(at, mode="clip") == short._keys)
+        gens, scales = short._keys[found], short._values[found] * long._values[at[found]]
         return AlgebraElement._of(*self.matrix.combine(gens, scales))
 
 

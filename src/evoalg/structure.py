@@ -109,7 +109,7 @@ class Hierarchy:
     """Leveled block decomposition of the generator set, held as the matrix's arrays.
 
     Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from each class in
-    ``flow_source`` to a class of its children pairs in ``flow_target`` (int32), on a lower level.  ``levels`` (each
+    ``flow_source`` to a class of its children pairs in ``flow_target`` (``gen_row``'s dtype), on a lower level.  ``levels`` (each
     level's blocks as sorted generator tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built lazily.
     """
 
@@ -161,7 +161,7 @@ def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
     itself, ``3**c - 1`` of them at level ``c``, in sorted order, which is (level, position) order.
     """
     m = algebra.matrix
-    flows = [_level_flows(m, np.arange(a, b, dtype=np.int32), kids)
+    flows = [_level_flows(m, np.arange(a, b, dtype=m.gen_row.dtype), kids)
              for (a, b), kids in zip(pairwise(m.level_start), m.level_children)]
     return Hierarchy(m.gen_row, m.row_level, m.level_start, *map(np.concatenate, zip(*flows)))
 

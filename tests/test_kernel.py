@@ -285,9 +285,9 @@ def test_square_is_product_on_every_generator():
 @settings(max_examples=40, deadline=None)
 @given(algebras(), st.integers(0, 2**32 - 1))
 def test_square_equals_product_with_a_copy(algebra, seed):
-    """``square(x)`` takes the one key array of its factors whole; ``multiply`` with a copy of ``x`` finds one key
-    array in the other, with the same keys, order and bits.  A product with as many keys, most of them others, keeps
-    only the shared ones: the sort-merge oracle's result exactly."""
+    """``square(x)`` equals ``multiply`` with a copy of ``x``, whose key array is another object, in keys, order and
+    bits.  A product with as many keys, most of them others, keeps only the shared ones: the sort-merge oracle's
+    result exactly."""
     rng = np.random.default_rng(seed)
     dim = algebra.dimension
     gens = rng.choice(dim, int(rng.integers(1, min(dim, 40) + 1)), replace=False)
