@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .errors import ValidationError, check_budget, cut, is_index, shown, written
 
@@ -78,9 +77,13 @@ class LatticeBox:
     """The centered box ``{-n..n}^d`` with nearest-neighbor edges.
 
     Sites are enumerated lexicographically, so ``site_index`` is arithmetic:
-    the box is ``2n+1`` contiguous runs of ``(2n+1)^(d-1)`` sites.  ``sites``
-    and ``graph`` are built on first read, for at most ``ENUMERATION_BUDGET``
-    sites; a box costs O(1) until then.
+    the box is ``2n+1`` contiguous runs of ``width = (2n+1)^(d-1)`` sites,
+    one site each in 1-D.  This is the box's one neighbour rule: site ``j``
+    meets ``j+1`` inside a run, where ``(j+1) % width != 0``, and ``j+width``
+    in the next run, where ``j < site_count - width``.  ``edges_meeting``
+    reads it for any sites, ``graph`` for all of them, and ``edge_count`` is
+    its count, ``2n * width * d``.  ``graph`` is built on first read, for at
+    most ``ENUMERATION_BUDGET`` sites; a box costs O(1) until then.
     Boxes of increasing radius are nested as coordinate sets.
     """
 
@@ -99,19 +102,25 @@ class LatticeBox:
     def site_count(self) -> int:
         return (2 * self.radius + 1) ** self.dimension
 
-    @cached_property
-    def sites(self) -> tuple:
-        check_budget(self.site_count, f"lattice box: (2r+1)^{self.dimension}", "sites")
-        return tuple(product(range(-self.radius, self.radius + 1), repeat=self.dimension))
+    @property
+    def width(self) -> int:
+        return (2 * self.radius + 1) ** (self.dimension - 1)
+
+    @property
+    def edge_count(self) -> int:
+        return 2 * self.radius * self.width * self.dimension
+
+    def edges_meeting(self, sites) -> set:
+        """The box edges ``(j, j+1)`` and ``(j, j+width)`` with an end among the site indices ``sites``."""
+        width, across = self.width, self.site_count - self.width
+        edges = {(j, j + 1) for i in sites for j in (i - 1, i) if (j + 1) % width}  # none in 1-D
+        edges.update((j, j + width) for i in sites for j in (i - width, i) if 0 <= j < across)
+        return edges
 
     @cached_property
     def graph(self) -> Graph:
         check_budget(self.site_count, f"lattice box: (2r+1)^{self.dimension}", "sites")
-        side = 2 * self.radius + 1
-        # (i, i+1) inside a run of the last coordinate, (i, i+side) across runs in 2-D
-        edges = {(i, i + 1) for i in range(self.site_count) if (i + 1) % side}
-        edges.update((i, i + side) for i in range(self.site_count - side))  # none in 1-D
-        return Graph(self.site_count, frozenset(edges))
+        return Graph(self.site_count, frozenset(self.edges_meeting(range(self.site_count))))
 
     def site_index(self, coord) -> int:
         key = coordinate(coord, "coordinate")

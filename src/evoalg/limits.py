@@ -74,12 +74,11 @@ class TailCell:
         return {box.site_index(coord): state for coord, state in self.pattern}
 
 
-def _sweep_entries(dimension: int, radius: int, states: int):
-    """``columns * states**(2*width)``, the entries of one box's transfer sweep; ``math.inf``, unbuilt, from 10**20."""
-    columns = 2 * radius + 1
-    power = 2 * columns ** (dimension - 1)  # below 2 * 10**20, so a float, once columns is below 10**20
-    if columns < 10**20 and math.log10(columns) + power * math.log10(states) < 20:
-        return columns * int(states) ** power
+def _sweep_entries(box: LatticeBox, states: int):
+    """``columns * states**(2*width)``, the entries of a box's transfer sweep; ``math.inf``, unbuilt, from 10**20."""
+    columns = box.site_count // box.width  # 2 * width is below 2 * 10**20, so a float, once columns is below 10**20
+    if columns < 10**20 and math.log10(columns) + 2 * box.width * math.log10(states) < 20:
+        return columns * int(states) ** (2 * box.width)
     return math.inf
 
 
@@ -111,14 +110,14 @@ def _column_sweep(width: int, states: int, strengths, stops):
         yield _logsumexp(log_z.swapaxes(0, -1)).tolist()
 
 
-def _constant_log_mass(strength, columns, width, log_partition):
-    """``strength*E - log_partition`` of boxes of ``columns`` runs of ``width`` sites and ``E`` edges.
+def _constant_log_mass(strength, edges, log_partition):
+    """``strength*E - log_partition`` of boxes of ``E = edges``.
 
     Takes numbers or arrays.  Rejects the first box, in row-major order, whose ``log Z`` is not finite
     or whose lightest cell, of log weight ``min(0, strength*E)`` (a box is bipartite), is below ``POSITIVITY_FLOOR``.
     """
     with np.errstate(all="ignore"):  # as with Python floats, an overflow gives inf and a nan no warning
-        energy = np.multiply(strength, (columns - 1) * width + columns * (width - 1))
+        energy = np.multiply(strength, edges)
         infinite = ~np.isfinite(log_partition)
         failed = infinite | (np.minimum(0.0, energy) - log_partition < math.log(POSITIVITY_FLOOR))
         if failed.any():
@@ -131,20 +130,18 @@ def _constant_log_mass(strength, columns, width, log_partition):
 class BoxMeasure:
     """The exact free-boundary Potts measure on a box (Baxter 1982, ch. 2, 7).
 
-    The box is read as ``2r+1`` columns, the contiguous runs of ``width``
-    site indices (one in 1-D, ``2r+1`` in 2-D); every equal neighbour pair
-    adds ``beta*J`` to a log weight, and ``log_partition`` is a log-sum-exp
-    sweep over the ``q^width`` column states.  A constant cell has all ``E``
-    box edges equal: log mass ``constant_log_mass = beta*J*E - log_partition``.
+    The box is read as its ``2r+1`` runs of ``box.width`` sites, here called
+    columns; every equal neighbour pair adds ``beta*J`` to a log weight, and
+    ``log_partition`` is a log-sum-exp sweep over the ``q^width`` column
+    states.  A constant cell has all ``E = box.edge_count`` edges equal: log
+    mass ``constant_log_mass = beta*J*E - log_partition``.
     """
 
     def __init__(self, box: LatticeBox, states: int, coupling: float, beta: float):
-        self.columns = 2 * box.radius + 1
-        self.width = box.site_count // self.columns
         self.strength = beta * coupling
-        check_budget(_sweep_entries(box.dimension, box.radius, states), "transfer sweep: columns * q^(2*width)", "entries")
-        self.log_partition = next(_column_sweep(self.width, states, self.strength, [self.columns]))
-        self.constant_log_mass = float(_constant_log_mass(self.strength, self.columns, self.width, self.log_partition))
+        check_budget(_sweep_entries(box, states), "transfer sweep: columns * q^(2*width)", "entries")
+        self.log_partition = next(_column_sweep(box.width, states, self.strength, [box.site_count // box.width]))
+        self.constant_log_mass = float(_constant_log_mass(self.strength, box.edge_count, self.log_partition))
 
 
 def _scheme_shape(dimension, radii, states) -> tuple:
@@ -152,8 +149,7 @@ def _scheme_shape(dimension, radii, states) -> tuple:
     if not is_index(dimension) or dimension not in (1, 2):
         raise ValidationError(f"dimension: must be 1 or 2, got {shown(dimension)}")
     radii = tuple(radii)
-    integers = all(is_index(r) for r in radii)
-    if not (radii and integers and radii[0] >= 0 and all(a < b for a, b in zip(radii, radii[1:]))):
+    if not (radii and all(map(is_index, radii)) and radii[0] >= 0 and all(a < b for a, b in zip(radii, radii[1:]))):
         raise ValidationError(f"scheme: radii must be nonnegative, strictly increasing integers, got {shown(radii)}")
     if not is_index(states) or states < 2:
         raise ValidationError(f"scheme: states must be an integer of at least 2, got {shown(states)}")
@@ -182,7 +178,7 @@ class VolumeScheme:
         _check_coupling(self.coupling)
         for name, value in zip(("dimension", "radii", "states"), shape):
             object.__setattr__(self, name, value)
-        check_budget(sum((2 * r + 1) ** self.dimension for r in self.radii),
+        check_budget(sum(self.box(r).site_count for r in self.radii),
                      f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
 
     def box(self, radius: int) -> LatticeBox:
@@ -222,10 +218,7 @@ def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
         raise ValidationError("measure: weights must be finite")
     if first == second:
         return 1.0
-    side = 2 * radius + 1
-    # the edges of LatticeBox.graph that meet a marked site: i±1 inside a run, i±side across runs
-    edges = {(j, j + 1) for i in marked for j in (i - 1, i) if (j + 1) % side}
-    edges |= {(j, j + side) for i in marked for j in (i - side, i) if 0 <= j < box.site_count - side}
+    edges = box.edges_meeting(marked)
     eq = [sum(p.get(a, t) == p.get(b, t) for a, b in edges) for t, p in cells[:2]]
     gap = strength * (eq[0] - eq[1])
     return math.prod(math.exp(-np.logaddexp(0.0, gap if c == second else -gap)) for c in children)
@@ -273,18 +266,20 @@ def low_temp_limit_algebras(dimension: int, states: int, radii, beta_list, coupl
     if not (betas and ordered and 0 <= betas[0] and betas[-1] < math.inf):
         raise ValidationError("scenario.limits.low_temp.betas: nonnegative, finite and strictly increasing values required")
     dimension, radii, states = _scheme_shape(dimension, radii, states)
+    boxes = [LatticeBox(dimension, r) for r in radii]
     # the entries of a sweep per beta and radius, a bound where one sweep serves them all; the masses are fewer
-    check_budget(len(betas) * sum(_sweep_entries(dimension, r, states) for r in radii),
+    check_budget(len(betas) * sum(_sweep_entries(box, states) for box in boxes),
                  f"low_temp: {len(betas)} betas * sum over {len(radii)} radii of columns * q^(2*width)", "entries")
     _check_coupling(coupling)
     # all states share one mass; a 1-D box of radius r+1 extends that of radius r, so one sweep serves every radius
     strengths = np.array([beta * coupling for beta in betas])
-    columns = np.array([2 * r + 1 for r in radii])
+    columns = [box.site_count // box.width for box in boxes]
     if dimension == 1:
-        log_z = list(_column_sweep(1, states, strengths, columns))
+        log_z = list(_column_sweep(boxes[0].width, states, strengths, columns))
     else:
-        log_z = [next(_column_sweep(c, states, strengths, [c])) for c in columns]
-    log_mass = _constant_log_mass(strengths[:, None], columns, columns ** (dimension - 1), np.array(log_z).T)
+        log_z = [next(_column_sweep(box.width, states, strengths, [c])) for box, c in zip(boxes, columns)]
+    # read past the budget, so each edge count fits an int64
+    log_mass = _constant_log_mass(strengths[:, None], np.array([box.edge_count for box in boxes]), np.array(log_z).T)
     masses = [[math.exp(m) ** 2 for m in row] for row in log_mass.tolist()]
     return {
         "dimension": dimension,

@@ -14,8 +14,8 @@ from itertools import pairwise
 
 import numpy as np
 
-from .algebra import EvolutionAlgebra
-from .errors import ValidationError, is_index, shown
+from .algebra import NONZERO_BUDGET, EvolutionAlgebra, nonzero_count
+from .errors import ValidationError, check_budget, is_index, shown
 from .graphs import components
 
 __all__ = [
@@ -241,8 +241,11 @@ def collapse_by_symmetry(algebra: EvolutionAlgebra, classes) -> CollapsedTable:
     target class.  Class members sharing a flow pattern (the same set of
     target classes) must agree within ``1e-10``, otherwise the partition is
     not a valid collapse.  Each class contributes its first member's
-    aggregated row to the reduced table.
+    aggregated row to the reduced table.  Every row entry is read once, so
+    their count, the nonzeros, is checked against ``NONZERO_BUDGET`` first.
     """
+    check_budget(nonzero_count(algebra.graph, algebra.space.k), "collapse: prod_b k^|b|(4k^|b|-3)", "row entries",
+                 NONZERO_BUDGET, "nonzero")
     normalized = [tuple(algebra.pair_index(p) for p in cls) for cls in classes]
     if not all(normalized):
         raise ValidationError("collapse: empty class")

@@ -1,6 +1,7 @@
 
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from evoalg.cells import PairCell
 from evoalg.errors import BudgetError, ValidationError
 
 from conftest import (
+    ENTRY_ULPS,
     REFERENCE_P,
     all_small_instances,
     brute_row,
     display_cells,
     pair_children,
+    oracle_exact_algebra,
     oracle_row_classes,
     random_positive_measure,
     uniform_measure,
@@ -27,6 +30,24 @@ def phi(i, j, n=2, k=2):
     """Pair of the i-th and j-th cells in display order (1-based)."""
     cells = display_cells(n, k)
     return PairCell(cells[i - 1], cells[j - 1])
+
+
+def test_entries_are_within_entry_ulps_of_exact_rationals():
+    """Every entry of every graph on up to three vertices (k = 2, 3), a few on four and a six-vertex path, with raw
+    weights over six decades, is within ``ENTRY_ULPS`` units of 2**-52 of its exact rational value, relative."""
+    rng = np.random.default_rng(52)
+    four = [frozenset(), frozenset({(0, 1), (2, 3)}), frozenset({(0, 1), (1, 2), (2, 3)}), frozenset({(0, 1), (0, 2)})]
+    cases = [*all_small_instances(3, (2, 3)), *((ev.Graph(4, e), ev.StateSpace(2)) for e in four),
+             (ev.Graph(6, frozenset((v, v + 1) for v in range(5))), ev.StateSpace(2))]
+    bound = Fraction(ENTRY_ULPS, 2**52)
+    for graph, space in cases:
+        n, k = graph.vertex_count, space.k
+        raw = 10 ** rng.uniform(-3, 3, size=k**n)
+        exact = oracle_exact_algebra(graph, k, raw)
+        entries = list(ev.matrix_entries(ev.build_algebra(graph, space, ev.from_weights(raw, n, k))))
+        assert [(i, j) for i, j, _ in entries] == sorted(exact)
+        worst = max(abs(Fraction(v) - exact[i, j]) / exact[i, j] for i, j, v in entries)
+        assert worst <= bound, f"{float(worst * 2**52):.2f} units of 2**-52 on {graph}, k={k}"
 
 
 def test_uniform_measure_gives_quarter_rows(edge_graph, two_states):

@@ -280,11 +280,11 @@ def test_limits_emits_csv_and_json(tmp_path):
 
 
 def test_limits_budget(tmp_path, capsys, monkeypatch):
-    """Box sites summed over all radii are budgeted before any box is built."""
+    """Box sites summed over all radii are budgeted before any box graph is built."""
     def refuse(*args):
-        raise AssertionError("a box was built")
+        raise AssertionError("a box graph was built")
 
-    monkeypatch.setattr(ev.limits, "LatticeBox", refuse)
+    monkeypatch.setattr(ev.graphs, "Graph", refuse)
     scenario = write(tmp_path / "l.json", limits_scenario(radii=(0, 1, 499998)))
     assert main(["limits", "--scenario", scenario, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err

@@ -1,8 +1,10 @@
+import functools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import evoalg as ev
-from conftest import loop_lattice_box
+from conftest import lattice_sites, loop_lattice_box
 from evoalg import graphs
 from evoalg.errors import BudgetError, ValidationError
 
@@ -87,15 +89,16 @@ def test_wrong_length_site_is_echoed_cut_short():
 
 
 def test_boxes_nest():
-    small = set(ev.LatticeBox(2, 1).sites)
-    big = set(ev.LatticeBox(2, 2).sites)
+    small = set(lattice_sites(ev.LatticeBox(2, 1)))
+    big = set(lattice_sites(ev.LatticeBox(2, 2)))
     assert small < big
 
 
 def test_box_edges_are_unit_steps():
     box = ev.LatticeBox(2, 1)
+    sites = lattice_sites(box)
     for x, y in box.graph.edges:
-        cx, cy = box.sites[x], box.sites[y]
+        cx, cy = sites[x], sites[y]
         assert sum(abs(a - b) for a, b in zip(cx, cy)) == 1
 
 
@@ -106,8 +109,26 @@ def test_lattice_box_matches_loop_oracle(d, n):
     box = ev.LatticeBox(d, n)
     assert box.site_count == len(sites)
     assert all(box.site_index(c) == i for c, i in index.items())
-    assert box.sites == sites
+    assert lattice_sites(box) == sites
     assert box.graph == graph
+
+
+@functools.cache
+def cached_loop_box(dimension, radius):
+    return loop_lattice_box(dimension, radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_edges_meeting_are_the_loop_graph_edges_at_the_sites(data):
+    """One neighbour rule: the edges with an end in any site set, the run width and the edge count of the loop box."""
+    d, n = data.draw(st.sampled_from((1, 2))), data.draw(st.integers(0, 6))
+    sites, _, graph = cached_loop_box(d, n)
+    box = ev.LatticeBox(d, n)
+    chosen = data.draw(st.sets(st.integers(0, len(sites) - 1), max_size=12))
+    assert box.edges_meeting(chosen) == {e for e in graph.edges if chosen & set(e)}
+    assert box.edge_count == len(graph.edges)
+    assert box.width == sum(s[0] == sites[0][0] for s in sites)  # a run: the sites of one first coordinate
 
 
 def test_lattice_box_is_built_only_when_read(monkeypatch):
@@ -120,7 +141,8 @@ def test_lattice_box_is_built_only_when_read(monkeypatch):
     assert box.site_index((-10**6, -10**6)) == 0
     assert box.site_index((10**6, 10**6)) == box.site_count - 1
     assert box.site_index((0, 1)) == 10**6 * (2 * 10**6 + 1) + 10**6 + 1
-    assert "graph" not in vars(box) and "sites" not in vars(box)
+    assert (box.width, box.edge_count) == (2 * 10**6 + 1, 4 * 10**6 * (2 * 10**6 + 1))
+    assert "graph" not in vars(box)
 
 
 @pytest.mark.parametrize(
@@ -128,13 +150,13 @@ def test_lattice_box_is_built_only_when_read(monkeypatch):
     [(2, 10**6, "4000004000001"), (1, 500000, "1000001"), (2, 500, "1002001"), (2, 10**30, "10\\^20 or more")],
     ids=["2d-radius-10^6", "1d-one-site-over", "2d-just-over", "2d-radius-10^30"],
 )
-@pytest.mark.parametrize("read", ["sites", "graph"])
+@pytest.mark.parametrize("read", ["graph"])
 def test_lattice_box_budget_comes_before_any_site_or_edge(monkeypatch, d, n, count, read):
     def refuse(*args, **kwargs):
         raise AssertionError("the box was built")
 
     monkeypatch.setattr(graphs, "Graph", refuse)
-    monkeypatch.setattr(graphs, "product", refuse)
+    monkeypatch.setattr(graphs.LatticeBox, "edges_meeting", refuse)
     # range too, so a box read without the check fails at once instead of enumerating its sites
     monkeypatch.setattr(graphs, "range", refuse, raising=False)
     with pytest.raises(BudgetError, match=rf"^lattice box: \(2r\+1\)\^{d} = {count} sites "
@@ -146,10 +168,10 @@ def test_lattice_box_sites_within_budget_pass_the_check(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the box was built")
 
-    monkeypatch.setattr(graphs, "product", refuse)
+    monkeypatch.setattr(graphs.LatticeBox, "edges_meeting", refuse)
     # 999,999 sites, the largest box within the budget; the refusal shows the check passed
     with pytest.raises(AssertionError, match="the box was built"):
-        ev.LatticeBox(1, 499999).sites
+        ev.LatticeBox(1, 499999).graph
 
 
 def test_graph_from_json_roundtrip():

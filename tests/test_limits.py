@@ -13,11 +13,12 @@ from conftest import (
     dense_box_measure,
     dense_coeff,
     dense_log_partition,
+    lattice_sites,
     oracle_coeff,
     oracle_equal_edges,
     oracle_restrict,
 )
-from evoalg import limits
+from evoalg import graphs, limits
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import BudgetError, ValidationError, digit_count, shown, written
 from evoalg.limits import TailCell, VolumeScheme
@@ -109,12 +110,13 @@ def test_row_sum_over_pair_children_is_one():
     phi = (const(1), const(2))
     restricted = PairCell(oracle_restrict(phi[0], box, 2), oracle_restrict(phi[1], box, 2))
     kids = ev.children_set(restricted, ev.components(box.graph))
+    sites = lattice_sites(box)
     total = 0.0
     for a in kids:
         for b in kids:
             psi = (
-                TailCell(1, tuple(zip(box.sites, a.states))),
-                TailCell(1, tuple(zip(box.sites, b.states))),
+                TailCell(1, tuple(zip(sites, a.states))),
+                TailCell(1, tuple(zip(sites, b.states))),
             )
             total += ev.finite_volume_coeff(scheme, 1, phi, psi)
     assert total == pytest.approx(1.0, abs=1e-12)
@@ -173,11 +175,11 @@ def test_low_temp_infinite_temperature_is_symmetric():
 
 def test_budget_rejected(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a box was built")
+        raise AssertionError("a box graph was built")
 
     # the sites of every box, 1 + 999999, are exactly the budget
     VolumeScheme(1, (0, 499999), 2, 1.0, 1.0)
-    monkeypatch.setattr(limits, "LatticeBox", refuse)
+    monkeypatch.setattr(graphs, "Graph", refuse)
     with pytest.raises(BudgetError, match=r"^scheme: sum of \(2r\+1\)\^1 over 3 radii = 1000001 box sites "
                                           r"exceed the enumeration budget of 1000000$"):
         VolumeScheme(1, (0, 1, 499998), 2, 1.0, 1.0)
@@ -429,7 +431,7 @@ def measure_outcome(build):
         mu = build()
     except (BudgetError, ValidationError) as exc:
         return type(exc), str(exc)
-    return mu.columns, mu.width, mu.strength.hex(), mu.log_partition.hex(), mu.constant_log_mass.hex()
+    return mu.strength.hex(), mu.log_partition.hex(), mu.constant_log_mass.hex()
 
 
 def fresh_outcome(radius, q, coupling, beta):
@@ -496,6 +498,20 @@ def test_chain_that_raised_mid_sweep_raises_the_same_again():
             with pytest.raises(RuntimeWarning) as got:
                 scheme.measure(radius)
             assert str(got.value) == str(fresh.value)
+
+
+@pytest.mark.parametrize("coupling", [1.0, -0.7, 0.3])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_long_chains_match_the_free_boundary_closed_form(q, coupling):
+    """A chain's ``log Z = log q + E log(e^(beta J) + q - 1)``, ``E = box.edge_count``, far past dense enumeration."""
+    radii, betas = (0, 1, 2, 5, 20, 50), (0.1, 0.9, 3.0)
+    masses = ev.low_temp_limit_algebras(1, q, radii, betas, coupling)["candidates"][0]["masses"]
+    for beta, row in zip(betas, masses):
+        for radius, mass in zip(radii, row):
+            box = ev.LatticeBox(1, radius)
+            log_z = math.log(q) + box.edge_count * math.log(math.exp(beta * coupling) + q - 1)
+            assert math.isclose(limits.BoxMeasure(box, q, coupling, beta).log_partition, log_z, rel_tol=1e-14)
+            assert math.isclose(mass, math.exp(beta * coupling * box.edge_count - log_z) ** 2, rel_tol=1e-11)
 
 
 def test_one_chain_sweep_serves_every_radius(monkeypatch):
@@ -765,15 +781,16 @@ def test_low_temp_masses_match_a_scheme_per_beta_bit_for_bit(data):
     assert low_temp_outcome(report) == expected
 
 
-def test_low_temp_builds_no_scheme_box_or_measure(monkeypatch):
+def test_low_temp_builds_no_scheme_measure_or_box_graph(monkeypatch):
     cases = [(1, 2, (0, 3, 7), (0.0, 0.41, 4.7), 1.07), (2, 3, (0, 1), (0.5, 20.0, 57.0), -1.0)]
     expected = [list(scheme_masses(d, q, radii, betas, j)) for d, q, radii, betas, j in cases]
 
     def refuse(*args):
-        raise AssertionError("low_temp needs no scheme, box or box measure")
+        raise AssertionError("low_temp needs no scheme, box measure or box graph")
 
-    for name in ("VolumeScheme", "LatticeBox", "BoxMeasure"):
+    for name in ("VolumeScheme", "BoxMeasure"):
         monkeypatch.setattr(limits, name, refuse)
+    monkeypatch.setattr(graphs, "Graph", refuse)
     for (dimension, q, radii, betas, coupling), masses in zip(cases, expected):
         report = ev.low_temp_limit_algebras(dimension, q, radii, betas, coupling)
         assert [c["masses"] for c in report["candidates"]] == [masses] * q

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import evoalg as ev
-from evoalg.errors import ValidationError
+from evoalg.errors import BudgetError, ValidationError
 
 from conftest import (
     display_cells,
@@ -270,6 +270,32 @@ def test_collapse_rejects_a_class_listing_a_generator_twice(edge_algebra):
     classes = [[0, 0]] + [[index] for index in range(1, edge_algebra.dimension)]
     with pytest.raises(ValidationError, match="list each generator once"):
         ev.collapse_by_symmetry(edge_algebra, classes)
+
+
+def test_collapse_budget_comes_before_any_class_is_read(monkeypatch):
+    """Edgeless n=5, k=3, the smallest algebra past the budget: 27^5 = 14,348,907 row entries over 59,049 generators."""
+    algebra = ev.build_algebra(ev.Graph(5), ev.StateSpace(3), uniform_measure(5, 3))
+    every = [range(algebra.dimension)]
+    monkeypatch.setattr(ev.EvolutionAlgebra, "pair_index", lambda *args: pytest.fail("a class was read"))
+    with pytest.raises(BudgetError, match=r"^collapse: prod_b k\^\|b\|\(4k\^\|b\|-3\) = 14348907 row entries "
+                                          r"exceed the nonzero budget of 10000000$"):
+        ev.collapse_by_symmetry(algebra, every)
+
+
+def test_path_of_eight_at_the_dimension_budget_still_collapses():
+    """Path n=8, k=2: 65,536 generators and 256 * 1021 = 261,376 row entries, collapsed by row class."""
+    path = ev.Graph(8, frozenset((v, v + 1) for v in range(7)))
+    algebra = ev.build_algebra(path, ev.StateSpace(2), random_positive_measure(np.random.default_rng(8), 8, 2))
+    gen_row = algebra.matrix.gen_row
+    order = np.argsort(gen_row, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(gen_row[order])) + 1)
+    table = ev.collapse_by_symmetry(algebra, [c.tolist() for c in classes])
+    assert len(table.rows) == 256 + 256 * 255 // 2
+    for cid, (members, row) in enumerate(zip(table.classes, table.rows)):
+        assert members[0] == classes[cid][0]
+        assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+        if len(members) == 1:  # a diagonal generator squares to itself
+            assert row == {cid: 1.0}
 
 
 def test_closure_equals_children_exhaustively():
