@@ -14,7 +14,7 @@ normalised masses, read off transfer-matrix sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,13 +163,17 @@ def _check_coupling(coupling):
 
 @dataclass(frozen=True)
 class VolumeScheme:
-    """An increasing family of boxes sharing one Potts Hamiltonian family; its budget counts box sites."""
+    """An increasing family of boxes sharing one Potts Hamiltonian family; its budget counts box sites.
+
+    ``boxes`` maps each radius to its box, built once with the budget; it takes no part in equality, hash or repr.
+    """
 
     dimension: int
     radii: tuple
     states: int
     coupling: float = 1.0
     beta: float = 1.0
+    boxes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = _scheme_shape(self.dimension, self.radii, self.states)
@@ -178,14 +182,18 @@ class VolumeScheme:
         _check_coupling(self.coupling)
         for name, value in zip(("dimension", "radii", "states"), shape):
             object.__setattr__(self, name, value)
-        check_budget(sum(self.box(r).site_count for r in self.radii),
+        object.__setattr__(self, "boxes", {r: LatticeBox(self.dimension, r) for r in self.radii})
+        check_budget(sum(box.site_count for box in self.boxes.values()),
                      f"scheme: sum of (2r+1)^{self.dimension} over {len(self.radii)} radii", "box sites")
 
     def box(self, radius: int) -> LatticeBox:
-        return LatticeBox(self.dimension, radius)
+        """The box of one of the scheme's radii; any other radius, a non-integer included, is rejected."""
+        if not (is_index(radius) and radius in self.boxes):
+            raise ValidationError(f"radius {radius} not part of the scheme")
+        return self.boxes[radius]
 
     def measure(self, radius: int) -> BoxMeasure:
-        """The box measure of one radius."""
+        """The box measure of one of the scheme's radii."""
         return BoxMeasure(self.box(radius), self.states, self.coupling, self.beta)
 
 
@@ -203,8 +211,6 @@ def finite_volume_coeff(scheme: VolumeScheme, radius: int, phi, psi) -> float:
     if not all(isinstance(p, (tuple, list)) and len(p) == 2 and all(isinstance(c, TailCell) for c in p)
                for p in (phi, psi)):
         raise ValidationError("finite_volume_coeff: phi and psi must each be two tail cells")
-    if radius not in scheme.radii:
-        raise ValidationError(f"radius {radius} not part of the scheme")
     box = scheme.box(radius)
     cells = [(c.tail, c.restrict(box, scheme.states)) for c in (*phi, *psi)]
     marked = set().union(*(pattern for _, pattern in cells))

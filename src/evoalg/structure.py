@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 
-from .algebra import NONZERO_BUDGET, EvolutionAlgebra, nonzero_count
+from .algebra import NONZERO_BUDGET, EvolutionAlgebra
 from .errors import ValidationError, check_budget, is_index, shown
 from .graphs import components
 
@@ -240,42 +240,53 @@ def collapse_by_symmetry(algebra: EvolutionAlgebra, classes) -> CollapsedTable:
     Every generator's row is aggregated by summing coefficients within each
     target class.  Class members sharing a flow pattern (the same set of
     target classes) must agree within ``1e-10``, otherwise the partition is
-    not a valid collapse.  Each class contributes its first member's
-    aggregated row to the reduced table.  Every row entry is read once, so
-    their count, the nonzeros, is checked against ``NONZERO_BUDGET`` first.
+    not a valid collapse; members of different patterns are not compared, so
+    a class may mix patterns.  Each class contributes its first member's
+    aggregated row to the reduced table.
+
+    The members of a row class share their row, so each row class is
+    aggregated once: one ``np.bincount`` over (row class, target class) keys
+    adds its entries in ascending columns, as a walk over a member's row
+    would.  A class is then checked over its distinct row classes, each named
+    by its first member, group by group in the order of their first members,
+    so the table, the message and the pair it names are those of a walk over
+    every member.  The entries read, ``prod_b k^|b|(2k^|b|-1)``, are checked
+    against ``NONZERO_BUDGET`` before any class is read, and the entries of
+    the reduced table before any of its rows is made.
     """
-    check_budget(nonzero_count(algebra.graph, algebra.space.k), "collapse: prod_b k^|b|(4k^|b|-3)", "row entries",
-                 NONZERO_BUDGET, "nonzero")
+    m = algebra.matrix
+    check_budget(int((4**m.row_level).sum()), "collapse: prod_b k^|b|(2k^|b|-1)", "row-class entries", NONZERO_BUDGET,
+                 "nonzero")
     normalized = [tuple(algebra.pair_index(p) for p in cls) for cls in classes]
     if not all(normalized):
         raise ValidationError("collapse: empty class")
-    class_of = {g: cid for cid, members in enumerate(normalized) for g in members}
-    if len(class_of) != sum(map(len, normalized)):
+    members = np.fromiter(chain.from_iterable(normalized), dtype=np.int64)
+    listed = np.bincount(members, minlength=algebra.dimension)
+    if (listed > 1).any():
         raise ValidationError("collapse: classes must be disjoint and list each generator once")
-    if len(class_of) != algebra.dimension:
+    if not listed.all():
         raise ValidationError("collapse: classes must partition all generators")
-
-    def aggregated(g: int) -> dict:
-        out: dict = {}
-        for j, v in algebra.matrix.row(g).items():
-            cid = class_of[j]
-            out[cid] = out.get(cid, 0.0) + v
-        return out
-
-    rows = []
-    for members in normalized:
-        agg = {g: aggregated(g) for g in members}
-        by_pattern: dict = {}
-        for g in members:
-            by_pattern.setdefault(frozenset(agg[g]), []).append(g)
-        for pattern, group in by_pattern.items():
-            base = agg[group[0]]
-            for g in group[1:]:
-                gap = max(abs(base[cid] - agg[g][cid]) for cid in pattern)
-                if gap > COLLAPSE_TOL:
-                    raise ValidationError(
-                        "collapse: not a valid collapse, rows "
-                        f"{algebra.pair_label(group[0])} and {algebra.pair_label(g)} disagree"
-                    )
-        rows.append(dict(sorted(agg[members[0]].items())))
-    return CollapsedTable(tuple(normalized), tuple(rows))
+    count, rows = len(normalized), len(m.row_level)
+    owner = np.repeat(np.arange(count), list(map(len, normalized)))
+    class_of = owner[np.argsort(members)]  # members is a permutation of the generators
+    cols, prods, entries = m._expand(np.arange(rows))
+    # bincount adds each key's terms in input order: within a row class, ascending columns
+    keys, at = np.unique(np.repeat(np.arange(rows) * count, entries) + class_of[cols], return_inverse=True)
+    sums, targets = np.bincount(at, weights=prods), keys % count
+    spans = [slice(a, b) for a, b in pairwise(np.searchsorted(keys, np.arange(rows + 1) * count).tolist())]
+    # a flow pattern per row class, numbered below the row class count: its ascending target classes
+    pattern = np.unique(np.array([targets[span].tobytes() for span in spans], dtype=object), return_inverse=True)[1]
+    rid = m.gen_row[members]
+    # positions in members: the first member of each distinct (class, row class), and the first member of its class
+    # with its pattern, which it is compared with, group after group in listed order
+    first = np.sort(np.unique(owner * rows + rid, return_index=True)[1])
+    lead, group = np.unique(owner[first] * rows + pattern[rid[first]], return_index=True, return_inverse=True)[1:]
+    base = first[lead][group]
+    for b, g in sorted(zip(base[base != first].tolist(), first[base != first].tolist())):
+        if np.abs(sums[spans[rid[b]]] - sums[spans[rid[g]]]).max() > COLLAPSE_TOL:
+            named, label = (algebra.pair_label(i) for i in members[[b, g]].tolist())
+            raise ValidationError(f"collapse: not a valid collapse, rows {named} and {label} disagree")
+    heads = [spans[r] for r in rid[np.flatnonzero(np.diff(owner, prepend=-1))].tolist()]  # each class's first member
+    # a class's row holds its first member's targets: up to the nonzeros in all, past the entries read
+    check_budget(sum(s.stop - s.start for s in heads), "collapse: reduced table", "entries", NONZERO_BUDGET, "nonzero")
+    return CollapsedTable(tuple(normalized), tuple(dict(zip(targets[s].tolist(), sums[s].tolist())) for s in heads))

@@ -13,6 +13,7 @@ import evoalg as ev
 from evoalg import limits
 from evoalg.cells import Cell, PairCell, children_indices
 from evoalg.errors import ValidationError, shown
+from evoalg.structure import COLLAPSE_TOL
 
 # CI runs with --hypothesis-profile=ci: a failure prints the @reproduce_failure blob that replays it
 settings.register_profile("ci", print_blob=True)
@@ -670,3 +671,53 @@ def oracle_column_sweep(width, states, strengths, stops):
             log_z = inner + limits._logsumexp((log_z[..., None] + bond).swapaxes(0, -2))
         done = stop
         yield limits._logsumexp(log_z.swapaxes(0, -1)).tolist()
+
+
+def relabel_pairs(n, k, vertex_perm, state_perm):
+    """The pair permutation that moves every vertex ``v`` to ``vertex_perm[v]`` and every state digit ``s`` to
+    ``state_perm[s]`` in both cells: ``relabel_pairs(...)[g]`` is the image of generator ``g``, an int64 array."""
+    digits = cell_digits(n, k)
+    cells = (np.asarray(state_perm)[digits] * k ** np.asarray(vertex_perm, dtype=np.int64)).sum(axis=1)
+    return np.add.outer(cells * k**n, cells).ravel()
+
+
+def oracle_collapse(algebra, classes):
+    """``collapse_by_symmetry`` by a walk over every member's row dict, as the library once did it, without its budget.
+
+    Each generator's row is summed per target class in the order of its
+    entries; a class's members are grouped by flow pattern in the order they
+    are listed, and each group's first member is compared with every other.
+    """
+    normalized = [tuple(algebra.pair_index(p) for p in cls) for cls in classes]
+    if not all(normalized):
+        raise ValidationError("collapse: empty class")
+    class_of = {g: cid for cid, members in enumerate(normalized) for g in members}
+    if len(class_of) != sum(map(len, normalized)):
+        raise ValidationError("collapse: classes must be disjoint and list each generator once")
+    if len(class_of) != algebra.dimension:
+        raise ValidationError("collapse: classes must partition all generators")
+
+    def aggregated(g):
+        out = {}
+        for j, v in algebra.matrix.row(g).items():
+            cid = class_of[j]
+            out[cid] = out.get(cid, 0.0) + v
+        return out
+
+    rows = []
+    for members in normalized:
+        agg = {g: aggregated(g) for g in members}
+        by_pattern = {}
+        for g in members:
+            by_pattern.setdefault(frozenset(agg[g]), []).append(g)
+        for pattern, group in by_pattern.items():
+            base = agg[group[0]]
+            for g in group[1:]:
+                gap = max(abs(base[cid] - agg[g][cid]) for cid in pattern)
+                if gap > COLLAPSE_TOL:
+                    raise ValidationError(
+                        "collapse: not a valid collapse, rows "
+                        f"{algebra.pair_label(group[0])} and {algebra.pair_label(g)} disagree"
+                    )
+        rows.append(dict(sorted(agg[members[0]].items())))
+    return ev.CollapsedTable(tuple(normalized), tuple(rows))

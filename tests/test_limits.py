@@ -21,7 +21,7 @@ from conftest import (
 from evoalg import graphs, limits
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import BudgetError, ValidationError, digit_count, shown, written
-from evoalg.limits import TailCell, VolumeScheme
+from evoalg.limits import BoxMeasure, TailCell, VolumeScheme
 
 
 def const(state):
@@ -326,6 +326,27 @@ def test_radius_must_belong_to_scheme():
     scheme = VolumeScheme(1, (1, 3), 2, 1.0, 1.0)
     with pytest.raises(ValidationError):
         ev.finite_volume_coeff(scheme, 2, (const(1), const(1)), (const(1), const(1)))
+
+
+def test_boxes_and_measures_only_of_the_scheme_radii():
+    """``box`` and ``measure`` reject a radius outside the scheme, as ``finite_volume_coeff`` does, a non-integer
+    equal to a scheme radius included; a scheme radius gives the box the site budget counted, every time."""
+    scheme = VolumeScheme(1, (1,), 2, 1.0, 1.0)
+    for radius in (5, 0, 1.0, True, "1"):
+        for read in (scheme.box, scheme.measure):
+            with pytest.raises(ValidationError, match=f"^radius {radius} not part of the scheme$"):
+                read(radius)
+    assert scheme.box(1) is scheme.box(np.int64(1)) is scheme.boxes[1]
+    assert scheme.box(1) == ev.LatticeBox(1, 1)
+    assert scheme.measure(1).log_partition == BoxMeasure(ev.LatticeBox(1, 1), 2, 1.0, 1.0).log_partition
+    with pytest.raises(ValidationError, match="^radius 1.0 not part of the scheme$"):
+        ev.finite_volume_coeff(scheme, 1.0, (const(1), const(1)), (const(1), const(1)))
+
+
+def test_scheme_equality_hash_and_repr_ignore_its_boxes():
+    scheme, twin = VolumeScheme(1, (1, 2), 2, 1.0, 1.0), VolumeScheme(1, (1, 2), 2, 1.0, 1.0)
+    assert scheme == twin and hash(scheme) == hash(twin) and scheme.boxes is not twin.boxes
+    assert repr(scheme) == "VolumeScheme(dimension=1, radii=(1, 2), states=2, coupling=1.0, beta=1.0)"
 
 
 def test_scheme_validates_radii():

@@ -1,15 +1,21 @@
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import evoalg as ev
+from evoalg import structure
 from evoalg.errors import BudgetError, ValidationError
 
 from conftest import (
     display_cells,
     measure_from_state_weights,
+    oracle_collapse,
     pair_children,
     random_positive_measure,
+    relabel_pairs,
     uniform_measure,
 )
 
@@ -273,22 +279,56 @@ def test_collapse_rejects_a_class_listing_a_generator_twice(edge_algebra):
 
 
 def test_collapse_budget_comes_before_any_class_is_read(monkeypatch):
-    """Edgeless n=5, k=3, the smallest algebra past the budget: 27^5 = 14,348,907 row entries over 59,049 generators."""
-    algebra = ev.build_algebra(ev.Graph(5), ev.StateSpace(3), uniform_measure(5, 3))
+    """Edgeless n=9, k=2, built past the dimension budget: 6^9 = 10,077,696 row-class entries over 262,144
+    generators, the smallest edgeless two-state algebra whose collapse the budget rejects."""
+    graph, space, mu = ev.Graph(9), ev.StateSpace(2), uniform_measure(9, 2)
+    algebra = ev.EvolutionAlgebra(graph, space, mu, ev.HeredityMatrix(graph, space, mu))
     every = [range(algebra.dimension)]
     monkeypatch.setattr(ev.EvolutionAlgebra, "pair_index", lambda *args: pytest.fail("a class was read"))
-    with pytest.raises(BudgetError, match=r"^collapse: prod_b k\^\|b\|\(4k\^\|b\|-3\) = 14348907 row entries "
+    with pytest.raises(BudgetError, match=r"^collapse: prod_b k\^\|b\|\(2k\^\|b\|-1\) = 10077696 row-class entries "
                                           r"exceed the nonzero budget of 10000000$"):
         ev.collapse_by_symmetry(algebra, every)
+
+
+def test_collapse_table_budget_comes_before_any_row_is_made(monkeypatch):
+    """One generator a class makes the reduced table the whole matrix: 10^8 entries at edgeless n=8, k=2, whose
+    1,679,616 row-class entries pass.  Here edgeless n=6, with the budget at 10^5: 46,656 row-class entries pass, and
+    the table's 10^6 entries are rejected."""
+    monkeypatch.setattr(structure, "NONZERO_BUDGET", 10**5)
+    algebra = ev.build_algebra(ev.Graph(6), ev.StateSpace(2), uniform_measure(6, 2))
+    singletons = [(g,) for g in range(algebra.dimension)]
+    with pytest.raises(BudgetError, match=r"^collapse: reduced table = 1000000 entries exceed the nonzero budget "
+                                          r"of 100000$"):
+        ev.collapse_by_symmetry(algebra, singletons)
+
+
+def row_class_partition(algebra):
+    """The generators of each row class, ascending, classes in row-class order."""
+    gen_row = algebra.matrix.gen_row
+    order = np.argsort(gen_row, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(gen_row[order])) + 1)
+
+
+def test_edgeless_eight_collapses_by_row_class():
+    """Edgeless n=8, k=2, the largest algebra ``build_algebra`` accepts: 6^8 = 1,679,616 row-class entries, within
+    the budget, and 3^8 = 6,561 classes; a few rows are summed here from the generator's own row."""
+    algebra = ev.build_algebra(ev.Graph(8), ev.StateSpace(2), random_positive_measure(np.random.default_rng(9), 8, 2))
+    classes = row_class_partition(algebra)
+    table = ev.collapse_by_symmetry(algebra, [c.tolist() for c in classes])
+    assert len(table.rows) == 3**8
+    class_of = algebra.matrix.gen_row
+    for cid in (0, 1, 255, 256, 3000, 6559, 6560):
+        want = {}
+        for j, v in algebra.row(int(classes[cid][0])).items():
+            want[int(class_of[j])] = want.get(int(class_of[j]), 0.0) + v
+        assert table.rows[cid] == dict(sorted(want.items()))
 
 
 def test_path_of_eight_at_the_dimension_budget_still_collapses():
     """Path n=8, k=2: 65,536 generators and 256 * 1021 = 261,376 row entries, collapsed by row class."""
     path = ev.Graph(8, frozenset((v, v + 1) for v in range(7)))
     algebra = ev.build_algebra(path, ev.StateSpace(2), random_positive_measure(np.random.default_rng(8), 8, 2))
-    gen_row = algebra.matrix.gen_row
-    order = np.argsort(gen_row, kind="stable")
-    classes = np.split(order, np.flatnonzero(np.diff(gen_row[order])) + 1)
+    classes = row_class_partition(algebra)
     table = ev.collapse_by_symmetry(algebra, [c.tolist() for c in classes])
     assert len(table.rows) == 256 + 256 * 255 // 2
     for cid, (members, row) in enumerate(zip(table.classes, table.rows)):
@@ -323,3 +363,132 @@ def test_descent_chain_nesting(free_algebra):
             assert current <= previous
             previous = current
         assert len(previous) == 1
+
+
+def orbit_classes(perms, dimension):
+    """The orbits of the generators under the group the pair permutations ``perms`` generate, each ascending, by
+    smallest member: every generator takes the smallest label among its images and preimages until none changes."""
+    label = np.arange(dimension)
+    steps = [p for perm in perms for p in (perm, np.argsort(perm))]
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
+
+
+def symmetry_perms(n, k, vertex_perm, state_perm):
+    """The relabelings of ``vertex_perm`` and ``state_perm`` apart, and the swap of a pair's two cells."""
+    kn = k**n
+    return [relabel_pairs(n, k, vertex_perm, range(k)), relabel_pairs(n, k, range(n), state_perm),
+            np.arange(kn * kn).reshape(kn, kn).T.ravel()]
+
+
+@st.composite
+def symmetric_scenarios(draw, max_n=4, max_dimension=4096):
+    """``(n, k, edges, vertex_perm, state_perm)``: random edges closed under a random vertex permutation, which is then
+    an automorphism of the graph, and a random state permutation; k=3 only within ``max_dimension`` generators."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.sampled_from([2, 3] if 3 ** (2 * n) <= max_dimension else [2]))
+    vertex_perm = draw(st.permutations(range(n)))
+    edges = set()
+    for x, y in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            while (x, y) not in edges:  # the edge's orbit under the vertex permutation
+                edges.add((x, y))
+                x, y = sorted((vertex_perm[x], vertex_perm[y]))
+    return n, k, tuple(sorted(edges)), tuple(vertex_perm), tuple(draw(st.permutations(range(k))))
+
+
+def symmetrized_weights(n, k, raw, vertex_perm, state_perm):
+    """``raw`` averaged over each cell orbit of the group the two permutations generate: an invariant measure's
+    weights, equal bit for bit within an orbit."""
+    cells = [perm[:: k**n + 1] // k**n for perm in symmetry_perms(n, k, vertex_perm, state_perm)[:2]]
+    orbits = orbit_classes(cells, k**n)
+    weights = np.empty(k**n)
+    for orbit in orbits:
+        weights[orbit] = np.mean(raw[orbit])
+    return weights
+
+
+@st.composite
+def collapse_cases(draw):
+    """``((n, k, edges, raw), classes)``: a scenario of ``symmetric_scenarios``, raw weights that are random, drawn
+    from two values or symmetrized, and a partition: the row classes, random unions of them, random splits of them
+    or the orbits of the scenario's symmetries, listed in ascending or random order."""
+    n, k, edges, vertex_perm, state_perm = draw(symmetric_scenarios())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = draw(st.sampled_from([
+        rng.uniform(0.1, 1.0, size=k**n),
+        rng.choice([1.0, 2.0], size=k**n),
+        symmetrized_weights(n, k, rng.uniform(0.1, 1.0, size=k**n), vertex_perm, state_perm),
+    ]))
+    gen_row = ev.HeredityMatrix(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), uniform_measure(n, k)).gen_row
+    rows = gen_row.max() + 1
+    label = draw(st.sampled_from([
+        gen_row,
+        rng.integers(0, draw(st.integers(1, 4)), size=rows)[gen_row],
+        gen_row * 3 + rng.integers(0, draw(st.integers(1, 3)), size=len(gen_row)),
+        None,
+    ]))
+    if label is None:
+        classes = orbit_classes(symmetry_perms(n, k, vertex_perm, state_perm), k ** (2 * n))
+    else:
+        listed = rng.permutation(len(label)) if draw(st.booleans()) else np.arange(len(label))
+        classes = {}
+        for g in listed.tolist():
+            classes.setdefault(int(label[g]), []).append(g)
+        classes = list(classes.values())
+    return (n, k, edges, tuple(raw.tolist())), classes
+
+
+def collapse_outcome(collapse, case):
+    """A collapse's classes, row keys and ``float.hex`` of every value, or its exception's type and message."""
+    (n, k, edges, raw), classes = case
+    algebra = ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), ev.from_weights(np.array(raw), n, k))
+    try:
+        table = collapse(algebra, classes)
+    except (ValidationError, BudgetError) as exc:
+        return type(exc), str(exc)
+    return table.classes, [[(j, v.hex()) for j, v in row.items()] for row in table.rows]
+
+
+# one vertex, three states of weights 2, 1, 1, off-diagonal pairs in one class: the row classes {0,1} and {0,2}
+# agree, and {1,2}, third in the pattern group, does not
+@example(((1, 3, (), (2.0, 1.0, 1.0)), [[0, 4, 8], [1, 2, 3, 5, 6, 7]]))
+@settings(max_examples=80, deadline=None)
+@given(collapse_cases())
+def test_collapse_matches_the_walk_over_every_member(case):
+    assert collapse_outcome(ev.collapse_by_symmetry, case) == collapse_outcome(oracle_collapse, case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_scenarios(), st.integers(0, 2**32 - 1))
+def test_orbits_of_a_symmetry_are_a_valid_collapse(scenario, seed):
+    """Under a measure invariant under a graph automorphism and a state permutation, the orbits of the pair cells
+    under the group they generate and the cell swap are accepted, with the table of the walk over every member."""
+    n, k, edges, vertex_perm, state_perm = scenario
+    raw = np.random.default_rng(seed).uniform(0.1, 1.0, size=k**n)
+    weights = symmetrized_weights(n, k, raw, vertex_perm, state_perm)
+    orbits = orbit_classes(symmetry_perms(n, k, vertex_perm, state_perm), k ** (2 * n))
+    case = (n, k, edges, tuple(weights.tolist())), orbits
+    got = collapse_outcome(ev.collapse_by_symmetry, case)
+    assert got[0] == tuple(map(tuple, orbits))
+    assert got == collapse_outcome(oracle_collapse, case)
+
+
+def test_demo_two_vertex_swap_gives_seven_orbits():
+    """Demo 02's graph (two vertices, no edge) under its vertex swap: seven orbits, accepted, and the demo's six
+    classes, which merge the orbit of (aA,aA), (Aa,Aa) with that of (aA,Aa), (Aa,aA), accepted too."""
+    weights = symmetric_measure().weights
+    orbits = orbit_classes(symmetry_perms(2, 2, (1, 0), (0, 1)), 16)
+    assert len(orbits) == 7
+    for classes in (orbits, [[p.index for p in cls] for cls in remark_classes()]):
+        case = (2, 2, (), tuple(weights.tolist())), classes
+        got = collapse_outcome(ev.collapse_by_symmetry, case)
+        assert got[0] == tuple(map(tuple, classes))
+        assert got == collapse_outcome(oracle_collapse, case)
