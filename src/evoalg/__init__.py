@@ -12,6 +12,7 @@ from .algebra import (
     AlgebraElement,
     EvolutionAlgebra,
     HeredityMatrix,
+    RowClassLayout,
     build_algebra,
     export_matrix_csv,
     export_matrix_json,

@@ -7,6 +7,9 @@ so products of general elements only keep diagonal terms.
 
 Rows of the coefficient matrix depend on a generator only through its
 children set, so rows are stored once per distinct children set and shared.
+Those row classes depend on the graph and the state count alone: a
+``RowClassLayout`` holds them, and a ``HeredityMatrix`` adds one measure's
+weights, so the algebras of many measures can share one layout.
 The children mass is computed as the square of the summed cell masses,
 which the product structure of the pair-children set makes exact.
 """
@@ -35,6 +38,7 @@ __all__ = [
     "DIMENSION_BUDGET",
     "NONZERO_BUDGET",
     "COEFF_DROP",
+    "RowClassLayout",
     "HeredityMatrix",
     "AlgebraElement",
     "EvolutionAlgebra",
@@ -81,8 +85,8 @@ def _row_classes(contrib: np.ndarray, parts: tuple, n: int, k: int) -> tuple:
     return np.take(ranks, classes.ravel(), out=classes.ravel(), mode="clip"), level[order], lo[order], hi[order]
 
 
-class HeredityMatrix:
-    """Sparse row-stochastic coefficient matrix over the pair cells.
+class RowClassLayout:
+    """The row classes of the pair cells over a graph and a state space: the same for every positive measure.
 
     ``contrib[cell, b]`` is a cell's index contribution on component ``b``.  A generator's parents give the signature
     cells ``lo`` and ``hi``, of the smaller and the larger contribution on each component, and its level, the number of
@@ -90,12 +94,12 @@ class HeredityMatrix:
     component, and ``_row_classes`` enumerates the classes per component.  They run by level, then by ``(lo, hi)``:
     ``gen_row`` maps each generator to its class, ``row_level``, ``row_lo`` and ``row_hi`` give each class's level and
     smallest generator ``(lo, hi)``, ``level_start`` marks where each level begins, and ``level_children[c][p]`` holds
-    the ascending children of the class at position ``p`` of level ``c``.  A row is the outer product of their
-    normalized weights, formed by ``_outer`` alone and laid out by ``_expand``.  The cell, class and children arrays
-    are int32, which holds any pair index within ``DIMENSION_BUDGET``; ``row_level`` is int64: it feeds ``4 ** level``.
+    the ascending children of the class at position ``p`` of level ``c``.  The cell, class and children arrays are
+    int32, which holds any pair index within ``DIMENSION_BUDGET``; ``row_level`` is int64: it feeds ``4 ** level``.
+    One layout serves the ``HeredityMatrix`` of every measure on its graph and state space.
     """
 
-    def __init__(self, graph: Graph, space: StateSpace, measure: Measure):
+    def __init__(self, graph: Graph, space: StateSpace):
         n, k = graph.vertex_count, space.k
         self.kn = k**n
         self.dimension = self.kn**2
@@ -103,15 +107,43 @@ class HeredityMatrix:
         self.contrib = component_contributions(state_axes(n, k), parts, k).astype(np.int32)
         self.gen_row, self.row_level, self.row_lo, self.row_hi = _row_classes(self.contrib, parts, n, k)
         self.level_start = np.searchsorted(self.row_level, np.arange(self.row_level[-1] + 2))
-        # per level: children (R, 2**c) and normalized weights of its row classes
+        # per level: the children (R, 2**c) of its row classes
         self.level_children = [children_indices(self.contrib[self.row_lo[a:b]], self.contrib[self.row_hi[a:b]])
                                for a, b in pairwise(self.level_start.tolist())]
-        weights = [measure.weights[kids] for kids in self.level_children]
-        self._weights = [np.divide(w, w.sum(axis=1, keepdims=True), out=w) for w in weights]
 
     def pairs(self, kids: np.ndarray) -> np.ndarray:
         """The pair indices of a children set, or of each row of an array of them, flat: ascending for sorted sets."""
         return (kids[..., :, None] * self.kn + kids[..., None, :]).ravel()
+
+    def walk(self, cols: np.ndarray, values: np.ndarray):
+        """Chunks of consecutive generators, about ``_CHUNK_ENTRIES`` entries each, as ``(rows, cols, values)``: one
+        ragged gather of each generator's class entries from ``cols`` and ``values``, laid out class after class as
+        ``HeredityMatrix._expand`` lays out all classes."""
+        width = 4**self.row_level
+        size = width[self.gen_row]
+        ends = np.cumsum(size)
+        # a generator's entry e sits at e + shift in the class layout
+        shift = (np.cumsum(width) - width)[self.gen_row] - (ends - size)
+        cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK_ENTRIES), side="right")
+        # ascending already, so a neighbour mask drops the repeats: plain np.unique would import numpy.ma
+        cuts = np.append(cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))], self.dimension)
+        for g0, g1 in pairwise(cuts.tolist()):
+            at = np.arange(ends[g0] - size[g0], ends[g1 - 1]) + np.repeat(shift[g0:g1], size[g0:g1])
+            yield np.repeat(np.arange(g0, g1), size[g0:g1]), cols[at], values[at]
+
+
+class HeredityMatrix:
+    """Sparse row-stochastic coefficient matrix over the pair cells: a measure's weights over a ``RowClassLayout``.
+
+    ``_weights[c][p]`` holds the normalized weights of the children ``layout.level_children[c][p]``; they are all this
+    class adds to its layout.  A row is the outer product of a class's normalized weights, formed by ``_outer`` alone
+    and laid out by ``_expand``.
+    """
+
+    def __init__(self, layout: RowClassLayout, measure: Measure):
+        self.layout = layout
+        weights = [measure.weights[kids] for kids in layout.level_children]
+        self._weights = [np.divide(w, w.sum(axis=1, keepdims=True), out=w) for w in weights]
 
     def children(self, index: int) -> tuple:
         """Ascending children cells and their normalized weights, as arrays.
@@ -119,26 +151,28 @@ class HeredityMatrix:
         Both are rows of per-level arrays shared by the generator's whole
         row class; the generator's heredity row is their outer product.
         """
-        if not (is_index(index) and 0 <= index < self.dimension):
+        layout = self.layout
+        if not (is_index(index) and 0 <= index < layout.dimension):
             raise ValidationError(f"row: pair index {index} out of range")
-        rid = self.gen_row[index]
-        c = self.row_level[rid]
-        pos = rid - self.level_start[c]
-        return self.level_children[c][pos], self._weights[c][pos]
+        rid = layout.gen_row[index]
+        c = layout.row_level[rid]
+        pos = rid - layout.level_start[c]
+        return layout.level_children[c][pos], self._weights[c][pos]
 
     def _outer(self, kids: np.ndarray, w: np.ndarray) -> tuple:
         """The entries of row classes with children ``kids`` and weights ``w``, ``(..., m)``: columns and products."""
-        return self.pairs(kids), (w[..., :, None] * w[..., None, :]).ravel()
+        return self.layout.pairs(kids), (w[..., :, None] * w[..., None, :]).ravel()
 
     def _expand(self, rids: np.ndarray) -> tuple:
         """The columns (int32) and products of the ascending row classes ``rids``, class after class, from ``_outer``
         one level at a time, and each class's entry count."""
-        counts = 4 ** self.row_level[rids]
+        level_start, level_children = self.layout.level_start, self.layout.level_children
+        counts = 4 ** self.layout.row_level[rids]
         cols, prods = np.empty(counts.sum(), dtype=np.int32), np.empty(counts.sum())
         start = 0
-        for c, (r0, r1) in enumerate(pairwise(np.searchsorted(rids, self.level_start).tolist())):
-            pos, stop = rids[r0:r1] - self.level_start[c], start + (r1 - r0) * 4**c
-            cols[start:stop], prods[start:stop] = self._outer(self.level_children[c][pos], self._weights[c][pos])
+        for c, (r0, r1) in enumerate(pairwise(np.searchsorted(rids, level_start).tolist())):
+            pos, stop = rids[r0:r1] - level_start[c], start + (r1 - r0) * 4**c
+            cols[start:stop], prods[start:stop] = self._outer(level_children[c][pos], self._weights[c][pos])
             start = stop
         return cols, prods, counts
 
@@ -155,34 +189,19 @@ class HeredityMatrix:
         over all columns or over the sorted distinct ones, with the same bits either way.  Coefficients below
         ``COEFF_DROP`` drop.
         """
-        rids, inverse = np.unique(self.gen_row[gens], return_inverse=True)
+        rids, inverse = np.unique(self.layout.gen_row[gens], return_inverse=True)
         cols, vals, counts = self._expand(rids)
         vals *= np.repeat(np.bincount(inverse, weights=scales), counts)
-        dense = len(cols) * _DENSE_SHARE >= self.dimension
+        dense = len(cols) * _DENSE_SHARE >= self.layout.dimension
         # one bincount either way, and it adds each column's terms in input order
         distinct, at = (None, cols) if dense else np.unique(cols, return_inverse=True)
-        sums = np.bincount(at, weights=vals, minlength=self.dimension if dense else 0)
+        sums = np.bincount(at, weights=vals, minlength=self.layout.dimension if dense else 0)
         keep = np.flatnonzero(np.abs(sums) >= COEFF_DROP)
         return (keep if dense else distinct[keep].astype(np.int64)), sums[keep]
 
-    def _walk(self, cols: np.ndarray, values: np.ndarray):
-        """Chunks of consecutive generators, about ``_CHUNK_ENTRIES`` entries each, as ``(rows, cols, values)``: one
-        ragged gather of each generator's class entries from ``cols`` and ``values``, laid out as ``_expand`` does."""
-        width = 4**self.row_level
-        size = width[self.gen_row]
-        ends = np.cumsum(size)
-        # a generator's entry e sits at e + shift in the class layout
-        shift = (np.cumsum(width) - width)[self.gen_row] - (ends - size)
-        cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK_ENTRIES), side="right")
-        # ascending already, so a neighbour mask drops the repeats: plain np.unique would import numpy.ma
-        cuts = np.append(cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))], self.dimension)
-        for g0, g1 in pairwise(cuts.tolist()):
-            at = np.arange(ends[g0] - size[g0], ends[g1 - 1]) + np.repeat(shift[g0:g1], size[g0:g1])
-            yield np.repeat(np.arange(g0, g1), size[g0:g1]), cols[at], values[at]
-
     def entry_chunks(self):
         """All nonzero entries as ``(rows, cols, values)`` arrays, sorted, about ``_CHUNK_ENTRIES`` a chunk."""
-        return self._walk(*self._expand(np.arange(len(self.row_level)))[:2])
+        return self.layout.walk(*self._expand(np.arange(len(self.layout.row_level)))[:2])
 
     @cached_property
     def _text_table(self) -> tuple:
@@ -194,19 +213,20 @@ class HeredityMatrix:
         a time: ``build`` of edgeless n=4, k=4 under 256 distinct weights peaks at 74.5 MiB, where one float list of all
         its 300,908 distinct values took 79.5.
         """
-        cols, products, _ = self._expand(np.arange(len(self.row_level)))
+        cols, products, _ = self._expand(np.arange(len(self.layout.row_level)))
         values, at = np.unique(products, return_inverse=True)
         at = at.astype(np.int32)
         del products
         texts = np.empty(len(values), dtype=object)
         for i in range(0, len(values), _CHUNK_ENTRIES):
             texts[i : i + _CHUNK_ENTRIES] = list(map(repr, values[i : i + _CHUNK_ENTRIES].tolist()))
-        return cols, at, texts, np.fromiter(map(str, range(self.dimension)), dtype=object, count=self.dimension)
+        dimension = self.layout.dimension
+        return cols, at, texts, np.fromiter(map(str, range(dimension)), dtype=object, count=dimension)
 
     def entry_texts(self):
         """``entry_chunks`` as ``(row, col, value)`` object arrays of texts, from the same walk over ``_text_table``,
         which only an export builds."""
-        chunks = self._walk(*self._text_table[:2])
+        chunks = self.layout.walk(*self._text_table[:2])
         value_text, index_text = self._text_table[2:]
         return ((index_text[rows], index_text[cols], value_text[at]) for rows, cols, at in chunks)
 
@@ -387,11 +407,17 @@ class EvolutionAlgebra:
 
     @property
     def dimension(self) -> int:
-        return self.matrix.dimension
+        return self.matrix.layout.dimension
 
     @property
     def kn(self) -> int:
-        return self.matrix.kn
+        return self.matrix.layout.kn
+
+    def with_measure(self, measure: Measure) -> EvolutionAlgebra:
+        """The algebra of another measure on this graph and state space, over this algebra's layout object: only the
+        weights are made anew, so every entry is that of ``build_algebra`` with the other measure, bit for bit."""
+        _check_measure(self.graph, self.space, measure)
+        return EvolutionAlgebra(self.graph, self.space, measure, HeredityMatrix(self.matrix.layout, measure))
 
     def pair_index(self, pair) -> int:
         """Accept a pair cell or a raw index; return the index."""
@@ -462,9 +488,14 @@ def check_budgets(graph: Graph, space: StateSpace, nonzeros: bool = False) -> No
 def build_algebra(graph: Graph, space: StateSpace, measure: Measure) -> EvolutionAlgebra:
     """Construct the algebra for a graph, state space and positive measure."""
     check_budgets(graph, space)
+    _check_measure(graph, space, measure)
+    return EvolutionAlgebra(graph, space, measure, HeredityMatrix(RowClassLayout(graph, space), measure))
+
+
+def _check_measure(graph: Graph, space: StateSpace, measure: Measure) -> None:
+    """Reject a measure of another vertex count or state count than the graph and the state space."""
     if measure.n != graph.vertex_count or measure.k != space.k:
         raise ValidationError("measure does not match the graph and state space")
-    return EvolutionAlgebra(graph, space, measure, HeredityMatrix(graph, space, measure))
 
 
 def nonzero_count(graph: Graph, k: int) -> int:

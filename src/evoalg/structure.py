@@ -59,7 +59,7 @@ def generated_subalgebra(algebra: EvolutionAlgebra, seed) -> Subalgebra:
     if not gens:
         raise ValidationError("generated_subalgebra: seed must be nonempty")
     m = algebra.matrix
-    return Subalgebra(frozenset(np.concatenate([m.pairs(m.children(g)[0]) for g in gens]).tolist()))
+    return Subalgebra(frozenset(np.concatenate([m.layout.pairs(m.children(g)[0]) for g in gens]).tolist()))
 
 
 def precedes(algebra: EvolutionAlgebra, tau, sigma) -> bool:
@@ -88,14 +88,14 @@ def descent_chain(algebra: EvolutionAlgebra, sigma) -> DescentChain:
     own chain.  The descendants are the children pairs, whose children sets
     all lie inside the current one, so a smaller set is a lower level.
     """
-    m = algebra.matrix
+    m, layout = algebra.matrix, algebra.matrix.layout
     current = algebra.pair_index(sigma)
-    level = m.row_level[m.gen_row[current]]
+    level = layout.row_level[layout.gen_row[current]]
     chain = [] if level else [current]
     while level > 0:
         # ascending children give ascending candidates
-        candidates = m.pairs(m.children(current)[0])
-        levels = m.row_level[m.gen_row[candidates]]
+        candidates = layout.pairs(m.children(current)[0])
+        levels = layout.row_level[layout.gen_row[candidates]]
         lower = levels < level
         transit = lower & (levels > 0)
         first = np.argmax(transit if transit.any() else lower)
@@ -106,7 +106,7 @@ def descent_chain(algebra: EvolutionAlgebra, sigma) -> DescentChain:
 
 @dataclass(frozen=True, eq=False)
 class Hierarchy:
-    """Leveled block decomposition of the generator set, held as the matrix's arrays.
+    """Leveled block decomposition of the generator set, held as the row-class layout's arrays.
 
     Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from each class in
     ``flow_source`` to a class of its children pairs in ``flow_target`` (``gen_row``'s dtype), on a lower level.  ``levels`` (each
@@ -160,16 +160,16 @@ def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:
     A generator's subalgebra is its children-pair set: a class flows to the classes of its children pairs other than
     itself, ``3**c - 1`` of them at level ``c``, in sorted order, which is (level, position) order.
     """
-    m = algebra.matrix
-    flows = [_level_flows(m, np.arange(a, b, dtype=m.gen_row.dtype), kids)
-             for (a, b), kids in zip(pairwise(m.level_start), m.level_children)]
-    return Hierarchy(m.gen_row, m.row_level, m.level_start, *map(np.concatenate, zip(*flows)))
+    layout = algebra.matrix.layout
+    flows = [_level_flows(layout, np.arange(a, b, dtype=layout.gen_row.dtype), kids)
+             for (a, b), kids in zip(pairwise(layout.level_start), layout.level_children)]
+    return Hierarchy(layout.gen_row, layout.row_level, layout.level_start, *map(np.concatenate, zip(*flows)))
 
 
-def _level_flows(m, rows: np.ndarray, kids: np.ndarray) -> tuple:
+def _level_flows(layout, rows: np.ndarray, kids: np.ndarray) -> tuple:
     """The flows of the classes ``rows`` of one level, whose children are ``kids``, as ``(sources, targets)``."""
     width = kids.shape[1] ** 2
-    targets = np.sort(m.gen_row[m.pairs(kids)].reshape(-1, width), axis=1)
+    targets = np.sort(layout.gen_row[layout.pairs(kids)].reshape(-1, width), axis=1)
     flat = targets.ravel()
     # the first of each class's equal targets, short of the class itself
     keep = np.concatenate(([True], flat[1:] != flat[:-1]))
@@ -254,8 +254,8 @@ def collapse_by_symmetry(algebra: EvolutionAlgebra, classes) -> CollapsedTable:
     against ``NONZERO_BUDGET`` before any class is read, and the entries of
     the reduced table before any of its rows is made.
     """
-    m = algebra.matrix
-    check_budget(int((4**m.row_level).sum()), "collapse: prod_b k^|b|(2k^|b|-1)", "row-class entries", NONZERO_BUDGET,
+    layout = algebra.matrix.layout
+    check_budget(int((4**layout.row_level).sum()), "collapse: prod_b k^|b|(2k^|b|-1)", "row-class entries", NONZERO_BUDGET,
                  "nonzero")
     normalized = [tuple(algebra.pair_index(p) for p in cls) for cls in classes]
     if not all(normalized):
@@ -266,17 +266,17 @@ def collapse_by_symmetry(algebra: EvolutionAlgebra, classes) -> CollapsedTable:
         raise ValidationError("collapse: classes must be disjoint and list each generator once")
     if not listed.all():
         raise ValidationError("collapse: classes must partition all generators")
-    count, rows = len(normalized), len(m.row_level)
+    count, rows = len(normalized), len(layout.row_level)
     owner = np.repeat(np.arange(count), list(map(len, normalized)))
     class_of = owner[np.argsort(members)]  # members is a permutation of the generators
-    cols, prods, entries = m._expand(np.arange(rows))
+    cols, prods, entries = algebra.matrix._expand(np.arange(rows))
     # bincount adds each key's terms in input order: within a row class, ascending columns
     keys, at = np.unique(np.repeat(np.arange(rows) * count, entries) + class_of[cols], return_inverse=True)
     sums, targets = np.bincount(at, weights=prods), keys % count
     spans = [slice(a, b) for a, b in pairwise(np.searchsorted(keys, np.arange(rows + 1) * count).tolist())]
     # a flow pattern per row class, numbered below the row class count: its ascending target classes
     pattern = np.unique(np.array([targets[span].tobytes() for span in spans], dtype=object), return_inverse=True)[1]
-    rid = m.gen_row[members]
+    rid = layout.gen_row[members]
     # positions in members: the first member of each distinct (class, row class), and the first member of its class
     # with its pattern, which it is compared with, group after group in listed order
     first = np.sort(np.unique(owner * rows + rid, return_index=True)[1])

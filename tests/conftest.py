@@ -400,7 +400,7 @@ def oracle_hierarchy(algebra):
     return OracleHierarchy(levels, tuple(sorted(flows)), coord)
 
 
-def oracle_flows(matrix):
+def oracle_flows(layout):
     """``(flow_source, flow_target)`` by the sub-class search ``build_hierarchy`` once made.
 
     A class at level ``c`` keeps ``lo``, ``hi`` or both on each of its ``c``
@@ -410,7 +410,7 @@ def oracle_flows(matrix):
     ``row_lo`` and ``row_hi``, and each class's finds are sorted.  Both
     arrays hold row-class indices, int32.
     """
-    m, kn = matrix, matrix.kn
+    m, kn = layout, layout.kn
     keys = (m.row_level * kn + m.row_lo) * kn + m.row_hi
     sources, targets = [], []
     for c in range(len(m.level_start) - 1):
@@ -426,16 +426,16 @@ def oracle_flows(matrix):
     return np.concatenate(sources).astype(np.int32), np.concatenate(targets).astype(np.int32)
 
 
-def oracle_row_classes(matrix, measure):
+def oracle_row_classes(layout):
     """The row-class layout by the search ``HeredityMatrix`` once made, as ``{attribute: value}``.
 
     Every generator's ``lo``, ``hi`` and level come from ``(k^n)^2`` outer
     arrays over the contributions, and ``np.unique`` sorts all ``k^2n``
     keys ``level * k**2n + lo * k**n + hi``: a class's first generator is
-    ``(lo, hi)``.  The children and normalized weights follow from the rows.
+    ``(lo, hi)``.  The children follow from the rows; no measure is read.
     Class, cell and children indices are int32, levels and level starts int64.
     """
-    kn, contrib = matrix.kn, matrix.contrib
+    kn, contrib = layout.kn, layout.contrib
     lo = sum(np.minimum.outer(part, part) for part in contrib.T)
     hi = sum(np.maximum.outer(part, part) for part in contrib.T)
     level = sum(np.not_equal.outer(part, part) for part in contrib.T)
@@ -445,23 +445,21 @@ def oracle_row_classes(matrix, measure):
     level_start = np.searchsorted(row_level, np.arange(row_level[-1] + 2))
     children = [children_indices(contrib[row_lo[a:b]], contrib[row_hi[a:b]]).astype(np.int32)
                 for a, b in zip(level_start.tolist(), level_start[1:].tolist())]
-    weights = [measure.weights[kids] for kids in children]
     return {"gen_row": gen_row.astype(np.int32), "row_level": row_level, "row_lo": row_lo, "row_hi": row_hi,
-            "level_start": level_start, "level_children": children,
-            "_weights": [w / w.sum(axis=1, keepdims=True) for w in weights]}
+            "level_start": level_start, "level_children": children}
 
 
-def oracle_levels(matrix):
-    """``Hierarchy.levels`` spelled out from a matrix's arrays.
+def oracle_levels(layout):
+    """``Hierarchy.levels`` spelled out from a layout's arrays.
 
     The generators of each row class, in class order, cut into levels at
     ``level_start``: what ``build_hierarchy`` lists, read with dicts.
     """
     blocks = {}
-    for g, r in enumerate(matrix.gen_row.tolist()):
+    for g, r in enumerate(layout.gen_row.tolist()):
         blocks.setdefault(r, []).append(g)
     ordered = [tuple(blocks[r]) for r in sorted(blocks)]
-    bounds = matrix.level_start.tolist()
+    bounds = layout.level_start.tolist()
     return tuple(tuple(ordered[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
@@ -470,8 +468,8 @@ def oracle_iso(left, right):
     def keys(m):
         return [(m.row_level[r], m.row_lo[r], m.row_hi[r]) for r in m.gen_row.tolist()]
 
-    support = keys(left.matrix) == keys(right.matrix)
-    skeleton = oracle_levels(left.matrix) == oracle_levels(right.matrix)
+    support = keys(left.matrix.layout) == keys(right.matrix.layout)
+    skeleton = oracle_levels(left.matrix.layout) == oracle_levels(right.matrix.layout)
     verdict = "isomorphic-per-theorem" if support and skeleton else "not-isomorphic-per-theorem"
     return ev.IsoReport(support, skeleton, verdict)
 
@@ -592,12 +590,13 @@ def oracle_sorted_combine(matrix, gens, scales) -> dict:
     drops what is below ``COEFF_DROP``.  Both accumulation paths of
     ``combine`` must give this dict bit for bit.
     """
-    rids, inverse = np.unique(matrix.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
+    layout = matrix.layout
+    rids, inverse = np.unique(layout.gen_row[np.array(gens, dtype=np.int64)], return_inverse=True)
     totals = np.bincount(inverse, weights=scales)
     cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for rid, total in zip(rids.tolist(), totals.tolist()):
-        kids, w = matrix.children(int(matrix.row_lo[rid]) * matrix.kn + int(matrix.row_hi[rid]))
-        cols.append(np.add.outer(kids * matrix.kn, kids).ravel())
+        kids, w = matrix.children(int(layout.row_lo[rid]) * layout.kn + int(layout.row_hi[rid]))
+        cols.append(np.add.outer(kids * layout.kn, kids).ravel())
         vals.append((np.multiply.outer(w, w) * total).ravel())
     keys, at = np.unique(np.concatenate(cols), return_inverse=True)
     sums = np.bincount(at, weights=np.concatenate(vals))

@@ -147,7 +147,7 @@ def test_arithmetic_rejects_out_of_range_generators(edge_algebra, index):
 @pytest.mark.parametrize("index", [-1, 16, 1.5, True], ids=["minus-1", "dimension", "float", "bool"])
 def test_heredity_children_reject_bad_generators(edge_algebra, index):
     matrix = edge_algebra.matrix
-    assert matrix.dimension == 16
+    assert matrix.layout.dimension == 16
     for call in (matrix.children, matrix.row):
         with pytest.raises(ValidationError, match=rf"^row: pair index {index} out of range$"):
             call(index)
@@ -444,14 +444,14 @@ def test_heredity_matrix_peak_at_the_budget_edge(edges, peak_limit, kept_limit):
     int32 holds every pair index while the dimension budget stays within ``2**31``."""
     assert DIMENSION_BUDGET <= 2**31
     graph, space, measure = ev.Graph(8, frozenset(edges)), ev.StateSpace(2), uniform_measure(8, 2)
-    ev.HeredityMatrix(graph, space, measure)
+    ev.HeredityMatrix(ev.RowClassLayout(graph, space), measure)
     tracemalloc.start()
     try:
-        matrix = ev.HeredityMatrix(graph, space, measure)
+        matrix = ev.HeredityMatrix(ev.RowClassLayout(graph, space), measure)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert matrix.dimension == 65536
+    assert matrix.layout.dimension == 65536
     assert peak < peak_limit * 2**20
     assert kept < kept_limit * 2**20
 
@@ -474,12 +474,17 @@ def test_heredity_matrix_peak_at_the_budget_edge(edges, peak_limit, kept_limit):
     ],
 )
 def test_row_classes_match_unique_search(n, k, edges):
-    """The layout enumerated per component equals the ``np.unique`` search over all ``k^2n`` generator keys: every
-    array in values and dtype, and the normalized weights bit for bit."""
+    """The layout, built with no measure, equals the ``np.unique`` search over all ``k^2n`` generator keys: every
+    array in values and dtype.  A matrix over it normalizes the weights of the searched children, bit for bit."""
     measure = ev.from_weights(np.random.default_rng(n * 10 + k).uniform(0.1, 1.0, size=k**n), n, k)
-    matrix = ev.HeredityMatrix(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), measure)
-    for name, want in oracle_row_classes(matrix, measure).items():
-        got = getattr(matrix, name)
+    layout = ev.RowClassLayout(ev.Graph(n, frozenset(edges)), ev.StateSpace(k))
+    oracle = oracle_row_classes(layout)
+    weights = [measure.weights[kids] for kids in oracle["level_children"]]
+    normalized = [w / w.sum(axis=1, keepdims=True) for w in weights]
+    wanted = [*((layout, name, want) for name, want in oracle.items()),
+              (ev.HeredityMatrix(layout, measure), "_weights", normalized)]
+    for owner, name, want in wanted:
+        got = getattr(owner, name)
         for g, w in zip(got, want) if isinstance(want, list) else [(got, want)]:
             assert (g.dtype, g.shape) == (w.dtype, w.shape), name
             assert g.tobytes() == w.tobytes(), name

@@ -25,6 +25,7 @@ PUBLIC = [
     "LatticeBox",
     "Measure",
     "PairCell",
+    "RowClassLayout",
     "StateSpace",
     "StructureCounts",
     "Subalgebra",

@@ -208,7 +208,7 @@ def test_flows_match_sub_class_search(n, k, edges):
     measure = ev.from_weights(np.random.default_rng(n * 10 + k).uniform(0.1, 1.0, size=k**n), n, k)
     algebra = ev.build_algebra(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), measure)
     hierarchy = ev.build_hierarchy(algebra)
-    for got, want in zip((hierarchy.flow_source, hierarchy.flow_target), oracle_flows(algebra.matrix)):
+    for got, want in zip((hierarchy.flow_source, hierarchy.flow_target), oracle_flows(algebra.matrix.layout)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -257,7 +257,7 @@ def test_cancelling_pair_multiplies_to_zero(level):
     algebra = edgeless_six()
     a, b = 0, 2**level - 1  # the cells differ on the first `level` vertices
     forward, backward = a * algebra.kn + b, b * algebra.kn + a
-    assert algebra.matrix.row_level[algebra.matrix.gen_row[forward]] == level
+    assert algebra.matrix.layout.row_level[algebra.matrix.layout.gen_row[forward]] == level
     dense = 4**level * algebra_module._DENSE_SHARE >= algebra.dimension
     assert dense == (level == 6)
     x = ev.AlgebraElement({forward: 1.0, backward: 1.0})
@@ -617,8 +617,8 @@ def test_hierarchy_report_leaves_levels_and_flows_unbuilt(tmp_path, monkeypatch)
 
 
 def tampered(algebra, how, rng):
-    """A copy of ``algebra`` whose matrix has its ``gen_row`` or ``level_start`` changed."""
-    m = copy.copy(algebra.matrix)
+    """A copy of ``algebra`` whose matrix's layout has its ``gen_row`` or ``level_start`` changed."""
+    m = copy.copy(algebra.matrix.layout)
     if how == "swap":
         i, j = rng.integers(m.dimension, size=2)
         m.gen_row = m.gen_row.copy()
@@ -637,7 +637,9 @@ def tampered(algebra, how, rng):
         old, lo, hi = m.level_start[i], m.level_start[i - 1], m.level_start[i + 1]
         m.level_start = m.level_start.copy()
         m.level_start[i] = rng.choice([v for v in range(lo, hi + 1) if v != old])
-    return dataclasses.replace(algebra, matrix=m)
+    matrix = copy.copy(algebra.matrix)
+    matrix.layout = m
+    return dataclasses.replace(algebra, matrix=matrix)
 
 
 TAMPERS = ("none", "swap", "shuffle", "extra level", "moved boundary")
@@ -656,10 +658,10 @@ def test_iso_check_matches_hierarchy_oracle(left, seed, how):
     if how == "none":
         assert ev.iso_check(left, right) == oracle_iso(left, right)
         assert ev.iso_check(right, left) == oracle_iso(right, left)
-        assert oracle_levels(left.matrix) == oracle_hierarchy(left).levels
+        assert oracle_levels(left.matrix.layout) == oracle_hierarchy(left).levels
         assert ev.iso_check(left, right).verdict == "isomorphic-per-theorem"
     else:
-        changed = not all(np.array_equal(getattr(right.matrix, name), getattr(built.matrix, name))
+        changed = not all(np.array_equal(getattr(right.matrix.layout, name), getattr(built.matrix.layout, name))
                           for name in ("gen_row", "level_start"))
         assert changed or how == "swap"  # a swap within one class changes nothing
         for report in (oracle_iso(left, right), oracle_iso(right, left)):
@@ -669,17 +671,18 @@ def test_iso_check_matches_hierarchy_oracle(left, seed, how):
         matrixless = types.SimpleNamespace(graph=right.graph, space=right.space)
         assert ev.iso_check(left, matrixless) == ev.IsoReport(True, True, "isomorphic-per-theorem")
     if how != "moved boundary":  # a moved boundary breaks the flow search, not the levels
-        assert ev.build_hierarchy(right).levels == oracle_levels(right.matrix)
+        assert ev.build_hierarchy(right).levels == oracle_levels(right.matrix.layout)
 
 
 def test_iso_check_builds_no_hierarchy(tmp_path, monkeypatch):
-    """``isocheck`` loads and checks both scenarios and builds neither a hierarchy nor a heredity matrix."""
+    """``isocheck`` loads and checks both scenarios and builds no hierarchy, heredity matrix or row-class layout."""
     def refuse(*args):
-        raise AssertionError("isocheck built a hierarchy or a heredity matrix")
+        raise AssertionError("isocheck built a hierarchy, a heredity matrix or a layout")
 
     monkeypatch.setattr(structure, "build_hierarchy", refuse)
     monkeypatch.setattr(cli, "build_hierarchy", refuse)
     monkeypatch.setattr(algebra_module, "HeredityMatrix", refuse)
+    monkeypatch.setattr(algebra_module, "RowClassLayout", refuse)
     edges = [[a, b] for a, b in zip(SIX, SIX[1:])]
     first = scenario_file(tmp_path / "a.json", SIX, edges, ["a", "b"])
     weights = {f"({','.join(c)})": 1.0 + i for i, c in enumerate(itertools.product("ab", repeat=6))}

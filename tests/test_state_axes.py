@@ -84,9 +84,8 @@ def test_heredity_contributions_match_the_digit_table(seed):
     k = int(rng.integers(1, 5))
     n = int(rng.integers(1, {1: 10, 2: 9, 3: 6, 4: 5}[k]))
     graph = ev.Graph(n, frozenset((x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < 0.3))
-    measure = ev.from_weights(rng.random(k**n) + 0.1, n, k)
-    matrix = ev.HeredityMatrix(graph, ev.StateSpace(k), measure)
-    assert same_bits(matrix.contrib, oracle_contributions(n, k, ev.components(graph)))
+    layout = ev.RowClassLayout(graph, ev.StateSpace(k))
+    assert same_bits(layout.contrib, oracle_contributions(n, k, ev.components(graph)))
 
 
 @pytest.mark.parametrize("seed", range(12))

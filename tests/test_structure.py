@@ -282,7 +282,7 @@ def test_collapse_budget_comes_before_any_class_is_read(monkeypatch):
     """Edgeless n=9, k=2, built past the dimension budget: 6^9 = 10,077,696 row-class entries over 262,144
     generators, the smallest edgeless two-state algebra whose collapse the budget rejects."""
     graph, space, mu = ev.Graph(9), ev.StateSpace(2), uniform_measure(9, 2)
-    algebra = ev.EvolutionAlgebra(graph, space, mu, ev.HeredityMatrix(graph, space, mu))
+    algebra = ev.EvolutionAlgebra(graph, space, mu, ev.HeredityMatrix(ev.RowClassLayout(graph, space), mu))
     every = [range(algebra.dimension)]
     monkeypatch.setattr(ev.EvolutionAlgebra, "pair_index", lambda *args: pytest.fail("a class was read"))
     with pytest.raises(BudgetError, match=r"^collapse: prod_b k\^\|b\|\(2k\^\|b\|-1\) = 10077696 row-class entries "
@@ -304,7 +304,7 @@ def test_collapse_table_budget_comes_before_any_row_is_made(monkeypatch):
 
 def row_class_partition(algebra):
     """The generators of each row class, ascending, classes in row-class order."""
-    gen_row = algebra.matrix.gen_row
+    gen_row = algebra.matrix.layout.gen_row
     order = np.argsort(gen_row, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(gen_row[order])) + 1)
 
@@ -316,7 +316,7 @@ def test_edgeless_eight_collapses_by_row_class():
     classes = row_class_partition(algebra)
     table = ev.collapse_by_symmetry(algebra, [c.tolist() for c in classes])
     assert len(table.rows) == 3**8
-    class_of = algebra.matrix.gen_row
+    class_of = algebra.matrix.layout.gen_row
     for cid in (0, 1, 255, 256, 3000, 6559, 6560):
         want = {}
         for j, v in algebra.row(int(classes[cid][0])).items():
@@ -427,7 +427,7 @@ def collapse_cases(draw):
         rng.choice([1.0, 2.0], size=k**n),
         symmetrized_weights(n, k, rng.uniform(0.1, 1.0, size=k**n), vertex_perm, state_perm),
     ]))
-    gen_row = ev.HeredityMatrix(ev.Graph(n, frozenset(edges)), ev.StateSpace(k), uniform_measure(n, k)).gen_row
+    gen_row = ev.RowClassLayout(ev.Graph(n, frozenset(edges)), ev.StateSpace(k)).gen_row
     rows = gen_row.max() + 1
     label = draw(st.sampled_from([
         gen_row,
