@@ -22,14 +22,14 @@ print("three-site path, two states, beta * J =", beta * coupling)
 print("cell -> energy -> mass")
 for idx in range(8):
     c = Cell.from_index(idx, 3, 2)
-    print(f"  {c.states} -> {ev.hamiltonian_energy(h, c):+.0f} -> {mu.mass(c):.6f}")
+    print(f"  {c.states} -> {ev.hamiltonian_energy(h, c):+.0f} -> {mu.weights[c.index]:.6f}")
 
 aligned = Cell.from_states((1, 1, 1), 2)
 z = sum(
     math.exp(-beta * ev.hamiltonian_energy(h, Cell.from_index(i, 3, 2)))
     for i in range(8)
 )
-print("\nground-state mass:", mu.mass(aligned))
+print("\nground-state mass:", mu.weights[aligned.index])
 print("closed form      :", math.e**2 / z)
 
 # conditional probability of the middle site given its two neighbors

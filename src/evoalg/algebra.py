@@ -396,9 +396,10 @@ class AlgebraElement:
         return float(np.abs(self._merged(_element(other, "other"), -1.0)[1]).max(initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionAlgebra:
-    """A built algebra: provenance plus its coefficient matrix."""
+    """A built algebra: provenance plus its coefficient matrix.  It equals and hashes as itself alone, as its
+    measure and matrix do."""
 
     graph: Graph
     space: StateSpace

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_budget, cut
+from .errors import ValidationError, check_budget
 
 __all__ = [
     "StateSpace",
@@ -56,12 +56,6 @@ class StateSpace:
 
     def label_of(self, state: int) -> str:
         return self.labels[state - 1]
-
-    def state_of(self, label: str) -> int:
-        try:
-            return self.labels.index(str(label)) + 1
-        except ValueError:
-            raise ValidationError(f"states: unknown state label {cut(label)!r}") from None
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,10 @@ from .structure import build_hierarchy, iso_check, structure_counts
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A loaded scenario.  It holds a measure, so it equals and hashes as itself alone."""
+
     graph: object
     labels: tuple
     space: object
@@ -214,8 +216,8 @@ def cmd_limits(args) -> int:
         psi = tuple(_tail_cell_from_json(c) for c in _list(entry.get("psi", []), "pairs.psi"))
         if len(phi) != 2 or len(psi) != 2:
             raise ValidationError("limits.pairs: phi and psi each need two cells")
-        seq = coefficient_sequence(scheme, phi, psi)
-        sequences.append((phi, psi, seq))
+        seq = coefficient_sequence(scheme, phi, psi)  # checks the cells before a label formats their coordinates
+        sequences.append((_pair_label(phi), _pair_label(psi), seq))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "dimension": scheme.dimension,
@@ -225,8 +227,8 @@ def cmd_limits(args) -> int:
         "radii": list(scheme.radii),
         "pairs": [
             {
-                "phi": _pair_label(phi),
-                "psi": _pair_label(psi),
+                "phi": phi,
+                "psi": psi,
                 "values": list(seq.values),
                 "limit_estimate": seq.limit_estimate,
                 "converged": seq.converged,
@@ -242,13 +244,10 @@ def cmd_limits(args) -> int:
         payload["low_temp"] = low_temp_limit_algebras(scheme.dimension, scheme.states, scheme.radii, betas, scheme.coupling)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    head = f"{scheme.dimension},{scheme.states},{scheme.beta!r}"
     rows = ["d,q,beta,radius,phi,psi,coefficient"]
     for phi, psi, seq in sequences:
-        for radius, value in zip(seq.volumes, seq.values):
-            rows.append(
-                f"{scheme.dimension},{scheme.states},{scheme.beta!r},{radius},"
-                f"{_pair_label(phi)},{_pair_label(psi)},{value!r}"
-            )
+        rows.extend(f"{head},{radius},{phi},{psi},{value!r}" for radius, value in zip(seq.volumes, seq.values))
     (out / "limits.csv").write_text("\n".join(rows) + "\n")
     _dump_json(payload, out / "limits.json", args.stdout)
     return 0

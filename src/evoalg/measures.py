@@ -35,11 +35,13 @@ POSITIVITY_FLOOR = 1e-300
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measure:
     """Dense strictly positive probability vector over all cells.
 
-    ``weights[i]`` is the mass of the cell with canonical index ``i``.
+    ``weights[i]`` is the mass of the cell with canonical index ``i``.  A
+    measure equals and hashes as itself alone: compare two measures'
+    ``weights`` with ``np.array_equal``.
     """
 
     weights: np.ndarray
@@ -61,11 +63,6 @@ class Measure:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    def mass(self, cell: Cell) -> float:
-        if cell.n != self.n or cell.k != self.k:
-            raise ValidationError("mass: cell does not match the measure")
-        return float(self.weights[cell.index])
-
 
 def from_weights(raw, n: int, k: int) -> Measure:
     """Normalize a positive weight vector into a measure."""
@@ -81,7 +78,7 @@ def from_weights(raw, n: int, k: int) -> Measure:
     return Measure(w / total, n, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Pair Hamiltonian: site fields plus couplings on graph edges.
 
@@ -89,6 +86,7 @@ class Hamiltonian:
     0-based state digits at ``x`` and ``y`` (edge keys use ``x < y``);
     ``site_field`` has shape ``(n, k)``.  ``beta`` is the inverse
     temperature; ``beta == 0`` is the infinite-temperature (uniform) case.
+    It holds arrays, so it equals and hashes as itself alone.
     """
 
     graph: Graph

@@ -110,7 +110,7 @@ class Hierarchy:
 
     Each row class ``r`` is a block, number ``positions[r]`` of level ``row_level[r]``; flows run from each class in
     ``flow_source`` to a class of its children pairs in ``flow_target`` (``gen_row``'s dtype), on a lower level.  ``levels`` (each
-    level's blocks as sorted generator tuples) and ``flows`` (``((level, pos), (level, pos))`` edges) are built lazily.
+    level's blocks as sorted generator tuples) is built on first read.
     """
 
     gen_row: np.ndarray
@@ -138,11 +138,6 @@ class Hierarchy:
         order, bounds = (a.tolist() for a in self.members)
         blocks = [tuple(order[a:b]) for a, b in pairwise(bounds)]
         return tuple(tuple(blocks[a:b]) for a, b in pairwise(self.level_start.tolist()))
-
-    @cached_property
-    def flows(self) -> tuple:
-        coords = list(zip(self.row_level.tolist(), self.positions.tolist()))
-        return tuple((coords[a], coords[b]) for a, b in zip(self.flow_source.tolist(), self.flow_target.tolist()))
 
     def block_of(self, index) -> tuple:
         """The ``(level, position)`` coordinates of a generator's block."""

@@ -12,7 +12,7 @@ from hypothesis import Phase, settings
 import evoalg as ev
 from evoalg import limits
 from evoalg.cells import Cell, PairCell, children_indices
-from evoalg.errors import ValidationError, shown
+from evoalg.errors import ValidationError, cut, shown
 from evoalg.structure import COLLAPSE_TOL
 
 # CI runs with --hypothesis-profile=ci: a failure prints the @reproduce_failure blob that replays it
@@ -41,6 +41,22 @@ def display_cells(n, k):
     """All cells ordered by their state tuples (vertex 0 first)."""
     cells = [Cell.from_index(i, n, k) for i in range(k**n)]
     return sorted(cells, key=lambda c: c.states)
+
+
+def state_of(space, label) -> int:
+    """The state ``1..k`` that ``label`` names in ``space``; an unknown label is rejected by name."""
+    try:
+        return space.labels.index(str(label)) + 1
+    except ValueError:
+        raise ValidationError(f"states: unknown state label {cut(label)!r}") from None
+
+
+def cell_mass(measure, cell) -> float:
+    """The mass of one cell; a cell of another vertex or state count than the measure's is rejected, since its index
+    could name another cell or lie past the weights."""
+    if cell.n != measure.n or cell.k != measure.k:
+        raise ValidationError("mass: cell does not match the measure")
+    return float(measure.weights[cell.index])
 
 
 def measure_from_state_weights(weights, n, k):
@@ -99,9 +115,9 @@ def brute_row(algebra, generator):
     mu = algebra.measure
     kids = brute_children(generator, parts, algebra.space.k)
     pairs = [(a, b) for a in kids for b in kids]
-    denom = sum(mu.mass(a) * mu.mass(b) for a, b in pairs)
+    denom = sum(cell_mass(mu, a) * cell_mass(mu, b) for a, b in pairs)
     return {
-        PairCell(a, b).index: mu.mass(a) * mu.mass(b) / denom for a, b in pairs
+        PairCell(a, b).index: cell_mass(mu, a) * cell_mass(mu, b) / denom for a, b in pairs
     }
 
 
@@ -278,8 +294,8 @@ def dense_coeff(box, q, coupling, beta, phi, psi):
     if any(c not in kids for c in children):
         return 0.0
     dense = dense_box_measure(box, q, coupling, beta)
-    total = sum(dense.mass(c) for c in kids)
-    return dense.mass(children[0]) * dense.mass(children[1]) / total**2
+    total = sum(cell_mass(dense, c) for c in kids)
+    return cell_mass(dense, children[0]) * cell_mass(dense, children[1]) / total**2
 
 
 def dense_log_partition(box, q, coupling, beta):
@@ -398,6 +414,13 @@ def oracle_hierarchy(algebra):
         for other in subsets_of[key]:
             flows.add((src, coord[groups[other][0]]))
     return OracleHierarchy(levels, tuple(sorted(flows)), coord)
+
+
+def hierarchy_flows(hierarchy):
+    """A hierarchy's flows as ``((level, position), (level, position))`` pairs of block coordinates, in the order of
+    ``flow_source`` and ``flow_target``."""
+    coords = list(zip(hierarchy.row_level.tolist(), hierarchy.positions.tolist()))
+    return tuple((coords[a], coords[b]) for a, b in zip(hierarchy.flow_source.tolist(), hierarchy.flow_target.tolist()))
 
 
 def oracle_flows(layout):

@@ -6,7 +6,7 @@ import evoalg as ev
 from evoalg.cells import Cell, PairCell
 from evoalg.errors import ValidationError
 
-from conftest import all_small_instances, brute_children, cell, pair, pair_children
+from conftest import all_small_instances, brute_children, cell, pair, pair_children, state_of
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -121,11 +121,11 @@ def test_state_space_from_json():
     space = ev.state_space_from_json({"states": ["a", "A"]})
     assert space.k == 2
     assert space.label_of(2) == "A"
-    assert space.state_of("a") == 1
+    assert state_of(space, "a") == 1
     with pytest.raises(ValidationError):
         ev.state_space_from_json({"states": []})
     with pytest.raises(ValidationError):
-        space.state_of("b")
+        state_of(space, "b")
 
 
 def test_cell_labels(two_states):

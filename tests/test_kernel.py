@@ -32,6 +32,7 @@ from evoalg import algebra as algebra_module, cli, structure
 import pytest
 
 from conftest import (
+    hierarchy_flows,
     oracle_combine,
     oracle_counts,
     oracle_descent,
@@ -164,7 +165,7 @@ def check_exact(algebra, got, gens, scales):
 def check_hierarchy(algebra):
     got, expected = ev.build_hierarchy(algebra), oracle_hierarchy(algebra)
     assert got.levels == expected.levels
-    assert got.flows == expected.flows
+    assert hierarchy_flows(got) == expected.flows
     assert all(got.block_of(g) == expected.coord[g] for g in range(algebra.dimension))
 
 

@@ -11,6 +11,7 @@ from evoalg.errors import BudgetError, ValidationError
 
 from conftest import (
     display_cells,
+    hierarchy_flows,
     measure_from_state_weights,
     oracle_collapse,
     pair_children,
@@ -107,15 +108,15 @@ def test_hierarchy_trivial_instance():
 def test_flows_point_strictly_down(edge_algebra, free_algebra):
     for algebra in (edge_algebra, free_algebra):
         hierarchy = ev.build_hierarchy(algebra)
-        assert hierarchy.flows
-        for (src_lvl, _), (dst_lvl, _) in hierarchy.flows:
+        assert hierarchy_flows(hierarchy)
+        for (src_lvl, _), (dst_lvl, _) in hierarchy_flows(hierarchy):
             assert dst_lvl < src_lvl
 
 
 def test_each_transit_block_feeds_two_singletons(edge_algebra):
     hierarchy = ev.build_hierarchy(edge_algebra)
     for pos, block in enumerate(hierarchy.levels[1]):
-        targets = [dst for src, dst in hierarchy.flows if src == (1, pos)]
+        targets = [dst for src, dst in hierarchy_flows(hierarchy) if src == (1, pos)]
         assert len(targets) == 2
         i, j = divmod(block[0], edge_algebra.kn)
         expected = {
