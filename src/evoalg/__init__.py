@@ -16,8 +16,6 @@ from .algebra import (
     build_algebra,
     export_matrix_csv,
     export_matrix_json,
-    load_matrix_csv,
-    load_matrix_json,
     matrix_entries,
     nonzero_count,
 )

@@ -16,8 +16,6 @@ which the product structure of the pair-children set makes exact.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -49,8 +47,6 @@ __all__ = [
     "export_matrix_csv",
     "export_matrix_json",
     "write_matrix",
-    "load_matrix_csv",
-    "load_matrix_json",
 ]
 
 DIMENSION_BUDGET = 65536
@@ -513,6 +509,8 @@ def matrix_entries(algebra: EvolutionAlgebra):
 def write_matrix(algebra: EvolutionAlgebra, csv_path=None, json_path=None):
     """Write the CSV export, the JSON export or both, chunk by chunk in one walk over ``entry_texts``:
     what ``csv.writer`` and ``json.dump(payload, fh, sort_keys=True, indent=1)`` would write."""
+    if not (csv_path or json_path):
+        raise ValidationError("write_matrix: csv_path or json_path required, got neither")
     with ExitStack() as files:
         csv_fh = csv_path and files.enter_context(open(csv_path, "w", newline=""))
         json_fh = json_path and files.enter_context(open(json_path, "w"))
@@ -541,45 +539,3 @@ def export_matrix_json(algebra: EvolutionAlgebra, path):
     """Write what ``json.dump(payload, fh, sort_keys=True, indent=1)`` would: ``write_matrix`` for the JSON alone."""
     write_matrix(algebra, json_path=path)
 
-
-def _checked_entries(rows, fields) -> dict:
-    """``{(row, col): value}`` from ``(where, raw)`` rows: ``fields(raw)`` must give non-negative integer
-    row and col and a finite int or float value, and no ``(row, col)`` may repeat."""
-    entries = {}
-    for where, raw in rows:
-        try:
-            r, c, v = fields(raw)
-            if not (type(r) is int and type(c) is int and min(r, c) >= 0 and type(v) in (int, float) and math.isfinite(v)):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):  # not three fields, or an integer too large for a float
-            raise ValidationError(
-                f"{where}: non-negative integer row and col and a finite value required, got {shown(raw)}"
-            ) from None
-        if (r, c) in entries:
-            raise ValidationError(f"{where}: repeated entry ({r}, {c})")
-        entries[(r, c)] = float(v)
-    return entries
-
-
-def load_matrix_csv(path) -> dict:
-    """Read an exported CSV back into ``{(row, col): value}``, checked by ``_checked_entries``."""
-    # bytes that are not UTF-8 reach the header and field checks below as lone surrogates, which no number parses
-    with open(path, newline="", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["row", "col", "value"]:
-            raise ValidationError(f"matrix csv {path}: unexpected header")
-        # row and col must be plain digits: int() would also take signs, spaces and underscores
-        return _checked_entries(((f"matrix csv {path} line {reader.line_num}", line) for line in reader), lambda line: (
-            *(int(x) if x.isascii() and x.isdigit() else x for x in line[:2]), *map(float, line[2:])))
-
-
-def load_matrix_json(path) -> dict:
-    """Read an exported JSON back into ``{(row, col): value}``, checked by ``_checked_entries``."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
-            raise ValidationError(f"matrix json {path}: {exc}") from None
-    if not (isinstance(payload, dict) and payload.get("schema_version") == 1 and isinstance(payload.get("entries"), list)):
-        raise ValidationError(f"matrix json {path}: object with schema_version 1 and a list of entries required")
-    return _checked_entries(((f"matrix json {path}", item) for item in payload["entries"]), tuple)

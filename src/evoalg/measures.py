@@ -238,8 +238,11 @@ def dlr_table(h: Hamiltonian, domain, measure: Measure = None) -> list:
     The right side averages the conditional probability, built from the
     potentials meeting the domain, over the outer neighbours' states.
     ``measure`` is the Gibbs measure of ``h`` when the caller has built it
-    already; otherwise it is built here.
+    already; otherwise it is built here.  Domain vertices are integers, numpy integers included; bools are not.
     """
+    domain = list(domain)
+    if bad := [v for v in domain if not is_index(v)]:
+        raise ValidationError(f"dlr: domain vertex must be an integer, got {shown(bad[0])}")
     domain = tuple(sorted(set(domain)))
     if not domain:
         raise ValidationError("dlr: domain must be nonempty")

@@ -15,7 +15,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .algebra import NONZERO_BUDGET, EvolutionAlgebra
-from .errors import ValidationError, check_budget, is_index, shown
+from .errors import ValidationError, check_budget
 from .graphs import components
 
 __all__ = [
@@ -138,15 +138,6 @@ class Hierarchy:
         order, bounds = (a.tolist() for a in self.members)
         blocks = [tuple(order[a:b]) for a, b in pairwise(bounds)]
         return tuple(tuple(blocks[a:b]) for a, b in pairwise(self.level_start.tolist()))
-
-    def block_of(self, index) -> tuple:
-        """The ``(level, position)`` coordinates of a generator's block."""
-        if not is_index(index):
-            raise ValidationError(f"generator must be an integer, got {shown(index)}")
-        if not 0 <= index < len(self.gen_row):
-            raise ValidationError(f"generator {index} not present in the hierarchy")
-        level = self.row_level[self.gen_row[index]]
-        return int(level), int(self.gen_row[index] - self.level_start[level])
 
 
 def build_hierarchy(algebra: EvolutionAlgebra) -> Hierarchy:

@@ -1,6 +1,8 @@
 """Shared fixtures: two-vertex reference algebras and brute-force oracles."""
 
+import csv
 import itertools
+import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -12,7 +14,7 @@ from hypothesis import Phase, settings
 import evoalg as ev
 from evoalg import limits
 from evoalg.cells import Cell, PairCell, children_indices
-from evoalg.errors import ValidationError, cut, shown
+from evoalg.errors import ValidationError, cut, is_index, shown
 from evoalg.structure import COLLAPSE_TOL
 
 # CI runs with --hypothesis-profile=ci: a failure prints the @reproduce_failure blob that replays it
@@ -372,6 +374,49 @@ def oracle_entries(algebra):
     return out
 
 
+def _checked_entries(rows, fields) -> dict:
+    """``{(row, col): value}`` from ``(where, raw)`` rows: ``fields(raw)`` must give non-negative integer
+    row and col and a finite int or float value, and no ``(row, col)`` may repeat."""
+    entries = {}
+    for where, raw in rows:
+        try:
+            r, c, v = fields(raw)
+            if not (type(r) is int and type(c) is int and min(r, c) >= 0 and type(v) in (int, float) and math.isfinite(v)):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):  # not three fields, or an integer too large for a float
+            raise ValidationError(
+                f"{where}: non-negative integer row and col and a finite value required, got {shown(raw)}"
+            ) from None
+        if (r, c) in entries:
+            raise ValidationError(f"{where}: repeated entry ({r}, {c})")
+        entries[(r, c)] = float(v)
+    return entries
+
+
+def load_matrix_csv(path) -> dict:
+    """Read an exported CSV back into ``{(row, col): value}``, checked by ``_checked_entries``."""
+    # bytes that are not UTF-8 reach the header and field checks below as lone surrogates, which no number parses
+    with open(path, newline="", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["row", "col", "value"]:
+            raise ValidationError(f"matrix csv {path}: unexpected header")
+        # row and col must be plain digits: int() would also take signs, spaces and underscores
+        return _checked_entries(((f"matrix csv {path} line {reader.line_num}", line) for line in reader), lambda line: (
+            *(int(x) if x.isascii() and x.isdigit() else x for x in line[:2]), *map(float, line[2:])))
+
+
+def load_matrix_json(path) -> dict:
+    """Read an exported JSON back into ``{(row, col): value}``, checked by ``_checked_entries``."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValidationError(f"matrix json {path}: {exc}") from None
+    if not (isinstance(payload, dict) and payload.get("schema_version") == 1 and isinstance(payload.get("entries"), list)):
+        raise ValidationError(f"matrix json {path}: object with schema_version 1 and a list of entries required")
+    return _checked_entries(((f"matrix json {path}", item) for item in payload["entries"]), tuple)
+
+
 OracleHierarchy = namedtuple("OracleHierarchy", "levels flows coord")
 
 
@@ -421,6 +466,16 @@ def hierarchy_flows(hierarchy):
     ``flow_source`` and ``flow_target``."""
     coords = list(zip(hierarchy.row_level.tolist(), hierarchy.positions.tolist()))
     return tuple((coords[a], coords[b]) for a, b in zip(hierarchy.flow_source.tolist(), hierarchy.flow_target.tolist()))
+
+
+def block_of(hierarchy, index) -> tuple:
+    """The ``(level, position)`` coordinates of a generator's block."""
+    if not is_index(index):
+        raise ValidationError(f"generator must be an integer, got {shown(index)}")
+    if not 0 <= index < len(hierarchy.gen_row):
+        raise ValidationError(f"generator {index} not present in the hierarchy")
+    level = hierarchy.row_level[hierarchy.gen_row[index]]
+    return int(level), int(hierarchy.gen_row[index] - hierarchy.level_start[level])
 
 
 def oracle_flows(layout):

@@ -18,6 +18,8 @@ from conftest import (
     all_small_instances,
     brute_row,
     display_cells,
+    load_matrix_csv,
+    load_matrix_json,
     pair_children,
     oracle_exact_algebra,
     oracle_row_classes,
@@ -379,8 +381,16 @@ def test_matrix_export_import_roundtrip(tmp_path, edge_algebra):
     ev.export_matrix_csv(edge_algebra, csv_path)
     ev.export_matrix_json(edge_algebra, json_path)
     entries = {(i, j): v for i, j, v in ev.matrix_entries(edge_algebra)}
-    assert ev.load_matrix_csv(csv_path) == entries
-    assert ev.load_matrix_json(json_path) == entries
+    assert load_matrix_csv(csv_path) == entries
+    assert load_matrix_json(json_path) == entries
+
+
+def test_write_matrix_without_a_path_is_rejected_before_opening_a_file(edge_algebra, monkeypatch):
+    opened = []
+    monkeypatch.setattr(ev.algebra, "open", lambda *args, **kwargs: opened.append(args), raising=False)
+    with pytest.raises(ValidationError, match="^write_matrix: csv_path or json_path required, got neither$"):
+        ev.algebra.write_matrix(edge_algebra)
+    assert opened == []
 
 
 MALFORMED_MATRIX_FILES = [
@@ -418,7 +428,7 @@ def test_matrix_loaders_name_the_malformed_file(tmp_path, name, text, where):
     path = tmp_path / name
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     kind = path.suffix[1:]
-    load = {"json": ev.load_matrix_json, "csv": ev.load_matrix_csv}[kind]
+    load = {"json": load_matrix_json, "csv": load_matrix_csv}[kind]
     with pytest.raises(ValidationError, match="^" + re.escape(f"matrix {kind} {path}{where}")):
         load(path)
 

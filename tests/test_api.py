@@ -55,8 +55,6 @@ PUBLIC = [
     "graph_from_json",
     "hamiltonian_energy",
     "iso_check",
-    "load_matrix_csv",
-    "load_matrix_json",
     "low_temp_limit_algebras",
     "matrix_entries",
     "measure_from_json",

@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 import evoalg as ev
 from evoalg.cli import main
 
+from conftest import load_matrix_csv, load_matrix_json
+
 
 def write(path, payload):
     path.write_text(json.dumps(payload))
@@ -56,8 +58,8 @@ def test_build_writes_matrix_and_summary(tmp_path):
     summary = json.loads((out / "build_summary.json").read_text())
     assert summary["dimension"] == 16
     assert summary["nonzeros"] == 52
-    entries = ev.load_matrix_csv(out / "matrix.csv")
-    assert entries == ev.load_matrix_json(out / "matrix.json")
+    entries = load_matrix_csv(out / "matrix.csv")
+    assert entries == load_matrix_json(out / "matrix.json")
     assert len(entries) == 52
 
 

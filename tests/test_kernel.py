@@ -32,6 +32,7 @@ from evoalg import algebra as algebra_module, cli, structure
 import pytest
 
 from conftest import (
+    block_of,
     hierarchy_flows,
     oracle_combine,
     oracle_counts,
@@ -166,7 +167,7 @@ def check_hierarchy(algebra):
     got, expected = ev.build_hierarchy(algebra), oracle_hierarchy(algebra)
     assert got.levels == expected.levels
     assert hierarchy_flows(got) == expected.flows
-    assert all(got.block_of(g) == expected.coord[g] for g in range(algebra.dimension))
+    assert all(block_of(got, g) == expected.coord[g] for g in range(algebra.dimension))
 
 
 @settings(max_examples=40, deadline=None)
@@ -607,14 +608,22 @@ def test_hierarchy_json_is_json_dump_of_its_payload(tmp_path, capsys, vertices, 
     assert capsys.readouterr().out.encode("ascii") == expected
 
 
-def test_hierarchy_report_leaves_levels_and_flows_unbuilt(tmp_path, monkeypatch):
-    """``hierarchy`` writes from the arrays: the tuples of ``levels`` and ``flows`` are never built."""
+def test_reports_build_no_levels_and_no_pair_labels(tmp_path, monkeypatch):
+    """``hierarchy`` writes from the arrays: the tuples of ``levels`` are never built.  ``hierarchy`` and ``build``
+    label generators from the ``k^n`` cell labels alone: no pair cell is made or labelled one by one."""
+    def refused(*args):
+        raise AssertionError("a pair label made one generator at a time")
+
+    monkeypatch.setattr(ev.EvolutionAlgebra, "pair_label", refused)
+    monkeypatch.setattr(ev.EvolutionAlgebra, "pair_from_index", refused)
+    monkeypatch.setattr(ev.PairCell, "label", refused)
     built = []
     monkeypatch.setattr(cli, "build_hierarchy", lambda algebra: built.append(ev.build_hierarchy(algebra)) or built[-1])
     scenario = scenario_file(tmp_path / "s.json", SIX, [[a, b] for a, b in zip(SIX, SIX[1:])], ["a", "b"])
-    assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert cli.main(["hierarchy", "--scenario", scenario, "--out", str(tmp_path / "hierarchy")]) == 0
     assert len(built) == 1
-    assert not {"levels", "flows"} & set(built[0].__dict__)
+    assert "levels" not in built[0].__dict__
+    assert cli.main(["build", "--scenario", scenario, "--out", str(tmp_path / "build")]) == 0
 
 
 def tampered(algebra, how, rng):

@@ -274,6 +274,21 @@ def test_dlr_table_reuses_a_given_measure(monkeypatch):
         ev.dlr_table(h, (1,), uniform_measure(3, 2))
 
 
+@pytest.mark.parametrize("vertex", [1.5, True, "1", np.float64(1.0)], ids=["float", "bool", "str", "numpy float"])
+def test_dlr_table_rejects_non_integer_domain_vertices(edge_potts, vertex):
+    """Each is named before the domain is sorted, as ``dlr_check`` and ``conditional_prob`` reject it; numpy
+    integers are vertices."""
+    assert ev.dlr_table(edge_potts, [np.int64(1)]) == ev.dlr_table(edge_potts, [1])
+    named = rf"^dlr: domain vertex must be an integer, got {type(vertex).__name__} "
+    for domain in ([vertex], [0, vertex]):
+        with pytest.raises(ValidationError, match=named):
+            ev.dlr_table(edge_potts, domain)
+    with pytest.raises(ValidationError):
+        ev.dlr_check(edge_potts, {vertex: 1})
+    with pytest.raises(ValidationError):
+        ev.conditional_prob(edge_potts, {0: 1}, {vertex: 1})
+
+
 @pytest.mark.parametrize(
     "domain, assignment",
     [((), {}), ((5,), {5: 1}), ((0,), {0: 3}), ((0,), {0: 0}), ((0,), {0: True})],

@@ -10,6 +10,7 @@ from evoalg import structure
 from evoalg.errors import BudgetError, ValidationError
 
 from conftest import (
+    block_of,
     display_cells,
     hierarchy_flows,
     measure_from_state_weights,
@@ -120,8 +121,8 @@ def test_each_transit_block_feeds_two_singletons(edge_algebra):
         assert len(targets) == 2
         i, j = divmod(block[0], edge_algebra.kn)
         expected = {
-            hierarchy.block_of(i * edge_algebra.kn + i),
-            hierarchy.block_of(j * edge_algebra.kn + j),
+            block_of(hierarchy, i * edge_algebra.kn + i),
+            block_of(hierarchy, j * edge_algebra.kn + j),
         }
         assert set(targets) == expected
 
@@ -130,15 +131,15 @@ def test_each_transit_block_feeds_two_singletons(edge_algebra):
 def test_block_of_rejects_generator_out_of_range(edge_algebra, index):
     hierarchy = ev.build_hierarchy(edge_algebra)
     with pytest.raises(ValidationError, match=f"generator {index} not present"):
-        hierarchy.block_of(index)
+        block_of(hierarchy, index)
 
 
 @pytest.mark.parametrize("index", [1.0, True, np.float64(1.0), "1", None])
 def test_block_of_rejects_non_integer_generators(edge_algebra, index):
     hierarchy = ev.build_hierarchy(edge_algebra)
-    assert hierarchy.block_of(np.int64(1)) == hierarchy.block_of(1)
+    assert block_of(hierarchy, np.int64(1)) == block_of(hierarchy, 1)
     with pytest.raises(ValidationError, match="generator must be an integer"):
-        hierarchy.block_of(index)
+        block_of(hierarchy, index)
 
 
 def test_every_generator_in_exactly_one_block(free_algebra):
