@@ -55,7 +55,7 @@ def _read_scenario(path) -> dict:
         raise ValidationError(f"scenario: invalid JSON in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError("scenario: top-level JSON object required")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    if not is_index(version := raw.get("schema_version")) or version != SCHEMA_VERSION:  # neither true nor 1.0
         raise ValidationError("scenario.schema_version: expected 1")
     return raw
 
@@ -88,10 +88,23 @@ def load_scenario(path, budgets=None) -> Scenario:
     return Scenario(graph, labels, space, measure, hamiltonian)
 
 
-def _dump_json(payload, path, to_stdout: bool):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"  # one write, not json.dump's one per token
-    with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
-        fh.write(text)
+def _out(args) -> Path:
+    """The ``--out`` directory, made.  Each command calls this once, after its work, so a rejected run makes none."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _report(path, to_stdout: bool):
+    """The report ``path`` opened for writing, or stdout under ``--stdout``."""
+    return nullcontext(sys.stdout) if to_stdout else open(path, "w")
+
+
+def _dump_json(payload: dict, path, to_stdout: bool):
+    """Write ``payload`` and the schema version, keys sorted, to ``path`` or under ``--stdout`` to stdout."""
+    text = json.dumps({**payload, "schema_version": SCHEMA_VERSION}, sort_keys=True, indent=1) + "\n"
+    with _report(path, to_stdout) as fh:
+        fh.write(text)  # one write, not json.dump's one per token
 
 
 def _level_runs(hierarchy, leads: dict, block: str, other: str) -> list:
@@ -130,11 +143,9 @@ def _write_hierarchy(fh, hierarchy, algebra, counts):
 def cmd_build(args) -> int:
     scenario = load_scenario(args.scenario, partial(check_budgets, nonzeros=True))
     algebra = build_algebra(scenario.graph, scenario.space, scenario.measure)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     write_matrix(algebra, out / "matrix.csv", out / "matrix.json")
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "vertices": scenario.graph.vertex_count,
         "states": scenario.space.k,
         "dimension": algebra.dimension,
@@ -153,12 +164,11 @@ def cmd_hierarchy(args) -> int:
         counts = asdict(structure_counts(algebra))
     except ValidationError:
         counts = None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     if not args.stdout:
         with open(out / "hierarchy.txt", "w") as fh:
             _write_hierarchy_text(fh, hierarchy, algebra)
-    with nullcontext(sys.stdout) if args.stdout else open(out / "hierarchy.json", "w") as fh:
+    with _report(out / "hierarchy.json", args.stdout) as fh:
         _write_hierarchy(fh, hierarchy, algebra, counts)
     return 0
 
@@ -166,11 +176,7 @@ def cmd_hierarchy(args) -> int:
 def cmd_isocheck(args) -> int:
     # the budgets of the algebras compared, though neither is built
     scenarios = [load_scenario(path, check_budgets) for path in (args.scenario, args.scenario_b)]
-    report = iso_check(*scenarios)
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(report)}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(payload, out / "isocheck.json", args.stdout)
+    _dump_json(asdict(iso_check(*scenarios)), _out(args) / "isocheck.json", args.stdout)
     return 0
 
 
@@ -219,7 +225,6 @@ def cmd_limits(args) -> int:
         seq = coefficient_sequence(scheme, phi, psi)  # checks the cells before a label formats their coordinates
         sequences.append((_pair_label(phi), _pair_label(psi), seq))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "dimension": scheme.dimension,
         "states": scheme.states,
         "coupling": scheme.coupling,
@@ -242,8 +247,7 @@ def cmd_limits(args) -> int:
             raise ValidationError("scenario.limits.low_temp.betas: nonempty list required")
         betas = [_number(b, "low_temp.betas") for b in betas]
         payload["low_temp"] = low_temp_limit_algebras(scheme.dimension, scheme.states, scheme.radii, betas, scheme.coupling)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     head = f"{scheme.dimension},{scheme.states},{scheme.beta!r}"
     rows = ["d,q,beta,radius,phi,psi,coefficient"]
     for phi, psi, seq in sequences:
@@ -270,14 +274,11 @@ def cmd_dlr(args) -> int:
     rows = [{"assignment": f"({','.join(states)})", "lhs": r.lhs, "rhs": r.rhs, "gap": r.gap}
             for states, r in zip(labels, table)]
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "domain": [scenario.labels[v] for v in domain],
         "rows": rows,
         "max_gap": max(r.gap for r in table),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(payload, out / "dlr.json", args.stdout)
+    _dump_json(payload, _out(args) / "dlr.json", args.stdout)
     return 0
 
 

@@ -83,7 +83,10 @@ class Hamiltonian:
     """Pair Hamiltonian: site fields plus couplings on graph edges.
 
     ``pair_coupling[(x, y)]`` is a ``k x k`` energy matrix indexed by the
-    0-based state digits at ``x`` and ``y`` (edge keys use ``x < y``);
+    0-based state digits at ``x`` and ``y``: its rows index the state of
+    the key's first vertex.  The kept keys have ``x < y``, so a key given
+    as ``(y, x)`` is kept with its matrix transposed, and an edge given a
+    second coupling under either key is rejected.
     ``site_field`` has shape ``(n, k)``.  ``beta`` is the inverse
     temperature; ``beta == 0`` is the infinite-temperature (uniform) case.
     It holds arrays, so it equals and hashes as itself alone.
@@ -101,15 +104,17 @@ class Hamiltonian:
         if not np.isfinite(self.beta) or self.beta < 0:
             raise ValidationError("hamiltonian: beta must be nonnegative and finite")
         coupling = {}
-        for e, m in self.pair_coupling.items():
-            x, y = min(e), max(e)
+        for (a, b), m in self.pair_coupling.items():
+            x, y = min(a, b), max(a, b)
             if (x, y) not in self.graph.edges:
                 raise ValidationError(f"hamiltonian: coupling on non-edge ({x},{y})")
+            if (x, y) in coupling:
+                raise ValidationError(f"hamiltonian: duplicate coupling on edge ({x},{y})")
             mat = np.asarray(m, dtype=float)
             if mat.shape != (self.k, self.k):
                 raise ValidationError(f"hamiltonian: coupling matrix on ({x},{y}) must be k x k")
             mat.flags.writeable = False
-            coupling[(x, y)] = mat
+            coupling[(x, y)] = mat.T if a > b else mat  # a read-only view either way
         missing = self.graph.edges - set(coupling)
         if missing:
             x, y = min(missing)
@@ -246,8 +251,8 @@ def dlr_table(h: Hamiltonian, domain, measure: Measure = None) -> list:
     domain = tuple(sorted(set(domain)))
     if not domain:
         raise ValidationError("dlr: domain must be nonempty")
-    if any(v < 0 or v >= h.n for v in domain):
-        raise ValidationError("dlr: domain vertex out of range")
+    if outside := [v for v in domain if not 0 <= v < h.n]:
+        raise ValidationError(f"dlr: domain vertex {shown(outside[0])} is not in 0..{h.n - 1}")
     if measure is None:
         measure = gibbs_measure(h)
     elif (measure.n, measure.k) != (h.n, h.k):
@@ -356,12 +361,18 @@ def measure_from_json(descriptor: dict, graph: Graph, space, vertex_labels) -> t
                 edge = entry.get("edge")
                 if not isinstance(edge, (list, tuple)) or len(edge) != 2:
                     raise ValidationError("measure.hamiltonian.pair_coupling: malformed edge")
-                coupling[(vertex_of(edge[0]), vertex_of(edge[1]))] = _floats(
-                    entry.get("matrix"), "measure.hamiltonian.pair_coupling.matrix", (k, k)
-                )
-            field_arr = np.zeros((n, k))
+                x, y = vertex_of(edge[0]), vertex_of(edge[1])
+                if (x, y) in coupling or (y, x) in coupling:
+                    labels = f"{cut(vertex_labels[x])}, {cut(vertex_labels[y])}"
+                    raise ValidationError(f"measure.hamiltonian.pair_coupling: duplicate edge [{labels}]")
+                # rows index the state of the vertex listed first: Hamiltonian transposes a reversed edge
+                coupling[(x, y)] = _floats(entry.get("matrix"), "measure.hamiltonian.pair_coupling.matrix", (k, k))
+            field_arr, named = np.zeros((n, k)), set()
             for entry in _objects(spec, "site_field"):
                 v = vertex_of(entry.get("vertex", -1))
+                if v in named:
+                    raise ValidationError(f"measure.hamiltonian.site_field: duplicate vertex {cut(vertex_labels[v])!r}")
+                named.add(v)
                 field_arr[v] = _floats(entry.get("values"), "measure.hamiltonian.site_field", (k,))
             h = Hamiltonian(graph, k, beta, coupling, field_arr)
         return gibbs_measure(h), h

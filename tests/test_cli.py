@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -521,6 +522,13 @@ def coupling_with(matrix):
     return payload
 
 
+def repeated(field, entry):
+    """``general_scenario`` with ``entry`` appended to its Hamiltonian's ``field`` list."""
+    payload = general_scenario([0.5, 0.5])
+    payload["measure"]["hamiltonian"][field].append(entry)
+    return payload
+
+
 TAILS = [{"tail": 1}, {"tail": 1}]
 
 
@@ -550,6 +558,23 @@ MALFORMED = {
         coupling_with([["x", 1], [1, 0]]),
         "measure.hamiltonian.pair_coupling.matrix",
     ),
+    "repeated edge": (
+        "dlr",
+        repeated("pair_coupling", {"edge": ["1", "2"], "matrix": [[0, 1], [1, 0]]}),
+        "measure.hamiltonian.pair_coupling: duplicate edge [1, 2]",
+    ),
+    "repeated edge, reversed": (
+        "dlr",
+        repeated("pair_coupling", {"edge": ["2", "1"], "matrix": [[0, 1], [1, 0]]}),
+        "measure.hamiltonian.pair_coupling: duplicate edge [2, 1]",
+    ),
+    "repeated site": (
+        "dlr",
+        repeated("site_field", {"vertex": "1", "values": [0.5, 0.5]}),
+        "measure.hamiltonian.site_field: duplicate vertex '1'",
+    ),
+    "boolean schema_version": ("build", {**edge_scenario(), "schema_version": True}, "scenario.schema_version"),
+    "float schema_version": ("build", {**edge_scenario(), "schema_version": 1.0}, "scenario.schema_version"),
     "pairs not a list": ("limits", limits_with(pairs=3), "scenario.limits.pairs"),
     "pairs entry not an object": ("limits", limits_with(pairs=[3]), "scenario.limits.pairs"),
     "phi not a list": (
@@ -621,6 +646,76 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, command, payload
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"error: {field}" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# scenarios (a second one is --scenario-b), extra arguments and the exit code of a run that each command rejects at
+# or near its last check, once the work that precedes its reports is done (the nonzero-budget test above covers an
+# over-budget build)
+REJECTED_LATE = {
+    "build, missing weight": ("build", [edge_scenario({"(a,a)": 1, "(a,A)": 1, "(A,a)": 1})], [], 2),
+    "hierarchy, repeated site": ("hierarchy", [repeated("site_field", {"vertex": "1", "values": [0, 1]})], [], 2),
+    "isocheck, different graphs": ("isocheck", [edge_scenario(), free_scenario()], [], 2),
+    "limits, bad low_temp beta": ("limits", [limits_with(low_temp={"betas": [0.5, "hot"]})], [], 2),
+    "limits, low_temp budget": ("limits", [limits_with(states=1000, radii=[0], low_temp={"betas": [1.0, 2.0]})], [], 3),
+    "dlr, unknown domain vertex": ("dlr", [potts_scenario(["1", "2"], [["1", "2"]])], ["--domain", "1,3"], 2),
+}
+
+
+@pytest.mark.parametrize("command, scenarios, extra, code", REJECTED_LATE.values(), ids=list(REJECTED_LATE))
+def test_a_rejected_run_makes_no_out_directory(tmp_path, capsys, command, scenarios, extra, code):
+    """``--out`` is made once a command's work is done, just before its reports are written: a rejected run leaves
+    neither it nor its parents."""
+    names = [write(tmp_path / f"s{i}.json", scenario) for i, scenario in enumerate(scenarios)]
+    extra = extra + ["--scenario-b", *names[1:]] * (len(names) > 1)
+    assert main([command, "--scenario", names[0], *extra, "--out", str(tmp_path / "out" / "nested")]) == code
+    assert capsys.readouterr().err.startswith(("error: ", "budget exceeded: "))
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def general_hamiltonians(draw):
+    """A general Hamiltonian scenario and a nonempty ``--domain``: a graph of at least one edge on 2 to 5 vertices, 2
+    or 3 states, and random couplings on every edge, asymmetric but for chance, and fields on some vertices.  Three
+    states stop at 4 vertices: 5 would export a 14 MB matrix."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 5 if k == 2 else 4))
+    vertices = [f"v{i}" for i in range(n)]
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(vertices, 2))), min_size=1, unique=True))
+    values = st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)
+    hamiltonian = {
+        "beta": draw(st.floats(0.0, 3.0)),
+        "pair_coupling": [{"edge": list(e), "matrix": draw(st.lists(values, min_size=k, max_size=k))} for e in edges],
+        "site_field": [{"vertex": v, "values": draw(values)}
+                       for v in draw(st.lists(st.sampled_from(vertices), unique=True))],
+    }
+    payload = {"schema_version": 1, "graph": {"vertices": vertices, "edges": [list(e) for e in edges]},
+               "states": {"states": ["a", "b", "c"][:k]}, "measure": {"hamiltonian": hamiltonian}}
+    return payload, ",".join(draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(general_hamiltonians())
+def test_a_reversed_edge_with_its_matrix_transposed_changes_no_report(case):
+    """A coupling matrix's rows index the state of the vertex listed first, so listing every edge the other way round
+    with its matrix transposed gives the same weights, bit for bit, and the same ``dlr.json`` and ``matrix.json``."""
+    payload, domain = case
+    flipped = copy.deepcopy(payload)
+    for entry in flipped["measure"]["hamiltonian"]["pair_coupling"]:
+        entry["edge"].reverse()
+        entry["matrix"] = [list(column) for column in zip(*entry["matrix"])]
+    with tempfile.TemporaryDirectory() as tmp:
+        reports, weights = [], []
+        for name, scenario in (("forward", payload), ("reversed", flipped)):
+            path = write(Path(tmp) / f"{name}.json", scenario)
+            weights.append([w.hex() for w in ev.cli.load_scenario(path).measure.weights.tolist()])
+            out = Path(tmp) / name
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(["dlr", "--scenario", path, "--domain", domain, "--out", str(out)]) == 0
+                assert main(["build", "--scenario", path, "--out", str(out)]) == 0
+            reports.append([(out / report).read_bytes() for report in ("dlr.json", "matrix.json")])
+        assert weights[0] == weights[1]
+        assert reports[0] == reports[1]
 
 
 def edges_with(edges):

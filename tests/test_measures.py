@@ -289,6 +289,14 @@ def test_dlr_table_rejects_non_integer_domain_vertices(edge_potts, vertex):
         ev.conditional_prob(edge_potts, {0: 1}, {vertex: 1})
 
 
+@pytest.mark.parametrize("vertex", [5, 2, -1])
+def test_dlr_table_names_a_vertex_out_of_range(edge_potts, vertex):
+    """In the form ``dlr_check`` names one: its type, its value and the range."""
+    with pytest.raises(ValidationError) as exc:
+        ev.dlr_table(edge_potts, [0, vertex])
+    assert str(exc.value) == f"dlr: domain vertex int {vertex} is not in 0..1"
+
+
 @pytest.mark.parametrize(
     "domain, assignment",
     [((), {}), ((5,), {5: 1}), ((0,), {0: 3}), ((0,), {0: 0}), ((0,), {0: True})],
@@ -382,6 +390,44 @@ def test_gibbs_gauge_invariance(shift):
 def test_hamiltonian_requires_full_coupling(edge_graph):
     with pytest.raises(ValidationError):
         ev.Hamiltonian(edge_graph, 2, 1.0, {})
+
+
+def test_reversed_coupling_key_is_transposed(edge_graph):
+    """A matrix's rows index the state of its key's first vertex: ``(1, 0)`` with ``M`` is ``(0, 1)`` with ``M``
+    transposed, not ``(0, 1)`` with ``M``, whose weights on this edge are (0.297, 0.297, 0.109, 0.297)."""
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])
+    reversed_key = ev.gibbs_measure(ev.Hamiltonian(edge_graph, 2, 1.0, {(1, 0): m}))
+    forward = ev.gibbs_measure(ev.Hamiltonian(edge_graph, 2, 1.0, {(0, 1): m.T}))
+    as_given = ev.gibbs_measure(ev.Hamiltonian(edge_graph, 2, 1.0, {(0, 1): m}))
+    assert [w.hex() for w in reversed_key.weights.tolist()] == [w.hex() for w in forward.weights.tolist()]
+    assert reversed_key.weights[1] < reversed_key.weights[2]
+    assert as_given.weights.round(3).tolist() == [0.297, 0.297, 0.109, 0.297]
+
+
+def test_second_coupling_on_an_edge_is_rejected(edge_graph):
+    m = np.zeros((2, 2))
+    with pytest.raises(ValidationError, match=r"^hamiltonian: duplicate coupling on edge \(0,1\)$"):
+        ev.Hamiltonian(edge_graph, 2, 1.0, {(0, 1): m, (1, 0): m})
+
+
+ZERO = {"edge": ["u", "v"], "matrix": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "coupling, fields, message",
+    [
+        ([ZERO, ZERO], [], "measure.hamiltonian.pair_coupling: duplicate edge [u, v]"),
+        ([ZERO, {**ZERO, "edge": ["v", "u"]}], [], "measure.hamiltonian.pair_coupling: duplicate edge [v, u]"),
+        ([ZERO], [{"vertex": "v", "values": [0.0, 0.5]}] * 2, "measure.hamiltonian.site_field: duplicate vertex 'v'"),
+    ],
+    ids=["edge, same order", "edge, reversed", "site"],
+)
+def test_measure_from_json_rejects_a_repeated_entry(edge_graph, two_states, coupling, fields, message):
+    """A second entry for one edge or one vertex is named, not read over the first."""
+    desc = {"hamiltonian": {"beta": 1.0, "pair_coupling": coupling, "site_field": fields}}
+    with pytest.raises(ValidationError) as exc:
+        ev.measure_from_json(desc, edge_graph, two_states, EDGE_LABELS)
+    assert str(exc.value) == message
 
 
 def test_missing_coupling_message_names_the_count_and_the_first_edge():
